@@ -94,19 +94,6 @@ class CorruptRecordError(ServeError):
     """
 
 
-class FleetWorkerError(ReproError):
-    """A sharded-fleet worker process died or stopped responding.
-
-    Raised by :class:`repro.fleet.sharded.ShardedFleetSimulator` when a
-    shard worker exits, is killed, or misses its reply deadline.  The
-    engine marks itself broken (every later call raises immediately) and
-    terminates the surviving workers, so callers never hang on a dead
-    shard and never observe a half-stepped fleet: no step result is
-    returned and no plan is produced, which is what keeps partial state
-    out of the strategy store.
-    """
-
-
 class Overloaded(ServeError):
     """The serving gateway refused a request instead of queueing it.
 

@@ -19,10 +19,12 @@ vectorized passes.
   :class:`~repro.cluster.simulator.SimulatedCluster` at small N;
 * :mod:`repro.fleet.dvfs` — array-pass slack reclamation producing
   byte-identical per-device constant strategies;
-* :mod:`repro.fleet.sharded` — the same fleet partitioned into
-  contiguous device shards pinned to persistent worker processes over
-  one shared-memory segment, byte-identical to the single-process
-  engine (``--workers`` on the CLI) and the path to 100k devices.
+* :mod:`repro.fleet.reference` — the equivalence harness against the
+  looped cluster.
+
+One process steps 100k devices: the simulator caches everything a step
+needs per membership/plan/target epoch, so a warm step is a few affine
+passes over the thermal state.
 
 Run ``python -m repro.fleet run`` for a demo and
 ``python -m repro.fleet bench`` for the scaling benchmark
@@ -36,17 +38,12 @@ from repro.fleet.dvfs import (
     plan_strategy_json,
     reclaim_fleet_slack,
 )
-from repro.fleet.sharded import (
-    ShardedFleetSimulator,
-    make_fleet_simulator,
-    shard_bounds,
-    simulator_workers,
-)
 from repro.fleet.simulator import (
     FleetPlan,
     FleetSimulator,
     FleetStepResult,
     descending_top_k,
+    make_fleet_simulator,
     straggler_summary,
 )
 from repro.fleet.spec import FleetSpec
@@ -61,7 +58,6 @@ __all__ = [
     "FleetSpec",
     "FleetStepResult",
     "FleetTopology",
-    "ShardedFleetSimulator",
     "auto_retarget",
     "descending_top_k",
     "draw_churn",
@@ -69,7 +65,5 @@ __all__ = [
     "plan_strategies",
     "plan_strategy_json",
     "reclaim_fleet_slack",
-    "shard_bounds",
-    "simulator_workers",
     "straggler_summary",
 ]

@@ -9,21 +9,22 @@ Two subcommands:
 ``bench``
     The scaling benchmark behind ``BENCH_fleet.json``: warm
     steps-per-second of the vectorized barrier step at fleet size,
-    plus the small-N equivalence check against the looped cluster.
+    optionally one large scale run, plus the small-N equivalence check
+    against the looped cluster.
 
 Examples::
 
     python -m repro.fleet run gpt3 --scale 0.02 --devices 64
-    python -m repro.fleet run gpt3 --devices 256 --leave-rate 0.5 --workers 4
+    python -m repro.fleet run gpt3 --devices 256 --leave-rate 0.5
     python -m repro.fleet bench --devices 10000 --output BENCH_fleet.json
-    python -m repro.fleet bench --workers 4 --scale-devices 100000
+    python -m repro.fleet bench --devices 10000 --scale-devices 100000
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
+import os
 import platform
 import resource
 import sys
@@ -36,15 +37,7 @@ from repro.core.report import format_table
 from repro.errors import ReproError
 from repro.fleet.churn import ChurnConfig
 from repro.fleet.dvfs import auto_retarget, reclaim_fleet_slack
-from repro.fleet.reference import (
-    EQUIVALENCE_TOLERANCE,
-    compare_with_cluster,
-    compare_with_sharded,
-)
-from repro.fleet.sharded import (
-    ShardedFleetSimulator,
-    make_fleet_simulator,
-)
+from repro.fleet.reference import EQUIVALENCE_TOLERANCE, compare_with_cluster
 from repro.fleet.simulator import FleetSimulator, straggler_summary
 from repro.fleet.spec import FleetSpec
 from repro.fleet.topology import FleetTopology
@@ -116,15 +109,6 @@ def _add_fleet_arguments(parser: argparse.ArgumentParser) -> None:
         default=8,
         help="stragglers shown in the per-device table",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help=(
-            "shard worker processes; 1 (the default) runs the "
-            "single-process engine with exactly the historical behavior"
-        ),
-    )
 
 
 def _spec_from_args(args: argparse.Namespace) -> FleetSpec:
@@ -194,17 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "exit 1 when the looped-cluster check exceeds "
-            f"{EQUIVALENCE_TOLERANCE:g} or plans are not byte-identical, "
-            "or any sharded row is not byte-identical"
+            f"{EQUIVALENCE_TOLERANCE:g} or plans are not byte-identical"
         ),
-    )
-    bench.add_argument(
-        "--sharded-workers",
-        type=int,
-        nargs="*",
-        default=[1, 2, 4],
-        metavar="W",
-        help="worker counts measured in the sharded section",
     )
     bench.add_argument(
         "--scale-devices",
@@ -212,18 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         metavar="N",
         help=(
-            "also complete one N-device sharded run (baseline + "
-            "reclaim) and record wall time and peak RSS; 0 skips"
-        ),
-    )
-    bench.add_argument(
-        "--assert-sharded-speedup",
-        type=float,
-        default=None,
-        metavar="FLOOR",
-        help=(
-            "exit 1 when the largest sharded row's warm steps/s is "
-            "below FLOOR x the single-process rate"
+            "also complete one N-device run (baseline + reclaim) and "
+            "record wall time and peak RSS; 0 skips"
         ),
     )
     return parser
@@ -238,16 +203,7 @@ def _print_step(title: str, body: str) -> None:
 def _run(args: argparse.Namespace) -> int:
     trace = generate(args.workload, scale=args.scale, seed=args.seed)
     spec = _spec_from_args(args)
-    sim = make_fleet_simulator(spec, trace, workers=args.workers)
-    with contextlib.ExitStack() as stack:
-        if isinstance(sim, ShardedFleetSimulator):
-            stack.enter_context(sim)
-        return _run_body(args, spec, sim)
-
-
-def _run_body(
-    args: argparse.Namespace, spec: FleetSpec, sim: FleetSimulator
-) -> int:
+    sim = FleetSimulator(spec, trace)
     baseline = sim.run_steps(None, steps=args.steps)
     sim.reset()
     plan = reclaim_fleet_slack(sim, slack_margin=args.slack_margin)
@@ -346,60 +302,9 @@ def _bench(args: argparse.Namespace) -> int:
         replan=auto_retarget(args.slack_margin),
     )
 
-    # Sharded rows: warm rates at each worker count, speedups against
-    # the single-process arms above, and the byte-identity harness on a
-    # small churned fleet at the same worker count.
-    row_counts = sorted(
-        set(args.sharded_workers)
-        | ({args.workers} if args.workers > 1 else set())
-    )
-    identity_spec = FleetSpec(
-        n_devices=min(args.devices, 64),
-        topology=spec.topology,
-        gradient_bytes=spec.gradient_bytes,
-        seed=args.seed,
-        churn=ChurnConfig(
-            join_rate=0.3, leave_rate=0.2, fail_rate=0.1, max_joins=4
-        ),
-    )
-    sharded_rows = {}
-    for count in row_counts:
-        with ShardedFleetSimulator(spec, trace, workers=count) as shard:
-            shard_plan = reclaim_fleet_slack(
-                shard, slack_margin=args.slack_margin
-            )
-            shard_base = _time_steps(
-                shard, None, None, args.steps, args.rounds
-            )
-            shard_rec = _time_steps(
-                shard,
-                shard_plan,
-                shard_plan.target_compute_us,
-                args.steps,
-                args.rounds,
-            )
-        identity = compare_with_sharded(
-            identity_spec, trace, steps=3, workers=count
-        )
-        sharded_rows[str(count)] = {
-            "workers": count,
-            "baseline_steps_per_s": shard_base,
-            "reclaimed_steps_per_s": shard_rec,
-            "baseline_speedup_vs_single_process": shard_base / baseline_rate,
-            "reclaimed_speedup_vs_single_process": (
-                shard_rec / reclaimed_rate
-            ),
-            "byte_identical": identity.byte_identical,
-            "equivalence_ok": identity.ok(),
-        }
-    sharded_byte_identical = all(
-        row["byte_identical"] and row["equivalence_ok"]
-        for row in sharded_rows.values()
-    )
-
     scale_run = None
     if args.scale_devices:
-        scale_run = _scale_run(args, spec, trace, max(row_counts))
+        scale_run = _scale_run(args, spec, trace)
 
     collective = sim.collective_cost()
     comparison = compare_with_cluster(
@@ -427,6 +332,7 @@ def _bench(args: argparse.Namespace) -> int:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "machine": platform.machine(),
+            "cpu_count": os.cpu_count(),
         },
         "benchmarks": {
             "compile_seconds": compile_seconds,
@@ -441,14 +347,7 @@ def _bench(args: argparse.Namespace) -> int:
                 "algorithm": collective.algorithm,
             },
         },
-        "sharded": {
-            "single_process_baseline_steps_per_s": baseline_rate,
-            "single_process_reclaimed_steps_per_s": reclaimed_rate,
-            "identity_devices": identity_spec.n_devices,
-            "workers": sharded_rows,
-            "sharded_byte_identical": sharded_byte_identical,
-            "scale_run": scale_run,
-        },
+        "scale_run": scale_run,
         "equivalence": {
             "devices": comparison.n_devices,
             "steps": comparison.steps,
@@ -476,17 +375,9 @@ def _bench(args: argparse.Namespace) -> int:
         f"{churn_rate:.1f} steps/s; equivalence max rel err "
         f"{comparison.max_rel_err:.3e} over {comparison.n_devices} devices"
     )
-    for row in sharded_rows.values():
-        print(
-            f"sharded x{row['workers']}: "
-            f"{row['reclaimed_steps_per_s']:.1f} steps/s "
-            f"({row['reclaimed_speedup_vs_single_process']:.2f}x single "
-            f"process), byte identical: {row['byte_identical']}"
-        )
     if scale_run is not None:
         print(
-            f"scale run: {scale_run['devices']} devices x"
-            f"{scale_run['workers']} workers completed in "
+            f"scale run: {scale_run['devices']} devices completed in "
             f"{scale_run['wall_seconds']:.1f} s "
             f"({scale_run['warm_steps_per_s']:.1f} warm steps/s, peak "
             f"RSS {scale_run['max_rss_mb']:.0f} MiB)"
@@ -511,36 +402,14 @@ def _bench(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         failed = True
-    if args.assert_equivalence and not sharded_byte_identical:
-        print(
-            "FAIL: a sharded row is not byte-identical to the "
-            "single-process engine",
-            file=sys.stderr,
-        )
-        failed = True
-    if args.assert_sharded_speedup is not None:
-        top = sharded_rows[str(max(row_counts))]
-        speedup = top["reclaimed_speedup_vs_single_process"]
-        if speedup < args.assert_sharded_speedup:
-            print(
-                f"FAIL: sharded x{top['workers']} speedup {speedup:.2f}x "
-                f"below the {args.assert_sharded_speedup:.2f}x floor",
-                file=sys.stderr,
-            )
-            failed = True
     return 1 if failed else 0
 
 
-def _scale_run(
-    args: argparse.Namespace,
-    spec: FleetSpec,
-    trace,
-    workers: int,
-) -> dict:
-    """One large sharded run: baseline, reclaim, reclaimed steps.
+def _scale_run(args: argparse.Namespace, spec: FleetSpec, trace) -> dict:
+    """One large run: baseline, reclaim, reclaimed steps.
 
     The bounded-memory evidence for the scale target: wall time, warm
-    rate and the peak RSS across the engine and its workers.
+    rate and the peak RSS of the process.
     """
     scale_spec = FleetSpec(
         n_devices=args.scale_devices,
@@ -549,30 +418,26 @@ def _scale_run(
         seed=args.seed,
     )
     start = time.perf_counter()
-    with ShardedFleetSimulator(scale_spec, trace, workers=workers) as sim:
-        baseline = sim.run_steps(None, steps=args.steps)
-        plan = reclaim_fleet_slack(sim, slack_margin=args.slack_margin)
-        sim.reset()
-        reclaimed = sim.run_steps(
-            plan, steps=args.steps, target_compute_us=plan.target_compute_us
-        )
-        warm_start = time.perf_counter()
-        sim.run_steps(
-            plan, steps=args.steps, target_compute_us=plan.target_compute_us
-        )
-        warm_rate = args.steps / (time.perf_counter() - warm_start)
-    wall = time.perf_counter() - start
-    rss_kb = max(
-        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-        resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss,
+    sim = FleetSimulator(scale_spec, trace)
+    baseline = sim.run_steps(None, steps=args.steps)
+    plan = reclaim_fleet_slack(sim, slack_margin=args.slack_margin)
+    sim.reset()
+    reclaimed = sim.run_steps(
+        plan, steps=args.steps, target_compute_us=plan.target_compute_us
     )
+    warm_start = time.perf_counter()
+    sim.run_steps(
+        plan, steps=args.steps, target_compute_us=plan.target_compute_us
+    )
+    warm_rate = args.steps / (time.perf_counter() - warm_start)
+    wall = time.perf_counter() - start
+    rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     saved = 1.0 - (
         sum(r.fleet_soc_energy_j for r in reclaimed)
         / sum(r.fleet_soc_energy_j for r in baseline)
     )
     return {
         "devices": args.scale_devices,
-        "workers": workers,
         "steps": args.steps,
         "completed": True,
         "wall_seconds": wall,

@@ -55,12 +55,6 @@ def reclaim_fleet_slack(
         raise ConfigurationError(
             f"slack_margin must be non-negative: {slack_margin}"
         )
-    # Sharded engines reclaim with per-shard passes and an ordered
-    # merge; the assembled plan is byte-identical to the table pass
-    # below (pinned by tests/test_fleet_sharded.py).
-    sharded = getattr(sim, "reclaim_sharded", None)
-    if sharded is not None:
-        return sharded(slack_margin)
     freqs = sim.spec.npu.frequencies.points
     table = sim.duration_table()
     act = sim.active_ids

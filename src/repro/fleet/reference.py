@@ -1,23 +1,16 @@
-"""Equivalence harnesses for the vectorized fleet.
+"""Equivalence harness for the vectorized fleet.
 
-Two legs, one discipline:
-
-* :func:`compare_with_cluster` — the fleet versus the looped
-  :class:`~repro.cluster.simulator.SimulatedCluster` at N <= 16, the
-  ground-truth semantics check (same seeded profiles, same engine
-  physics, same barrier).
-* :func:`compare_with_sharded` — the multi-process
-  :class:`~repro.fleet.sharded.ShardedFleetSimulator` versus the
-  single-process fleet at any N and worker count, churn included.  The
-  sharded engine's contract is stricter: durations, waits, frequencies,
-  straggler selection, churn histories and reclaimed strategies must be
-  *bitwise/byte* identical; energies and temperatures (whose barrier
-  idle integration is collapsed to its affine form) carry the same
-  <= 1e-9 bar as the cluster leg.
+:func:`compare_with_cluster` runs the fleet against the looped
+:class:`~repro.cluster.simulator.SimulatedCluster` at N <= 16 — the
+ground-truth semantics check: same seeded profiles, same engine
+physics, same barrier.  Durations and reclaimed strategies must be
+bitwise/byte identical; energies and temperatures, whose barrier idle
+integration the fleet collapses to its per-epoch affine form, must
+agree within 1e-9.
 
 The CLI bench, the ``ext_fleet_scale`` experiment and the equivalence
-tests all consume these harnesses, so the acceptance bars are measured
-the same way everywhere.
+tests all consume this harness, so the acceptance bar is measured the
+same way everywhere.
 """
 
 from __future__ import annotations
@@ -29,13 +22,8 @@ import numpy as np
 from repro.cluster.dvfs import build_frequency_tables, reclaim_slack
 from repro.cluster.simulator import ClusterStepResult, SimulatedCluster
 from repro.errors import ConfigurationError
-from repro.fleet.dvfs import (
-    auto_retarget,
-    plan_strategy_json,
-    reclaim_fleet_slack,
-)
-from repro.fleet.sharded import ShardedFleetSimulator
-from repro.fleet.simulator import FleetPlan, FleetSimulator, FleetStepResult
+from repro.fleet.dvfs import plan_strategy_json, reclaim_fleet_slack
+from repro.fleet.simulator import FleetSimulator, FleetStepResult
 from repro.fleet.spec import FleetSpec
 from repro.workloads.trace import Trace
 
@@ -226,156 +214,4 @@ def compare_with_cluster(
         max_rel_celsius=max(r[2] for r in rels),
         max_rel_fleet_total=max(r[3] for r in rels),
         overruns_equal=overruns_equal,
-    )
-
-
-@dataclass(frozen=True)
-class ShardedComparison:
-    """Divergence between the sharded and single-process fleet engines."""
-
-    n_devices: int
-    steps: int
-    workers: int
-    #: Arrivals, waits, frequencies, memberships, barrier maxima and
-    #: straggler ids bitwise equal on every compared step.
-    durations_bitwise: bool
-    #: Reclaimed plans byte-identical: serialized strategies, barrier
-    #: target, straggler, frequency indices, predicted arrivals.
-    plans_byte_identical: bool
-    #: ``device_rows()`` straggler tables identical on every step.
-    straggler_rows_identical: bool
-    #: Identical churn event histories (replay determinism).
-    events_equal: bool
-    overruns_equal: bool
-    max_rel_energy: float
-    max_rel_celsius: float
-
-    @property
-    def byte_identical(self) -> bool:
-        """The bitwise contract: durations, plans, straggler rows."""
-        return (
-            self.durations_bitwise
-            and self.plans_byte_identical
-            and self.straggler_rows_identical
-            and self.events_equal
-        )
-
-    def ok(self, tolerance: float = EQUIVALENCE_TOLERANCE) -> bool:
-        """Bitwise contract holds and the soft observables are within
-        ``tolerance``."""
-        return (
-            self.byte_identical
-            and self.overruns_equal
-            and max(self.max_rel_energy, self.max_rel_celsius) <= tolerance
-        )
-
-
-def _plans_identical(got: FleetPlan, ref: FleetPlan) -> bool:
-    return (
-        plan_strategy_json(got) == plan_strategy_json(ref)
-        and got.target_compute_us == ref.target_compute_us
-        and got.straggler_id == ref.straggler_id
-        and got.freqs_mhz == ref.freqs_mhz
-        and np.array_equal(got.freq_index, ref.freq_index)
-        and np.array_equal(got.predicted_us, ref.predicted_us)
-        and np.array_equal(got.covered, ref.covered)
-    )
-
-
-def compare_with_sharded(
-    spec: FleetSpec,
-    trace: Trace,
-    steps: int = 3,
-    workers: int = 2,
-    slack_margin: float = 0.0,
-) -> ShardedComparison:
-    """Run sharded and single-process fleets in lockstep; report drift.
-
-    Both engines reclaim on the initial membership (plan byte-identity),
-    then run ``steps`` baseline steps and ``steps`` reclaimed steps with
-    the spec's churn live and re-targeting after membership changes —
-    each engine replanning through its own reclamation path — plus a
-    deliberately tight barrier for the overrun watchdog.
-    """
-    single = FleetSimulator(spec, trace)
-    with ShardedFleetSimulator(spec, trace, workers=workers) as sharded:
-        plan_single = reclaim_fleet_slack(single, slack_margin=slack_margin)
-        plan_sharded = reclaim_fleet_slack(
-            sharded, slack_margin=slack_margin
-        )
-        plans_identical = _plans_identical(plan_sharded, plan_single)
-
-        base_single = single.run_steps(None, steps=steps)
-        base_sharded = sharded.run_steps(None, steps=steps)
-
-        single.reset()
-        sharded.reset()
-        replan = auto_retarget(slack_margin)
-        rec_single = single.run_steps(
-            plan_single,
-            steps=steps,
-            target_compute_us=plan_single.target_compute_us,
-            replan=replan,
-        )
-        rec_sharded = sharded.run_steps(
-            plan_sharded,
-            steps=steps,
-            target_compute_us=plan_sharded.target_compute_us,
-            replan=replan,
-        )
-
-        single.reset()
-        sharded.reset()
-        tight = plan_single.target_compute_us / 2.0
-        tight_single = single.step(plan_single, target_compute_us=tight)
-        tight_sharded = sharded.step(plan_sharded, target_compute_us=tight)
-
-    pairs = list(zip(base_sharded, base_single)) + list(
-        zip(rec_sharded, rec_single)
-    )
-    pairs.append((tight_sharded, tight_single))
-    durations_bitwise = all(
-        np.array_equal(got.device_ids, ref.device_ids)
-        and np.array_equal(got.arrival_us, ref.arrival_us)
-        and np.array_equal(got.wait_us, ref.wait_us)
-        and np.array_equal(got.freq_mhz, ref.freq_mhz)
-        and got.compute_us == ref.compute_us
-        and got.collective_us == ref.collective_us
-        and got.straggler_id == ref.straggler_id
-        for got, ref in pairs
-    )
-    straggler_rows_identical = all(
-        got.device_rows() == ref.device_rows() for got, ref in pairs
-    )
-    events_equal = all(
-        got.events == ref.events for got, ref in pairs
-    )
-    overruns_equal = all(
-        got.overrun_count == ref.overrun_count
-        and got.overrun_device_ids == ref.overrun_device_ids
-        for got, ref in pairs
-    )
-    max_rel_energy = max(
-        max(
-            _rel(got.aicore_energy_j, ref.aicore_energy_j),
-            _rel(got.soc_energy_j, ref.soc_energy_j),
-            _rel(got.idle_aicore_energy_j, ref.idle_aicore_energy_j),
-            _rel(got.idle_soc_energy_j, ref.idle_soc_energy_j),
-        )
-        for got, ref in pairs
-    )
-    max_rel_celsius = max(
-        _rel(got.end_celsius, ref.end_celsius) for got, ref in pairs
-    )
-    return ShardedComparison(
-        n_devices=spec.n_devices,
-        steps=steps,
-        workers=workers,
-        durations_bitwise=durations_bitwise,
-        plans_byte_identical=plans_identical,
-        straggler_rows_identical=straggler_rows_identical,
-        events_equal=events_equal,
-        overruns_equal=overruns_equal,
-        max_rel_energy=max_rel_energy,
-        max_rel_celsius=max_rel_celsius,
     )

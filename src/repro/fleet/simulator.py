@@ -9,8 +9,17 @@ so a fleet of N devices collapses to ``(N,)``-shaped NumPy arrays:
 compiled affine solution once per frequency, and then a whole
 synchronous training step — per-device arrivals, the barrier max, the
 hierarchical collective, idle-priced waits, the RC thermal update and
-the overrun watchdog — is a handful of vectorized passes.  10k devices
-step in milliseconds (see ``BENCH_fleet.json``).
+the overrun watchdog — is a handful of vectorized passes.
+
+Most of that work depends only on the step's *epoch* — the active
+membership, the plan and the barrier target — not on the evolving
+thermal state: arrivals, the gathered energy coefficients, the barrier
+wait, the collective and the overruns.  Even the 8-substep barrier-wait
+idle integration is affine in the step's initial temperature rise
+``delta0``, so it collapses to per-device ``(p, q)`` pairs.  The engine
+builds all of this once per epoch; a warm step is five affine passes in
+``delta0``.  10k devices step in well under a millisecond and 100k in a
+few (see ``BENCH_fleet.json``).
 
 Semantics are the cluster simulator's, element for element: durations
 are bitwise identical to the looped reference (same scale multiply,
@@ -25,7 +34,7 @@ devices between steps with deterministic re-sharding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,6 +62,9 @@ IDLE_INTEGRATION_STEPS = 8
 
 #: Straggler rows a fleet report carries before summarizing the rest.
 DEFAULT_TOP_K = 8
+
+#: Churn event kinds that change the active membership.
+MEMBERSHIP_KINDS = ("join", "leave", "fail")
 
 
 def descending_top_k(values: np.ndarray, k: int) -> np.ndarray:
@@ -245,6 +257,50 @@ class FleetPlan:
         return int(np.count_nonzero(self.covered))
 
 
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
+
+
+def _affine(p: np.ndarray, q: np.ndarray, delta0: np.ndarray) -> np.ndarray:
+    """``p + q * delta0`` with one allocation."""
+    out = q * delta0
+    out += p
+    return out
+
+
+@dataclass(frozen=True)
+class _Epoch:
+    """Everything a step needs that the thermal state does not change.
+
+    Per-device outputs are affine in the step's initial temperature
+    rise ``delta0``: ``x = x_p + x_q * delta0``.  The shared arrays
+    (ids, arrivals, waits, frequencies) are read-only because every
+    result of the epoch carries them.
+    """
+
+    device_ids: np.ndarray
+    ambient: np.ndarray
+    arrival_us: np.ndarray
+    wait_us: np.ndarray
+    freq_mhz: np.ndarray
+    compute_us: float
+    straggler_id: int
+    collective: CollectiveCost
+    aicore_p: np.ndarray
+    aicore_q: np.ndarray
+    soc_p: np.ndarray
+    soc_q: np.ndarray
+    idle_aicore_p: np.ndarray
+    idle_aicore_q: np.ndarray
+    idle_soc_p: np.ndarray
+    idle_soc_q: np.ndarray
+    celsius_p: np.ndarray
+    celsius_q: np.ndarray
+    overrun_count: int
+    overrun_device_ids: tuple[int, ...]
+
+
 class FleetSimulator:
     """N-device synchronous training as ``(devices,)`` array passes.
 
@@ -253,6 +309,12 @@ class FleetSimulator:
     :class:`~repro.npu.engine.ConstAffineBatch` stacks are built lazily
     on first use and reused across every subsequent step (spares
     included, so churn never recompiles anything).
+
+    Steps are cached by epoch: the key is the membership epoch (bumped
+    by any join, leave or fail, and by :meth:`reset`), the plan object
+    (compared with ``is``) and the barrier target.  Pass the same plan
+    object to keep the cache warm; an equal but distinct plan rebuilds
+    it.  Plans are treated as immutable.
     """
 
     def __init__(self, spec: FleetSpec, trace: Trace) -> None:
@@ -276,6 +338,9 @@ class FleetSimulator:
         self._solutions: dict[float, ConstAffineBatch] = {}
         self._events: list[FleetEvent] = []
         self._overrun_total = 0
+        self._membership_epoch = 0
+        self._epoch_key: tuple | None = None
+        self._epoch: _Epoch | None = None
 
     @property
     def spec(self) -> FleetSpec:
@@ -372,11 +437,10 @@ class FleetSimulator:
         self._active[:] = False
         self._active[: self._spec.n_devices] = True
         self._next_spare = self._spec.n_devices
-        # In place, so subclasses backing the thermal state with shared
-        # memory (repro.fleet.sharded) keep their view after a reset.
         self._celsius[:] = self._ambient
         self._events.clear()
         self._overrun_total = 0
+        self._membership_epoch += 1
 
     # ------------------------------------------------------------------
     # Elastic membership
@@ -393,9 +457,11 @@ class FleetSimulator:
         """
         config = self._spec.churn
         draw = draw_churn(config, self._spec.seed, step)
-        events = list(self._apply_draw(step, draw))
+        events = tuple(self._apply_draw(step, draw))
         self._events.extend(events)
-        return tuple(events)
+        if any(e.kind in MEMBERSHIP_KINDS for e in events):
+            self._membership_epoch += 1
+        return events
 
     def _apply_draw(self, step: int, draw: ChurnDraw):
         config = self._spec.churn
@@ -457,6 +523,52 @@ class FleetSimulator:
             events: churn events to attach to the result (bookkeeping
                 only; :meth:`run_steps` passes the step's own events).
         """
+        ep = self._epoch_for(plan, target_compute_us)
+        delta0 = self._celsius[ep.device_ids] - ep.ambient
+        celsius = _affine(ep.celsius_p, ep.celsius_q, delta0)
+        self._celsius[ep.device_ids] = celsius
+        self._overrun_total += ep.overrun_count
+        return FleetStepResult(
+            fleet_name=self._spec.name,
+            workload=self._trace.name,
+            compute_us=ep.compute_us,
+            collective=ep.collective,
+            straggler_id=ep.straggler_id,
+            device_ids=ep.device_ids,
+            arrival_us=ep.arrival_us,
+            wait_us=ep.wait_us,
+            freq_mhz=ep.freq_mhz,
+            aicore_energy_j=_affine(ep.aicore_p, ep.aicore_q, delta0),
+            soc_energy_j=_affine(ep.soc_p, ep.soc_q, delta0),
+            idle_aicore_energy_j=_affine(
+                ep.idle_aicore_p, ep.idle_aicore_q, delta0
+            ),
+            idle_soc_energy_j=_affine(ep.idle_soc_p, ep.idle_soc_q, delta0),
+            end_celsius=celsius,
+            overrun_count=ep.overrun_count,
+            overrun_device_ids=ep.overrun_device_ids,
+            events=events,
+        )
+
+    def _epoch_for(
+        self, plan: FleetPlan | None, target_compute_us: float | None
+    ) -> _Epoch:
+        """The cached epoch for (membership, plan, target), built on a miss."""
+        key = self._epoch_key
+        if (
+            key is not None
+            and key[0] == self._membership_epoch
+            and key[1] is plan
+            and key[2] == target_compute_us
+        ):
+            return self._epoch
+        self._epoch = self._build_epoch(plan, target_compute_us)
+        self._epoch_key = (self._membership_epoch, plan, target_compute_us)
+        return self._epoch
+
+    def _build_epoch(
+        self, plan: FleetPlan | None, target_compute_us: float | None
+    ) -> _Epoch:
         act = self.active_ids
         n = act.size
         max_freq = float(self._spec.npu.max_frequency_mhz)
@@ -472,8 +584,8 @@ class FleetSimulator:
         e1a = np.empty(n)
         e0s = np.empty(n)
         e1s = np.empty(n)
-        end_a = np.empty(n)
-        end_b = np.empty(n)
+        p = np.empty(n)
+        q = np.empty(n)
         idle_a0 = np.empty(n)
         idle_ga = np.empty(n)
         idle_s0 = np.empty(n)
@@ -487,18 +599,12 @@ class FleetSimulator:
             e1a[mask] = sol.e1_aicore_j[rows]
             e0s[mask] = sol.e0_soc_j[rows]
             e1s[mask] = sol.e1_soc_j[rows]
-            end_a[mask] = sol.end_a[rows]
-            end_b[mask] = sol.end_b[rows]
+            p[mask] = sol.end_a[rows]
+            q[mask] = sol.end_b[rows]
             idle_a0[mask] = sol.idle_aicore_w0
             idle_ga[mask] = sol.idle_aicore_gain
             idle_s0[mask] = sol.idle_soc_w0
             idle_gs[mask] = sol.idle_soc_gain
-
-        ambient = self._ambient[act]
-        delta0 = self._celsius[act] - ambient
-        aicore_j = e0a + e1a * delta0
-        soc_j = e0s + e1s * delta0
-        celsius = ambient + (end_a + end_b * delta0)
 
         compute_us = float(arrival.max())
         straggler_id = int(act[int(np.argmax(arrival))])
@@ -506,23 +612,30 @@ class FleetSimulator:
         wait = compute_us - arrival
 
         # Barrier-wait idle integration: the cluster device's 8-substep
-        # constant-power discretisation, vectorized across the fleet.
-        idle_total = wait + collective.chosen_us
-        sub = idle_total / IDLE_INTEGRATION_STEPS
+        # constant-power discretisation.  The temperature rise after the
+        # compute phase is p + q * delta0 and every update in the loop
+        # is affine in it, so iterate on the (p, q) pairs once per
+        # epoch instead of on the thermal state every step.
+        sub = (wait + collective.chosen_us) / IDLE_INTEGRATION_STEPS
         k = self._spec.npu.thermal.celsius_per_watt
         tau = self._spec.npu.thermal.time_constant_us
         decay = np.exp(-sub / tau)
-        idle_aicore = np.zeros(n)
-        idle_soc = np.zeros(n)
+        scale = sub / US_PER_S
+        ia_p = np.zeros(n)
+        ia_q = np.zeros(n)
+        is_p = np.zeros(n)
+        is_q = np.zeros(n)
         for _ in range(IDLE_INTEGRATION_STEPS):
-            delta = celsius - ambient
-            aw = idle_a0 + idle_ga * delta
-            sw = idle_s0 + idle_gs * delta
-            idle_aicore += aw * sub / US_PER_S
-            idle_soc += sw * sub / US_PER_S
-            target = ambient + k * sw
-            celsius = target + (celsius - target) * decay
-        self._celsius[act] = celsius
+            ia_p += (idle_a0 + idle_ga * p) * scale
+            ia_q += idle_ga * q * scale
+            sw_p = idle_s0 + idle_gs * p
+            sw_q = idle_gs * q
+            is_p += sw_p * scale
+            is_q += sw_q * scale
+            t_p = k * sw_p
+            t_q = k * sw_q
+            p = t_p + (p - t_p) * decay
+            q = t_q + (q - t_q) * decay
 
         overrun_count = 0
         offenders: tuple[int, ...] = ()
@@ -534,26 +647,29 @@ class FleetSimulator:
                 late_ids = act[late]
                 order = descending_top_k(lateness[late], DEFAULT_TOP_K)
                 offenders = tuple(int(late_ids[pos]) for pos in order)
-                self._overrun_total += overrun_count
 
-        return FleetStepResult(
-            fleet_name=self._spec.name,
-            workload=self._trace.name,
+        ambient = self._ambient[act]
+        return _Epoch(
+            device_ids=_read_only(act),
+            ambient=ambient,
+            arrival_us=_read_only(arrival),
+            wait_us=_read_only(wait),
+            freq_mhz=_read_only(freqs),
             compute_us=compute_us,
-            collective=collective,
             straggler_id=straggler_id,
-            device_ids=act,
-            arrival_us=arrival,
-            wait_us=wait,
-            freq_mhz=freqs,
-            aicore_energy_j=aicore_j,
-            soc_energy_j=soc_j,
-            idle_aicore_energy_j=idle_aicore,
-            idle_soc_energy_j=idle_soc,
-            end_celsius=celsius,
+            collective=collective,
+            aicore_p=e0a,
+            aicore_q=e1a,
+            soc_p=e0s,
+            soc_q=e1s,
+            idle_aicore_p=ia_p,
+            idle_aicore_q=ia_q,
+            idle_soc_p=is_p,
+            idle_soc_q=is_q,
+            celsius_p=ambient + p,
+            celsius_q=q,
             overrun_count=overrun_count,
             overrun_device_ids=offenders,
-            events=events,
         )
 
     def run_steps(
@@ -579,9 +695,7 @@ class FleetSimulator:
             events: tuple[FleetEvent, ...] = ()
             if index > 0:
                 events = self.advance_churn(index)
-                changed = any(
-                    e.kind in ("join", "leave", "fail") for e in events
-                )
+                changed = any(e.kind in MEMBERSHIP_KINDS for e in events)
                 if changed and replan is not None:
                     plan = replan(self)
                     target_compute_us = plan.target_compute_us
@@ -589,6 +703,16 @@ class FleetSimulator:
                 self.step(plan, target_compute_us, events=events)
             )
         return results
+
+
+def make_fleet_simulator(spec: FleetSpec, trace: Trace) -> FleetSimulator:
+    """``FleetSimulator(spec, trace)``, kept only as a compatibility alias.
+
+    The repo benchmark (``perfbench/``) imports this name and may not
+    change with the engine.  New code constructs :class:`FleetSimulator`
+    directly; delete this alias once ``perfbench/`` can be updated.
+    """
+    return FleetSimulator(spec, trace)
 
 
 def straggler_summary(

@@ -41,6 +41,7 @@ equivalence tests use this).
 from __future__ import annotations
 
 import math
+import threading
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -79,6 +80,10 @@ _COMPILED_CACHE_LIMIT = 64
 #: against id reuse; ``repr`` covers every spec field recursively, so
 #: equal keys imply equal lowering output bit for bit.
 _SHARED_COMPILED: dict[tuple[int, str], tuple] = {}
+
+#: Guards every read, eviction and insert of ``_SHARED_COMPILED``: engines
+#: on different threads (e.g. a gateway's thread executor) share it.
+_SHARED_COMPILED_LOCK = threading.Lock()
 
 _FAST_PATH_ENABLED = True
 
@@ -920,7 +925,8 @@ class TraceEngine:
         spec_key = self._spec_key()
         shared_key = (key, spec_key) if spec_key is not None else None
         if shared_key is not None:
-            shared = _SHARED_COMPILED.get(shared_key)
+            with _SHARED_COMPILED_LOCK:
+                shared = _SHARED_COMPILED.get(shared_key)
             if shared is not None:
                 ref, compiled = shared
                 if ref() is trace:
@@ -931,17 +937,18 @@ class TraceEngine:
         self.stats.compiled_traces += 1
         self._compiled[key] = (weakref.ref(trace), compiled)
         if shared_key is not None:
-            if len(_SHARED_COMPILED) >= _COMPILED_CACHE_LIMIT:
-                stale = [
-                    k
-                    for k, (ref, _) in _SHARED_COMPILED.items()
-                    if ref() is None
-                ]
-                for k in stale:
-                    del _SHARED_COMPILED[k]
-                while len(_SHARED_COMPILED) >= _COMPILED_CACHE_LIMIT:
-                    _SHARED_COMPILED.pop(next(iter(_SHARED_COMPILED)))
-            _SHARED_COMPILED[shared_key] = self._compiled[key]
+            with _SHARED_COMPILED_LOCK:
+                if len(_SHARED_COMPILED) >= _COMPILED_CACHE_LIMIT:
+                    stale = [
+                        k
+                        for k, (ref, _) in _SHARED_COMPILED.items()
+                        if ref() is None
+                    ]
+                    for k in stale:
+                        del _SHARED_COMPILED[k]
+                    while len(_SHARED_COMPILED) >= _COMPILED_CACHE_LIMIT:
+                        _SHARED_COMPILED.pop(next(iter(_SHARED_COMPILED)))
+                _SHARED_COMPILED[shared_key] = self._compiled[key]
         return compiled
 
     def _spec_key(self) -> str | None:

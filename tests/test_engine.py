@@ -17,6 +17,8 @@ ulp of the absolute clock between the two implementations.
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,7 @@ from repro.npu import (
     default_npu_spec,
 )
 from repro.npu.engine import (
+    _COMPILED_CACHE_LIMIT,
     CompiledTrace,
     TraceEngine,
     _LazySeq,
@@ -330,6 +333,54 @@ def test_compiled_trace_is_cached_per_trace(small_bert_trace):
     compiled = engine.compiled(small_bert_trace)
     assert isinstance(compiled, CompiledTrace)
     assert compiled.unique_operator_count <= compiled.n_ops
+
+
+def test_shared_compiled_cache_survives_concurrent_misses():
+    """Engines on several threads miss into the process-wide cache at once.
+
+    Each thread compiles far more distinct traces than the cache holds,
+    so evictions on one thread interleave with inserts on the others; a
+    tiny switch interval makes the interleaving dense.
+    """
+    spec = default_npu_spec()
+    threads = 8
+    traces = [
+        [
+            Trace(
+                name=f"t{t}-{i}",
+                entries=(TraceEntry(spec=make_compute_op(f"op{t}-{i}")),),
+            )
+            for i in range(32 * _COMPILED_CACHE_LIMIT)
+        ]
+        for t in range(threads)
+    ]
+    errors = []
+    start = threading.Barrier(threads, timeout=60.0)
+
+    def compile_all(batch):
+        engine = TraceEngine(spec, GroundTruthEvaluator(spec))
+        start.wait()
+        try:
+            for trace in batch:
+                engine.compiled(trace)
+        except Exception as error:
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [
+            threading.Thread(target=compile_all, args=(batch,))
+            for batch in traces
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert errors == []
 
 
 def test_lazy_sequence_semantics(small_bert_trace):

@@ -3,10 +3,11 @@
 The numerical ground truth (fleet vs looped cluster at N <= 16) lives
 in ``tests/test_fleet_equivalence.py``; this module covers the fleet's
 own machinery: the hierarchical collective properties, seeded churn
-determinism, the vectorized reclamation pass, the store round-trip,
-the straggler top-k reporting and the CLI.
+determinism, the vectorized reclamation pass, the per-epoch step cache,
+the store round-trip, the straggler top-k reporting and the CLI.
 """
 
+import dataclasses
 import json
 import math
 
@@ -38,6 +39,7 @@ from repro.fleet import (
 )
 from repro.fleet.cli import main as fleet_main
 from repro.fleet.reference import compare_with_cluster
+from repro.fleet.simulator import MEMBERSHIP_KINDS
 from repro.serve.store import StrategyStore
 from repro.workloads import generate
 
@@ -511,6 +513,138 @@ class TestDescendingTopK:
                     }
                 )
             assert rows[: len(order)] == expected
+
+
+#: Every per-device array a step result carries.
+STEP_ARRAYS = (
+    "device_ids",
+    "arrival_us",
+    "wait_us",
+    "freq_mhz",
+    "aicore_energy_j",
+    "soc_energy_j",
+    "idle_aicore_energy_j",
+    "idle_soc_energy_j",
+    "end_celsius",
+)
+
+
+def churned_spec(n_devices: int, seed: int) -> FleetSpec:
+    return FleetSpec(
+        n_devices=n_devices,
+        seed=seed,
+        churn=ChurnConfig(
+            join_rate=0.3, leave_rate=0.2, fail_rate=0.1, max_joins=4
+        ),
+    )
+
+
+def cold_steps(sim, plan, steps, target, replan=None):
+    """``run_steps`` spelled out with a fresh plan object every step.
+
+    An equal but distinct plan misses the epoch cache, so every step
+    rebuilds its epoch from scratch: the reference the cached path must
+    reproduce bit for bit.
+    """
+    results = []
+    for index in range(steps):
+        events = ()
+        if index > 0:
+            events = sim.advance_churn(index)
+            changed = any(e.kind in MEMBERSHIP_KINDS for e in events)
+            if changed and replan is not None:
+                plan = replan(sim)
+                target = plan.target_compute_us
+        results.append(
+            sim.step(dataclasses.replace(plan), target, events=events)
+        )
+    return results
+
+
+def assert_steps_identical(got, ref):
+    assert len(got) == len(ref)
+    for x, y in zip(got, ref):
+        for name in STEP_ARRAYS:
+            assert np.array_equal(getattr(x, name), getattr(y, name)), name
+        assert x.compute_us == y.compute_us
+        assert x.collective == y.collective
+        assert x.straggler_id == y.straggler_id
+        assert x.overrun_count == y.overrun_count
+        assert x.overrun_device_ids == y.overrun_device_ids
+        assert x.events == y.events
+
+
+class TestEpochCache:
+    """Warm (cached) steps against cold (rebuilt-every-step) steps."""
+
+    @pytest.mark.parametrize("n_devices, seed", [(64, 3), (1000, 7)])
+    def test_fixed_plan_warm_matches_cold(self, tiny_trace, n_devices, seed):
+        spec = churned_spec(n_devices, seed)
+        warm = FleetSimulator(spec, tiny_trace)
+        cold = FleetSimulator(spec, tiny_trace)
+        plan = reclaim_fleet_slack(warm)
+        target = plan.target_compute_us
+        got = warm.run_steps(plan, 12, target)
+        ref = cold_steps(cold, plan, 12, target)
+        # The run must cross membership changes without a replan, so a
+        # stale epoch would show up as stale ids and arrivals.
+        assert any(
+            e.kind in MEMBERSHIP_KINDS for r in got for e in r.events
+        )
+        assert_steps_identical(got, ref)
+        assert warm.overrun_total == cold.overrun_total
+
+    @pytest.mark.parametrize("n_devices, seed", [(64, 3), (1000, 7)])
+    def test_auto_retarget_warm_matches_cold(
+        self, tiny_trace, n_devices, seed
+    ):
+        spec = churned_spec(n_devices, seed)
+        warm = FleetSimulator(spec, tiny_trace)
+        cold = FleetSimulator(spec, tiny_trace)
+        plan = reclaim_fleet_slack(warm)
+        replan = auto_retarget()
+        got = warm.run_steps(
+            plan, 12, plan.target_compute_us, replan=replan
+        )
+        ref = cold_steps(
+            cold, plan, 12, plan.target_compute_us, replan=replan
+        )
+        assert_steps_identical(got, ref)
+
+    def test_reset_replays_identically(self, tiny_trace):
+        sim = FleetSimulator(churned_spec(64, 3), tiny_trace)
+        plan = reclaim_fleet_slack(sim)
+        first = sim.run_steps(plan, 12, plan.target_compute_us)
+        sim.reset()
+        second = sim.run_steps(plan, 12, plan.target_compute_us)
+        assert_steps_identical(second, first)
+
+    def test_overrun_total_accumulates_every_step(self, tiny_trace):
+        spec = FleetSpec(n_devices=12, seed=0)
+        warm = FleetSimulator(spec, tiny_trace)
+        cold = FleetSimulator(spec, tiny_trace)
+        plan = reclaim_fleet_slack(warm)
+        tight = plan.target_compute_us / 2.0
+        got = warm.run_steps(plan, 3, tight)
+        ref = cold_steps(cold, plan, 3, tight)
+        assert_steps_identical(got, ref)
+        assert got[0].overrun_count > 0
+        assert warm.overrun_total == 3 * got[0].overrun_count
+        assert warm.overrun_total == cold.overrun_total
+
+    def test_warm_steps_share_the_epoch_arrays(self, small_fleet):
+        small_fleet.reset()
+        first = small_fleet.step()
+        second = small_fleet.step()
+        assert second.arrival_us is first.arrival_us
+        assert not np.array_equal(first.end_celsius, second.end_celsius)
+
+    def test_shared_arrays_are_read_only(self, small_fleet):
+        small_fleet.reset()
+        result = small_fleet.step()
+        for name in ("device_ids", "arrival_us", "wait_us", "freq_mhz"):
+            with pytest.raises(ValueError):
+                getattr(result, name)[0] = 0
 
 
 class TestComparisonHarness:
