@@ -3,9 +3,12 @@
 A reclaimed cluster plan is just one single-device strategy per device,
 so the existing :class:`repro.serve.store.StrategyStore` persists it
 unchanged — one record per ``(trace, cluster config, device profile)``
-fingerprint.  A fleet that re-submits the same training job (the normal
-case, per the paper's Sect. 8.1 amortization argument) then pays zero
-table builds: every device's plan is a store hit.
+fingerprint.  A cluster that re-submits the same training job (the
+normal case, per the paper's Sect. 8.1 amortization argument) then pays
+zero frequency-table builds: every device's plan is a store hit.  A
+fleet simulator builds its duration table once and keeps it, so there
+the store saves the reclamation pass itself and lets a new process
+reuse plans another one computed.
 
 Fingerprints follow the serve package's discipline: the trace hash
 excludes the name, the config hash covers every knob the plan depends
@@ -218,7 +221,7 @@ class FleetCachedReclaimResult:
     plan: object
     #: Store hits, per active device in id order.
     hits: tuple[bool, ...]
-    #: Whether the duration table had to be built this call.
+    #: Whether reclamation ran this call (False: every device was a hit).
     computed: bool
 
     @property
@@ -236,11 +239,12 @@ def fleet_cached_reclaim(
 
     The fleet analogue of :func:`cached_reclaim`: on a full hit the
     :class:`~repro.fleet.simulator.FleetPlan` is reassembled from the
-    stored per-device strategies without building the duration table; on
-    any miss the vectorized reclamation runs and every active device's
-    strategy is persisted.  Both paths produce byte-identical per-device
-    strategies, so a fleet resubmitting the same job (same trace, same
-    membership) pays zero table builds.
+    stored per-device strategies without running reclamation (and
+    without touching the simulator's duration table); on any miss the
+    vectorized reclamation runs and every active device's strategy is
+    persisted.  Both paths produce byte-identical per-device strategies
+    and read-only plans, so a fleet resubmitting the same job (same
+    trace, same membership) runs no reclamation at all.
     """
     import numpy as np
 

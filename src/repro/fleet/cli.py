@@ -27,6 +27,7 @@ import json
 import os
 import platform
 import resource
+import statistics
 import sys
 import time
 from typing import Sequence
@@ -262,6 +263,24 @@ def _time_steps(
     return steps / best
 
 
+#: Reclaim calls :func:`_replan_ms` takes the median of.
+REPLAN_REPEATS = 21
+
+
+def _replan_ms(sim: FleetSimulator, slack_margin: float) -> float:
+    """Median wall time of a reclaim on a warm simulator, in ms.
+
+    The duration table is already built, so this is the cost every
+    ``auto_retarget`` replan pays after churn.
+    """
+    times = []
+    for _ in range(REPLAN_REPEATS):
+        start = time.perf_counter()
+        reclaim_fleet_slack(sim, slack_margin=slack_margin)
+        times.append(time.perf_counter() - start)
+    return statistics.median(times) * 1000.0
+
+
 def _bench(args: argparse.Namespace) -> int:
     trace = generate(args.workload, scale=args.scale, seed=args.seed)
     spec = _spec_from_args(args)
@@ -277,6 +296,7 @@ def _bench(args: argparse.Namespace) -> int:
     table_seconds = time.perf_counter() - start
 
     plan = reclaim_fleet_slack(sim, slack_margin=args.slack_margin)
+    replan_ms = _replan_ms(sim, args.slack_margin)
     baseline_rate = _time_steps(sim, None, None, args.steps, args.rounds)
     reclaimed_rate = _time_steps(
         sim, plan, plan.target_compute_us, args.steps, args.rounds
@@ -337,6 +357,7 @@ def _bench(args: argparse.Namespace) -> int:
         "benchmarks": {
             "compile_seconds": compile_seconds,
             "duration_table_seconds": table_seconds,
+            "replan_ms": replan_ms,
             "baseline_steps_per_s": baseline_rate,
             "reclaimed_steps_per_s": reclaimed_rate,
             "churn_steps_per_s": churn_rate,
@@ -372,15 +393,17 @@ def _bench(args: argparse.Namespace) -> int:
     print(
         f"{args.devices} devices: baseline {baseline_rate:.1f} steps/s, "
         f"reclaimed {reclaimed_rate:.1f} steps/s, churned "
-        f"{churn_rate:.1f} steps/s; equivalence max rel err "
+        f"{churn_rate:.1f} steps/s, replan {replan_ms:.2f} ms; "
+        f"equivalence max rel err "
         f"{comparison.max_rel_err:.3e} over {comparison.n_devices} devices"
     )
     if scale_run is not None:
         print(
             f"scale run: {scale_run['devices']} devices completed in "
             f"{scale_run['wall_seconds']:.1f} s "
-            f"({scale_run['warm_steps_per_s']:.1f} warm steps/s, peak "
-            f"RSS {scale_run['max_rss_mb']:.0f} MiB)"
+            f"({scale_run['warm_steps_per_s']:.1f} warm steps/s, replan "
+            f"{scale_run['replan_ms']:.2f} ms, peak RSS "
+            f"{scale_run['max_rss_mb']:.0f} MiB)"
         )
 
     failed = False
@@ -431,6 +454,7 @@ def _scale_run(args: argparse.Namespace, spec: FleetSpec, trace) -> dict:
     )
     warm_rate = args.steps / (time.perf_counter() - warm_start)
     wall = time.perf_counter() - start
+    replan_ms = _replan_ms(sim, args.slack_margin)
     rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     saved = 1.0 - (
         sum(r.fleet_soc_energy_j for r in reclaimed)
@@ -442,6 +466,7 @@ def _scale_run(args: argparse.Namespace, spec: FleetSpec, trace) -> dict:
         "completed": True,
         "wall_seconds": wall,
         "warm_steps_per_s": warm_rate,
+        "replan_ms": replan_ms,
         "soc_energy_saved_frac": saved,
         "max_rss_mb": rss_kb / 1024.0,
     }

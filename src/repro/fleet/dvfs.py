@@ -3,7 +3,10 @@
 The cluster layer's :func:`repro.cluster.dvfs.reclaim_slack` walks
 per-device Python tables; at fleet scale the same policy is three array
 passes over the ``(capacity, F)`` duration table of
-:meth:`repro.fleet.simulator.FleetSimulator.duration_table`:
+:meth:`repro.fleet.simulator.FleetSimulator.duration_table`.  The
+simulator builds that table once and keeps it (it depends only on the
+trace, the board scales and the grid), so a reclaim gathers from it and
+recomputes nothing:
 
 1. the barrier target is the straggler's maximum-frequency arrival
    (optionally stretched by ``slack_margin``);
@@ -20,8 +23,8 @@ barrier target all match the looped cluster reference exactly — and
 plan carries, which is what the store-backed serve path persists.
 
 Re-targeting after churn or degradation is just running the same pass
-on the current membership: :func:`auto_retarget` packages that as the
-``replan`` callback of
+on the current membership — an ``O(N·F)`` gather from the cached table
+— and :func:`auto_retarget` packages that as the ``replan`` callback of
 :meth:`~repro.fleet.simulator.FleetSimulator.run_steps`.
 """
 
@@ -41,8 +44,9 @@ def reclaim_fleet_slack(
 ) -> FleetPlan:
     """Downclock every non-critical active device to just-in-time arrival.
 
-    One vectorized pass over the duration table; semantics (and bytes)
-    of :func:`repro.cluster.dvfs.reclaim_slack` at any fleet size.
+    One vectorized pass over the simulator's cached duration table;
+    semantics (and bytes) of :func:`repro.cluster.dvfs.reclaim_slack` at
+    any fleet size.  The returned plan's arrays are read-only.
 
     Raises:
         ConfigurationError: on a negative ``slack_margin``.

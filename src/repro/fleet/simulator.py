@@ -19,7 +19,10 @@ idle integration is affine in the step's initial temperature rise
 ``delta0``, so it collapses to per-device ``(p, q)`` pairs.  The engine
 builds all of this once per epoch; a warm step is five affine passes in
 ``delta0``.  10k devices step in well under a millisecond and 100k in a
-few (see ``BENCH_fleet.json``).
+few (see ``BENCH_fleet.json``).  Neither a new epoch nor a replan
+recomputes anything priced per frequency: the duration table and the
+per-frequency coefficients are built once per simulator, and both are
+index gathers from there.
 
 Semantics are the cluster simulator's, element for element: durations
 are bitwise identical to the looped reference (same scale multiply,
@@ -65,6 +68,26 @@ DEFAULT_TOP_K = 8
 
 #: Churn event kinds that change the active membership.
 MEMBERSHIP_KINDS = ("join", "leave", "fail")
+
+#: The per-device :class:`~repro.npu.engine.ConstAffineBatch` arrays, in
+#: the order of the simulator's coefficient stack.
+_DEVICE_COEFFICIENTS = (
+    "duration_us",
+    "e0_aicore_j",
+    "e1_aicore_j",
+    "e0_soc_j",
+    "e1_soc_j",
+    "end_a",
+    "end_b",
+)
+
+#: The frequency-only idle-power scalars of a batch, in stack order.
+_IDLE_COEFFICIENTS = (
+    "idle_aicore_w0",
+    "idle_aicore_gain",
+    "idle_soc_w0",
+    "idle_soc_gain",
+)
 
 
 def descending_top_k(values: np.ndarray, k: int) -> np.ndarray:
@@ -239,7 +262,10 @@ class FleetPlan:
 
     Arrays span the full capacity; :attr:`covered` marks the devices the
     plan was computed for — boards that join later run the maximum-
-    frequency baseline until the plan is re-targeted.
+    frequency baseline until the plan is re-targeted.  The arrays are
+    made read-only on construction: the simulator's epoch cache keys on
+    the plan object, so an in-place edit would silently reuse a stale
+    epoch.
     """
 
     workload: str
@@ -250,6 +276,15 @@ class FleetPlan:
     freq_mhz: np.ndarray
     predicted_us: np.ndarray
     covered: np.ndarray
+
+    def __post_init__(self) -> None:
+        for values in (
+            self.freq_index,
+            self.freq_mhz,
+            self.predicted_us,
+            self.covered,
+        ):
+            _read_only(values)
 
     @property
     def n_devices(self) -> int:
@@ -305,10 +340,16 @@ class FleetSimulator:
     """N-device synchronous training as ``(devices,)`` array passes.
 
     Construction compiles the trace once against the shared evaluator
-    and draws the provisioned boards' profiles; per-frequency
-    :class:`~repro.npu.engine.ConstAffineBatch` stacks are built lazily
-    on first use and reused across every subsequent step (spares
-    included, so churn never recompiles anything).
+    and draws the provisioned boards' profiles.  Everything priced per
+    grid frequency is built once and reused across every subsequent
+    step, reclaim, churn event and :meth:`reset` (spares included, so
+    churn never recompiles anything): the ``(capacity, F)`` duration
+    table on the first :meth:`duration_table` call, and each grid
+    point's :class:`~repro.npu.engine.ConstAffineBatch` lazily, on the
+    first :meth:`solution` or step that needs it, as one
+    ``(7, capacity)`` block of an ``(F, 7, capacity)`` coefficient
+    stack.  An epoch rebuild gathers every active device's coefficients
+    from that stack by grid index.
 
     Steps are cached by epoch: the key is the membership epoch (bumped
     by any join, leave or fail, and by :meth:`reset`), the plan object
@@ -335,7 +376,16 @@ class FleetSimulator:
         self._active[: spec.n_devices] = True
         self._next_spare = spec.n_devices
         self._celsius = self._ambient.copy()
-        self._solutions: dict[float, ConstAffineBatch] = {}
+        grid = spec.npu.frequencies.points
+        self._grid = np.array(grid, dtype=float)
+        # Grid point first: each point's coefficients are one contiguous
+        # block, so the pages of points never solved are never touched.
+        self._coef = np.empty(
+            (len(grid), len(_DEVICE_COEFFICIENTS), spec.capacity)
+        )
+        self._idle = np.empty((len(_IDLE_COEFFICIENTS), len(grid)))
+        self._solved = np.zeros(len(grid), dtype=bool)
+        self._table: np.ndarray | None = None
         self._events: list[FleetEvent] = []
         self._overrun_total = 0
         self._membership_epoch = 0
@@ -398,39 +448,71 @@ class FleetSimulator:
         )
 
     def solution(self, freq_mhz: float) -> ConstAffineBatch:
-        """The cached capacity-wide affine batch at one frequency."""
-        sol = self._solutions.get(freq_mhz)
-        if sol is None:
-            thermal = self._spec.npu.thermal
-            sol = batched_const_solutions(
-                self._compiled,
-                freq_mhz,
-                self._scales,
-                thermal.celsius_per_watt,
-                thermal.time_constant_us,
+        """The capacity-wide affine batch at one grid frequency.
+
+        Its arrays are read-only views of the simulator's coefficient
+        stack, which is filled on the first request for ``freq_mhz``.
+
+        Raises:
+            ConfigurationError: when ``freq_mhz`` is not a grid point.
+        """
+        grid = self._spec.npu.frequencies
+        if not grid.contains(freq_mhz):
+            raise ConfigurationError(
+                f"{freq_mhz} MHz is not on the {grid.min_mhz:g}-"
+                f"{grid.max_mhz:g} MHz grid"
             )
-            self._solutions[freq_mhz] = sol
-        return sol
+        j = int(round((freq_mhz - grid.min_mhz) / grid.step_mhz))
+        self._solve(j)
+        coef = self._coef[j]
+        return ConstAffineBatch(
+            freq_mhz=float(self._grid[j]),
+            **{
+                name: _read_only(coef[row])
+                for row, name in enumerate(_DEVICE_COEFFICIENTS)
+            },
+            **{
+                name: float(self._idle[row, j])
+                for row, name in enumerate(_IDLE_COEFFICIENTS)
+            },
+        )
+
+    def _solve(self, j: int) -> None:
+        """Fill grid point ``j``'s block of the coefficient stack once."""
+        if self._solved[j]:
+            return
+        thermal = self._spec.npu.thermal
+        batch = batched_const_solutions(
+            self._compiled,
+            float(self._grid[j]),
+            self._scales,
+            thermal.celsius_per_watt,
+            thermal.time_constant_us,
+        )
+        for row, name in enumerate(_DEVICE_COEFFICIENTS):
+            self._coef[j, row] = getattr(batch, name)
+        for row, name in enumerate(_IDLE_COEFFICIENTS):
+            self._idle[row, j] = getattr(batch, name)
+        self._solved[j] = True
 
     def duration_table(self) -> np.ndarray:
         """Per-board durations over the full grid, ``(capacity, F)``.
 
-        Bitwise identical to probing every device at every grid point
-        through the engine (the reclaim pass depends on this: plans
-        computed from the table match the looped reference byte for
-        byte).
+        Built on the first call and returned (read-only) from then on:
+        it depends only on the compiled trace, the board scales and the
+        grid, none of which churn or :meth:`reset` change.  Bitwise
+        identical to probing every device at every grid point through
+        the engine (the reclaim pass depends on this: plans computed
+        from the table match the looped reference byte for byte).
         """
-        freqs = self._spec.npu.frequencies.points
-        table = np.empty((self._spec.capacity, len(freqs)))
-        for j, freq in enumerate(freqs):
-            cached = self._solutions.get(float(freq))
-            if cached is not None:
-                table[:, j] = cached.duration_us
-            else:
+        if self._table is None:
+            table = np.empty((self._spec.capacity, self._grid.size))
+            for j, freq in enumerate(self._grid):
                 table[:, j] = batched_const_durations(
                     self._compiled, float(freq), self._scales
                 )
-        return table
+            self._table = _read_only(table)
+        return self._table
 
     def reset(self) -> None:
         """Back to the initial membership and thermal state."""
@@ -571,40 +653,28 @@ class FleetSimulator:
     ) -> _Epoch:
         act = self.active_ids
         n = act.size
-        max_freq = float(self._spec.npu.max_frequency_mhz)
+        # Each active device's grid index; the maximum-frequency
+        # baseline for plan=None and for devices the plan does not cover.
+        top = self._grid.size - 1
         if plan is None:
-            freqs = np.full(n, max_freq)
+            index = np.full(n, top)
         else:
-            freqs = np.where(
-                plan.covered[act], plan.freq_mhz[act], max_freq
-            )
-
-        arrival = np.empty(n)
-        e0a = np.empty(n)
-        e1a = np.empty(n)
-        e0s = np.empty(n)
-        e1s = np.empty(n)
-        p = np.empty(n)
-        q = np.empty(n)
-        idle_a0 = np.empty(n)
-        idle_ga = np.empty(n)
-        idle_s0 = np.empty(n)
-        idle_gs = np.empty(n)
-        for freq in np.unique(freqs):
-            mask = freqs == freq
-            rows = act[mask]
-            sol = self.solution(float(freq))
-            arrival[mask] = sol.duration_us[rows]
-            e0a[mask] = sol.e0_aicore_j[rows]
-            e1a[mask] = sol.e1_aicore_j[rows]
-            e0s[mask] = sol.e0_soc_j[rows]
-            e1s[mask] = sol.e1_soc_j[rows]
-            p[mask] = sol.end_a[rows]
-            q[mask] = sol.end_b[rows]
-            idle_a0[mask] = sol.idle_aicore_w0
-            idle_ga[mask] = sol.idle_aicore_gain
-            idle_s0[mask] = sol.idle_soc_w0
-            idle_gs[mask] = sol.idle_soc_gain
+            index = np.where(plan.covered[act], plan.freq_index[act], top)
+        for j in np.flatnonzero(np.bincount(index, minlength=self._grid.size)):
+            self._solve(int(j))
+        freqs = self._grid[index]
+        # One flat gather into C-ordered (7, n) rows: coefficient r of
+        # device i sits at (index[i] * 7 + r) * capacity + act[i].
+        # Fancy-indexing the 3-D stack would return strided rows, and
+        # every warm step reads four of these rows.
+        width = len(_DEVICE_COEFFICIENTS)
+        capacity = self._spec.capacity
+        flat = (
+            np.arange(width)[:, None] * capacity
+            + (index * (width * capacity) + act)
+        )
+        arrival, e0a, e1a, e0s, e1s, p, q = np.take(self._coef, flat)
+        idle_a0, idle_ga, idle_s0, idle_gs = np.take(self._idle, index, axis=1)
 
         compute_us = float(arrival.max())
         straggler_id = int(act[int(np.argmax(arrival))])

@@ -55,6 +55,13 @@ def small_fleet(tiny_trace):
     return FleetSimulator(FleetSpec(n_devices=8, seed=0), tiny_trace)
 
 
+def assert_plan_frozen(plan):
+    """Writing into any of a plan's arrays raises."""
+    for name in ("freq_index", "freq_mhz", "predicted_us", "covered"):
+        with pytest.raises(ValueError):
+            getattr(plan, name)[0] = 0
+
+
 class TestTopology:
     def test_rack_sizes_chunk_in_id_order(self):
         topology = FleetTopology(devices_per_rack=4)
@@ -182,6 +189,60 @@ class TestDurationTable:
         for i, device in enumerate(tables):
             for j in range(len(device.freqs_mhz)):
                 assert table[i, j] == device.duration_us[j]
+
+    def test_built_once_and_read_only(self, tiny_trace):
+        """One table object survives reset() and churn, and is frozen."""
+        sim = FleetSimulator(churned_spec(32, 3), tiny_trace)
+        table = sim.duration_table()
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+        assert sim.duration_table() is table
+        sim.run_steps(None, 8)
+        assert any(e.kind in MEMBERSHIP_KINDS for e in sim.events)
+        assert sim.duration_table() is table
+        sim.reset()
+        assert sim.duration_table() is table
+
+    def test_columns_equal_the_solutions(self, tiny_trace):
+        sim = FleetSimulator(FleetSpec(n_devices=16, seed=2), tiny_trace)
+        table = sim.duration_table()
+        for j, freq in enumerate(sim.spec.npu.frequencies.points):
+            column = np.ascontiguousarray(table[:, j])
+            assert (
+                column.tobytes() == sim.solution(freq).duration_us.tobytes()
+            )
+
+    def test_solution_rejects_off_grid_frequency(self, small_fleet):
+        with pytest.raises(ConfigurationError):
+            small_fleet.solution(1234.5)
+
+    @pytest.mark.parametrize("n_devices, seed", [(64, 3), (1000, 7)])
+    def test_warm_reclaim_after_churn_matches_fresh(
+        self, tiny_trace, n_devices, seed
+    ):
+        """A replan from the cached table equals one from a new fleet."""
+        spec = churned_spec(n_devices, seed)
+        warm = FleetSimulator(spec, tiny_trace)
+        plan = reclaim_fleet_slack(warm)
+        warm.run_steps(
+            plan, 12, plan.target_compute_us, replan=auto_retarget()
+        )
+        fresh = FleetSimulator(spec, tiny_trace)
+        for step in range(1, 12):
+            fresh.advance_churn(step)
+        assert np.array_equal(fresh.active_ids, warm.active_ids)
+        assert not np.array_equal(
+            warm.active_ids, np.arange(spec.n_devices)
+        )
+        got = reclaim_fleet_slack(warm)
+        ref = reclaim_fleet_slack(fresh)
+        for name in ("freq_index", "freq_mhz", "predicted_us", "covered"):
+            assert (
+                getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+            ), name
+        assert got.target_compute_us == ref.target_compute_us
+        assert got.straggler_id == ref.straggler_id
 
 
 class TestChurn:
@@ -311,6 +372,10 @@ class TestReclaim:
         with pytest.raises(ConfigurationError):
             reclaim_fleet_slack(small_fleet, slack_margin=-0.1)
 
+    def test_plan_arrays_are_read_only(self, small_fleet):
+        plan = reclaim_fleet_slack(small_fleet)
+        assert_plan_frozen(plan)
+
     def test_replan_covers_only_survivors(self, tiny_trace):
         spec = FleetSpec(
             n_devices=8,
@@ -370,6 +435,8 @@ class TestStore:
         assert plan_strategy_json(cold.plan) == plan_strategy_json(warm.plan)
         assert cold.plan.target_compute_us == warm.plan.target_compute_us
         assert np.array_equal(cold.plan.freq_index, warm.plan.freq_index)
+        assert_plan_frozen(cold.plan)
+        assert_plan_frozen(warm.plan)
 
     def test_membership_change_invalidates_the_cache(
         self, tmp_path, tiny_trace
@@ -698,6 +765,7 @@ class TestCli:
         payload = json.loads(output.read_text())
         assert payload["meta"]["devices"] == 32
         assert payload["benchmarks"]["baseline_steps_per_s"] > 0
+        assert payload["benchmarks"]["replan_ms"] > 0
         assert payload["equivalence"]["ok"] is True
 
     def test_bench_floor_violation_fails(self, capsys, tmp_path):
