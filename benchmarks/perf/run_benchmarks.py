@@ -60,12 +60,6 @@ from repro.workloads import generate  # noqa: E402
 
 EQUIV_REL_TOL = 1e-9
 
-#: Best cold-path time in the previously checked-in BENCH_pipeline.json
-#: (gpt3 scale 0.1, GA 64x16, batched cold path before the lazy-object,
-#: shared-compile and surrogate work).  The surrogate section reports its
-#: end-to-end speedup against this fixed reference point.
-PRIOR_PIPELINE_BEST_SECONDS = 0.04616534999877331
-
 
 class EquivalenceFailure(AssertionError):
     """Fast path diverged from the reference loop beyond the budget."""
@@ -337,57 +331,6 @@ def bench_pipeline(trace, warmup: int, rounds: int) -> dict:
                 f"pipeline: {label} matrix diverged by {err:.3e}"
             )
 
-    # Surrogate arm: the same cold path with surrogate-assisted search.
-    def surrogate_cold_path(seed=0):
-        config = OptimizerConfig(
-            ga=GaConfig(population_size=64, iterations=16, seed=seed),
-            seed=seed,
-        ).with_surrogate()
-        optimizer = EnergyOptimizer(config)
-        optimizer.use_calibration(constants)
-        bundle = optimizer.profile(trace)
-        models = optimizer.build_models(bundle)
-        candidates = optimizer.preprocess(bundle)
-        _, scorer, result = optimizer.search(trace, models, candidates)
-        return scorer, result
-
-    surrogate_timing = time_rounds(lambda: surrogate_cold_path(), warmup, rounds)
-
-    # Gates, both fatal: the surrogate arm's best_score must be the exact
-    # scorer's own number for its best genes (bitwise — the multi-fidelity
-    # contract), and its quality must stay within 1% of the exact GA
-    # unless the genes are byte-identical anyway.
-    score_ratios = {}
-    holdout_r2 = {}
-    evaluations = {}
-    surrogate_used_all = True
-    for seed in (0, 1, 2):
-        scorer, surr_result = surrogate_cold_path(seed)
-        oracle = float(scorer.score(surr_result.best_genes[None, :])[0])
-        if oracle != surr_result.best_score:
-            raise EquivalenceFailure(
-                f"pipeline: surrogate best_score is not the exact "
-                f"scorer's value for seed {seed}"
-            )
-        _, exact_result = cold_path(seed)
-        ratio = surr_result.best_score / exact_result.best_score
-        score_ratios[str(seed)] = ratio
-        identical = (
-            surr_result.best_genes.tobytes()
-            == exact_result.best_genes.tobytes()
-        )
-        if not identical and ratio < 0.99:
-            raise EquivalenceFailure(
-                f"pipeline: surrogate best_score fell {1 - ratio:.2%} "
-                f"below the exact GA for seed {seed}"
-            )
-        surrogate_used_all = surrogate_used_all and surr_result.surrogate_used
-        holdout_r2[str(seed)] = surr_result.surrogate_r2
-        evaluations[str(seed)] = {
-            "exact": exact_result.evaluations,
-            "surrogate": surr_result.evaluations,
-        }
-
     return {
         "trace": trace.name,
         "operators": len(trace.entries),
@@ -400,22 +343,6 @@ def bench_pipeline(trace, warmup: int, rounds: int) -> dict:
         "speedup": ref["best_seconds"] / fast["best_seconds"],
         "max_rel_error": worst,
         "best_genes_identical_seeds": [0, 1, 2],
-        "surrogate": {
-            "timing": surrogate_timing,
-            "speedup_vs_exact": (
-                fast["best_seconds"] / surrogate_timing["best_seconds"]
-            ),
-            "prior_best_seconds": PRIOR_PIPELINE_BEST_SECONDS,
-            "speedup_vs_prior": (
-                PRIOR_PIPELINE_BEST_SECONDS
-                / surrogate_timing["best_seconds"]
-            ),
-            "surrogate_used": surrogate_used_all,
-            "oracle_score_exact": True,
-            "score_ratio_vs_exact": score_ratios,
-            "holdout_r2": holdout_r2,
-            "oracle_evaluations": evaluations,
-        },
     }
 
 
@@ -445,20 +372,6 @@ def main(argv: list[str] | None = None) -> int:
         type=Path,
         default=REPO_ROOT / "BENCH_simulator.json",
         help="where to write the JSON report",
-    )
-    parser.add_argument(
-        "--assert-surrogate-speedup",
-        type=float,
-        default=None,
-        help="fail unless the pipeline surrogate arm's speedup over the "
-        "prior checked-in cold path is at least this factor",
-    )
-    parser.add_argument(
-        "--assert-surrogate-parity",
-        type=float,
-        default=None,
-        help="fail unless every surrogate best_score/exact best_score "
-        "ratio is at least this value (e.g. 0.99)",
     )
     args = parser.parse_args(argv)
 
@@ -527,61 +440,12 @@ def main(argv: list[str] | None = None) -> int:
                 f"max rel err {section['max_rel_error']:.2e})",
                 flush=True,
             )
-            if "surrogate" in section:
-                surr = section["surrogate"]
-                print(
-                    f"[{name}] surrogate arm "
-                    f"{surr['timing']['best_seconds']*1e3:.2f} ms "
-                    f"({surr['speedup_vs_prior']:.2f}x vs prior "
-                    f"{surr['prior_best_seconds']*1e3:.2f} ms cold path)",
-                    flush=True,
-                )
         else:
             print(
                 f"[{name}] {section['seconds_per_generation']*1e3:.2f} "
                 "ms/generation",
                 flush=True,
             )
-
-    surrogate_section = report["benchmarks"].get("pipeline", {}).get(
-        "surrogate"
-    )
-    if args.assert_surrogate_speedup is not None:
-        if surrogate_section is None:
-            print(
-                "--assert-surrogate-speedup needs the pipeline section",
-                file=sys.stderr,
-            )
-            failed = True
-        elif (
-            surrogate_section["speedup_vs_prior"]
-            < args.assert_surrogate_speedup
-        ):
-            print(
-                f"surrogate speedup "
-                f"{surrogate_section['speedup_vs_prior']:.2f}x below the "
-                f"{args.assert_surrogate_speedup:.2f}x floor",
-                file=sys.stderr,
-            )
-            failed = True
-    if args.assert_surrogate_parity is not None:
-        if surrogate_section is None:
-            print(
-                "--assert-surrogate-parity needs the pipeline section",
-                file=sys.stderr,
-            )
-            failed = True
-        else:
-            worst_ratio = min(
-                surrogate_section["score_ratio_vs_exact"].values()
-            )
-            if worst_ratio < args.assert_surrogate_parity:
-                print(
-                    f"surrogate score ratio {worst_ratio:.4f} below the "
-                    f"{args.assert_surrogate_parity:.4f} floor",
-                    file=sys.stderr,
-                )
-                failed = True
 
     report["equivalence_ok"] = not failed
     args.output.write_text(json.dumps(report, indent=2) + "\n")

@@ -9,7 +9,10 @@ reproduces the reference bit for bit — including the measurement-noise RNG
 stream — so :class:`~repro.dvfs.ga.GaResult.best_genes` are byte-identical
 either way; this module is the escape hatch that forces the reference
 implementations globally, mirroring :func:`repro.npu.engine.reference_only`
-for the execution engine.
+for the execution engine.  These two process-global toggles and the
+per-device ``engine=False`` are the only fast/reference switches; none
+is part of the strategy fingerprint, since either setting yields the
+same strategy.
 """
 
 from __future__ import annotations

@@ -8,7 +8,6 @@ from typing import TYPE_CHECKING
 from repro.dvfs.ga import GaConfig
 from repro.dvfs.guard import GuardConfig
 from repro.dvfs.preprocessing import DEFAULT_ADJUSTMENT_INTERVAL_US
-from repro.dvfs.surrogate import SurrogateConfig
 from repro.errors import ConfigurationError
 from repro.npu.faults import FaultConfig
 from repro.npu.spec import NpuSpec, default_npu_spec
@@ -36,9 +35,6 @@ class OptimizerConfig:
         fit_function: the Sect. 4.3 surrogate for performance fitting.
         objective: power rail the search minimises (``"aicore"``/``"soc"``).
         ga: genetic-algorithm hyper-parameters.
-        surrogate: multi-fidelity surrogate-search knobs (see
-            :class:`repro.dvfs.surrogate.SurrogateConfig`); disabled by
-            default, so existing configs run the exact GA unchanged.
         fault: injected fault rates for the substrate (all-zero by
             default — a healthy control plane; see
             :class:`repro.npu.faults.FaultConfig`).
@@ -60,7 +56,6 @@ class OptimizerConfig:
     fit_function: FitFunction = FitFunction.QUADRATIC_NO_LINEAR
     objective: str = "aicore"
     ga: GaConfig = field(default_factory=GaConfig)
-    surrogate: SurrogateConfig = field(default_factory=SurrogateConfig)
     fault: FaultConfig = field(default_factory=FaultConfig)
     guard: GuardConfig = field(default_factory=GuardConfig)
     seed: int = 0
@@ -124,15 +119,3 @@ class OptimizerConfig:
     def with_cluster(self, cluster: "ClusterSpec | None") -> "OptimizerConfig":
         """A copy targeting a multi-device fleet (or back to one device)."""
         return replace(self, cluster=cluster)
-
-    def with_surrogate(
-        self, surrogate: SurrogateConfig | bool = True
-    ) -> "OptimizerConfig":
-        """A copy using surrogate-assisted strategy search.
-
-        Pass a full :class:`SurrogateConfig` for custom knobs, ``True``
-        to enable with defaults, or ``False`` to force the exact GA.
-        """
-        if isinstance(surrogate, bool):
-            surrogate = SurrogateConfig(enabled=surrogate)
-        return replace(self, surrogate=surrogate)

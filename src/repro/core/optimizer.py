@@ -375,11 +375,7 @@ class EnergyOptimizer:
             objective=self._config.objective,
         )
         result = run_search(
-            scorer,
-            candidates.stages,
-            freqs,
-            self._config.ga,
-            surrogate=self._config.surrogate,
+            scorer, candidates.stages, freqs, self._config.ga
         )
         strategy = strategy_from_genes(
             workload=trace.name,

@@ -44,16 +44,7 @@ from repro.dvfs.preprocessing import (
 from repro.dvfs.scoring import (
     PopulationEvaluation,
     ScoreBreakdown,
-    StageTables,
     StrategyScorer,
-)
-from repro.dvfs.surrogate import (
-    SurrogateConfig,
-    SurrogateModel,
-    exact_search_only,
-    fit_surrogate,
-    set_surrogate_search_allowed,
-    surrogate_search_allowed,
 )
 from repro.dvfs.strategy import (
     DvfsStrategy,
@@ -89,22 +80,15 @@ __all__ = [
     "Stage",
     "StageKind",
     "StagePlan",
-    "StageTables",
     "StrategyScorer",
-    "SurrogateConfig",
-    "SurrogateModel",
     "bottleneck_histogram",
     "classify_operator",
     "classify_operators",
     "constant_strategy",
-    "exact_search_only",
-    "fit_surrogate",
     "initial_population",
     "operator_trade_curve",
     "preprocess",
     "rank_by_exchange_rate",
     "run_search",
-    "set_surrogate_search_allowed",
     "strategy_from_genes",
-    "surrogate_search_allowed",
 ]

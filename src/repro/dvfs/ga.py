@@ -12,17 +12,12 @@ generation keeps an elite, then fills the population by score-proportional
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.dvfs.preprocessing import Stage, StageKind
 from repro.dvfs.scoring import StrategyScorer
-from repro.dvfs.surrogate import (
-    SurrogateConfig,
-    fit_surrogate,
-    surrogate_search_allowed,
-)
 from repro.errors import StrategyError
 
 
@@ -67,9 +62,8 @@ class GaConfig:
 class GaResult:
     """Outcome of one search run.
 
-    ``evaluations`` counts *oracle* (analytical-scorer) evaluations only:
-    surrogate matrix passes are free by design and are never included, and
-    under elite score carry-over unchanged elites are not re-counted.
+    ``evaluations`` counts scorer evaluations; under elite score
+    carry-over unchanged elites are not re-counted.
     """
 
     best_genes: np.ndarray
@@ -79,11 +73,6 @@ class GaResult:
     generations: int
     evaluations: int
     wall_seconds: float
-    #: Whether the multi-fidelity surrogate path produced this result
-    #: (False for the exact GA, including surrogate-gate fallbacks).
-    surrogate_used: bool = False
-    #: Holdout R^2 of the surrogate fit (None on the exact path).
-    surrogate_r2: float | None = None
 
     @property
     def converged_generation(self) -> int:
@@ -161,96 +150,19 @@ def _roulette_pick(
     return np.searchsorted(cumulative, draws)
 
 
-def _breed(
-    rng: np.random.Generator,
-    population: np.ndarray,
-    scores: np.ndarray,
-    config: GaConfig,
-    pop_size: int,
-    n_stages: int,
-    n_freqs: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One generation's selection/crossover/mutation.
-
-    Returns ``(elite, elite_scores, children)``.  The RNG draw sequence is
-    exactly the former inline loop body's, so exact-path results are
-    bit-identical; ``elite_scores`` lets callers carry scores forward
-    instead of re-scoring unchanged genes.
-    """
-    # ``[-k:]`` would return the whole array for ``elite_count == 0`` and
-    # silently grow the population; slice from ``pop_size - k`` instead.
-    elite_idx = np.argsort(scores)[pop_size - config.elite_count:]
-    elite = population[elite_idx].copy()
-    elite_scores = scores[elite_idx]
-
-    cumulative = np.cumsum(np.maximum(scores, 1e-12))
-    parent_count = pop_size - config.elite_count
-    parents_a = population[_roulette_pick(rng, cumulative, parent_count)]
-    parents_b = population[_roulette_pick(rng, cumulative, parent_count)]
-
-    children = parents_a.copy()
-    # Tail-swap crossover: exchange the last k genes (Sect. 6.3.3).
-    do_cross = rng.random(parent_count) < config.crossover_rate
-    cut = rng.integers(1, n_stages + 1, size=parent_count)
-    # Masked column assignment over the crossing rows — the RNG draws
-    # above are unchanged and gene copies are integer-exact, so this
-    # is bit-identical to the former per-row tail-swap loop.
-    cross_rows = np.nonzero(do_cross)[0]
-    if cross_rows.size:
-        tail = np.arange(n_stages)[None, :] >= (
-            n_stages - cut[cross_rows]
-        )[:, None]
-        crossed = children[cross_rows]
-        crossed[tail] = parents_b[cross_rows][tail]
-        children[cross_rows] = crossed
-    # Point mutation: one random gene to one random frequency.
-    do_mutate = rng.random(parent_count) < config.mutation_rate
-    positions = rng.integers(0, n_stages, size=parent_count)
-    values = rng.integers(0, n_freqs, size=parent_count)
-    mutate_rows = np.nonzero(do_mutate)[0]
-    children[mutate_rows, positions[mutate_rows]] = values[mutate_rows]
-    return elite, elite_scores, children
-
-
 def run_search(
     scorer: StrategyScorer,
     stages: tuple[Stage, ...],
     freqs_mhz: tuple[float, ...],
     config: GaConfig | None = None,
-    *,
-    surrogate: SurrogateConfig | None = None,
 ) -> GaResult:
     """Run the full GA and return the fittest strategy found.
 
     Selection probability is proportional to the Eq. (17) score, so
     strategies meeting the performance bound (scored 2x) dominate the
     mating pool while infeasible ones still contribute genetic material.
-
-    With ``surrogate`` enabled (and the scorer exposing its stage tables),
-    a multi-fidelity variant runs instead: inner generations score a
-    larger exploratory population with a fitted ridge surrogate, and only
-    a per-generation top-k plus the final population see the analytical
-    oracle — whose score is always the one reported.
     """
     config = config or GaConfig()
-    if (
-        surrogate is not None
-        and surrogate.enabled
-        and surrogate_search_allowed()
-        and hasattr(scorer, "stage_tables")
-    ):
-        return _run_search_surrogate(scorer, stages, freqs_mhz, config,
-                                     surrogate)
-    return _run_search_exact(scorer, stages, freqs_mhz, config)
-
-
-def _run_search_exact(
-    scorer: StrategyScorer,
-    stages: tuple[Stage, ...],
-    freqs_mhz: tuple[float, ...],
-    config: GaConfig,
-) -> GaResult:
-    """The reference single-fidelity GA (every row oracle-scored)."""
     rng = np.random.default_rng(config.seed)
     population = initial_population(scorer, stages, config, freqs_mhz, rng)
     n_stages = scorer.stage_count
@@ -264,15 +176,45 @@ def _run_search_exact(
     stale_generations = 0
 
     for _ in range(config.iterations):
-        elite, elite_scores, children = _breed(
-            rng, population, scores, config, pop_size, n_stages, n_freqs
-        )
+        # ``[-k:]`` would return the whole array for ``elite_count == 0``
+        # and silently grow the population; slice from ``pop_size - k``.
+        elite_idx = np.argsort(scores)[pop_size - config.elite_count:]
+        elite = population[elite_idx].copy()
+        elite_scores = scores[elite_idx]
+
+        cumulative = np.cumsum(np.maximum(scores, 1e-12))
+        parent_count = pop_size - config.elite_count
+        parents_a = population[_roulette_pick(rng, cumulative, parent_count)]
+        parents_b = population[_roulette_pick(rng, cumulative, parent_count)]
+
+        children = parents_a.copy()
+        # Tail-swap crossover: exchange the last k genes (Sect. 6.3.3).
+        do_cross = rng.random(parent_count) < config.crossover_rate
+        cut = rng.integers(1, n_stages + 1, size=parent_count)
+        # Masked column assignment over the crossing rows — the RNG draws
+        # above are unchanged and gene copies are integer-exact, so this
+        # is bit-identical to the former per-row tail-swap loop.
+        cross_rows = np.nonzero(do_cross)[0]
+        if cross_rows.size:
+            tail = np.arange(n_stages)[None, :] >= (
+                n_stages - cut[cross_rows]
+            )[:, None]
+            crossed = children[cross_rows]
+            crossed[tail] = parents_b[cross_rows][tail]
+            children[cross_rows] = crossed
+        # Point mutation: one random gene to one random frequency.
+        do_mutate = rng.random(parent_count) < config.mutation_rate
+        positions = rng.integers(0, n_stages, size=parent_count)
+        values = rng.integers(0, n_freqs, size=parent_count)
+        mutate_rows = np.nonzero(do_mutate)[0]
+        children[mutate_rows, positions[mutate_rows]] = values[mutate_rows]
+
         population = np.vstack([elite, children])
         # Elite score carry-over: elites are unchanged genes, and the
         # scorer is row-independent (per-row gathers and reductions), so
         # concatenating their previous scores with freshly scored children
         # is bit-identical to re-scoring the stacked population — while
-        # charging only ``pop_size - elite_count`` oracle evaluations.
+        # charging only ``pop_size - elite_count`` scorer evaluations.
         scores = np.concatenate([elite_scores, scorer.score(children)])
         evaluations += pop_size - config.elite_count
         history.append(float(scores.max()))
@@ -291,101 +233,4 @@ def _run_search_exact(
         generations=len(history) - 1,
         evaluations=evaluations,
         wall_seconds=time.perf_counter() - start,
-    )
-
-
-def _run_search_surrogate(
-    scorer: StrategyScorer,
-    stages: tuple[Stage, ...],
-    freqs_mhz: tuple[float, ...],
-    config: GaConfig,
-    surrogate: SurrogateConfig,
-) -> GaResult:
-    """Multi-fidelity GA: surrogate exploration, oracle confirmation.
-
-    Oracle evaluations: ``fit rows + top_k * (generations + 1) + final
-    population``; the surrogate's matrix passes are not counted.
-    """
-    start = time.perf_counter()
-    rng = np.random.default_rng(config.seed)
-    model, fit_evaluations = fit_surrogate(scorer, surrogate, rng)
-    if model is None:
-        # Quality gate failed: fall back to the exact GA.  The exact run
-        # seeds its own fresh RNG, so the returned strategy is identical
-        # to a plain exact run; only the fit's oracle labels are added to
-        # the count.
-        result = _run_search_exact(scorer, stages, freqs_mhz, config)
-        return replace(
-            result,
-            evaluations=result.evaluations + fit_evaluations,
-            wall_seconds=time.perf_counter() - start,
-        )
-
-    inner = replace(
-        config,
-        population_size=config.population_size * surrogate.explore_multiplier,
-    )
-    population = initial_population(scorer, stages, inner, freqs_mhz, rng)
-    n_stages = scorer.stage_count
-    n_freqs = scorer.frequency_count
-    pop_size = inner.population_size
-    top_k = min(surrogate.oracle_top_k, pop_size)
-
-    # The per-generation top-k (by surrogate rank) are *collected* here
-    # and oracle-scored in one deferred batch below: a small scorer call
-    # per generation would pay the fixed gather overhead dozens of times.
-    scores = model.score(population)
-    shortlists = [population[np.argsort(scores)[pop_size - top_k:]].copy()]
-    surrogate_best = float(scores.max())
-    stale_generations = 0
-
-    for _ in range(config.iterations):
-        elite, elite_scores, children = _breed(
-            rng, population, scores, inner, pop_size, n_stages, n_freqs
-        )
-        population = np.vstack([elite, children])
-        scores = np.concatenate([elite_scores, model.score(children)])
-        shortlists.append(
-            population[np.argsort(scores)[pop_size - top_k:]].copy()
-        )
-        # Patience watches the surrogate's own best: oracle scores are
-        # deliberately not available mid-loop.
-        generation_best = float(scores.max())
-        if generation_best > surrogate_best + 1e-12:
-            surrogate_best = generation_best
-            stale_generations = 0
-        else:
-            stale_generations += 1
-            if config.patience and stale_generations >= config.patience:
-                break
-
-    # One oracle pass over every shortlisted candidate plus the final
-    # full population: the surrogate only chose where to look, never what
-    # to return.  ``scorer.score`` is row-independent (per-row gathers
-    # and reductions), so the winner's batch score equals its solo score
-    # bitwise — GaResult.best_score is always an exact Eq. (17) value.
-    candidates = np.vstack(shortlists + [population])
-    oracle = scorer.score(candidates)
-    evaluations = fit_evaluations + candidates.shape[0]
-    best = int(np.argmax(oracle))
-
-    # Oracle best-so-far per generation (Fig. 17-comparable trajectory),
-    # reconstructed from the shortlist slices; the final entry includes
-    # the full-population re-rank.
-    history: list[float] = []
-    running = -np.inf
-    for g in range(len(shortlists)):
-        running = max(running, float(oracle[g * top_k:(g + 1) * top_k].max()))
-        history.append(running)
-    history[-1] = float(oracle[best])
-
-    return GaResult(
-        best_genes=candidates[best].copy(),
-        best_score=float(oracle[best]),
-        history=tuple(history),
-        generations=len(history) - 1,
-        evaluations=evaluations,
-        wall_seconds=time.perf_counter() - start,
-        surrogate_used=True,
-        surrogate_r2=model.holdout_r2,
     )

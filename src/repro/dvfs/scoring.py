@@ -29,22 +29,6 @@ from repro.workloads.trace import Trace
 
 
 @dataclass(frozen=True)
-class StageTables:
-    """Read-only views of the scorer's per-stage frequency lookup tables.
-
-    ``time_us``/``aicore_energy``/``soc_energy`` are ``(stages, freqs)``
-    arrays; ``volts`` is the ``(freqs,)`` rail voltage per grid frequency.
-    The surrogate fitter consumes these to build its gene-indexed feature
-    aggregates without re-deriving anything from the models.
-    """
-
-    time_us: np.ndarray
-    aicore_energy: np.ndarray
-    soc_energy: np.ndarray
-    volts: np.ndarray
-
-
-@dataclass(frozen=True)
 class ScoreBreakdown:
     """Model-predicted outcome of one strategy."""
 
@@ -268,15 +252,6 @@ class StrategyScorer:
         """Which rail's power the score minimises (aicore or soc)."""
         return self._objective
 
-    def stage_tables(self) -> StageTables:
-        """The per-stage lookup tables behind :meth:`evaluate`."""
-        return StageTables(
-            time_us=self._stage_time,
-            aicore_energy=self._stage_aicore_energy,
-            soc_energy=self._stage_soc_energy,
-            volts=self._volts,
-        )
-
     @property
     def time_lower_bound_us(self) -> float:
         """Maximum admissible iteration time (Eq. 17's ``Per_lb``)."""
@@ -318,12 +293,10 @@ class StrategyScorer:
             delta_celsius=delta,
         )
 
-    def base_scores(self, evaluation: "PopulationEvaluation") -> np.ndarray:
-        """Eq. (17) scores *without* the feasibility doubling.
-
-        The surrogate fits this smooth part; the discontinuous 2x bonus is
-        re-applied exactly from the (exact) predicted time at inference.
-        """
+    def score_evaluation(
+        self, evaluation: "PopulationEvaluation"
+    ) -> np.ndarray:
+        """Eq. (17) scores for an already-evaluated population."""
         power = (
             evaluation.aicore_watts
             if self._objective == "aicore"
@@ -331,13 +304,7 @@ class StrategyScorer:
         )
         per_norm = self._baseline_time / evaluation.time_us
         power_norm = power / self._baseline_power
-        return per_norm * per_norm / power_norm
-
-    def score_evaluation(
-        self, evaluation: "PopulationEvaluation"
-    ) -> np.ndarray:
-        """Eq. (17) scores for an already-evaluated population."""
-        base_score = self.base_scores(evaluation)
+        base_score = per_norm * per_norm / power_norm
         meets = evaluation.time_us <= self.time_lower_bound_us
         return np.where(meets, 2.0 * base_score, base_score)
 

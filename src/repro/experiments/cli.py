@@ -78,7 +78,6 @@ _GA_EXPERIMENTS = {
     "ext_fleet",
     "ext_granularity",
     "ext_robustness",
-    "ext_surrogate",
     "ext_whole_program",
     "fig14",
     "fig17",

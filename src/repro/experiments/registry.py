@@ -13,7 +13,6 @@ from repro.experiments import (
     ext_fleet_scale,
     ext_granularity,
     ext_robustness,
-    ext_surrogate,
     ext_uncore_dvfs,
     ext_whole_program,
     fig09_voltage_frequency,
@@ -39,7 +38,6 @@ _REGISTRY: dict[str, Callable[..., ExperimentResult]] = {
     "ext_fleet_scale": ext_fleet_scale.run,
     "ext_granularity": ext_granularity.run,
     "ext_robustness": ext_robustness.run,
-    "ext_surrogate": ext_surrogate.run,
     "ext_uncore": ext_uncore_dvfs.run,
     "ext_whole_program": ext_whole_program.run,
     "fig09": fig09_voltage_frequency.run,

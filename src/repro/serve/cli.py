@@ -93,15 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--seed", type=int, default=0, help="root seed")
-    parser.add_argument(
-        "--surrogate",
-        action="store_true",
-        help=(
-            "answer GA misses with the surrogate-assisted search "
-            "(exact-oracle re-scored; falls back to the exact GA when "
-            "the surrogate misses its holdout-R2 floor)"
-        ),
-    )
     return parser
 
 
@@ -121,8 +112,6 @@ def _warm_main(argv: Sequence[str]) -> int:
         ),
         seed=args.seed,
     ).with_patience(args.patience)
-    if args.surrogate:
-        config = config.with_surrogate()
     store = StrategyStore(Path(args.store))
     try:
         traces = [
@@ -357,15 +346,6 @@ def build_bench_parser() -> argparse.ArgumentParser:
         "--assert-max-shed-rate", type=float, default=None,
         help="fail unless shed rate <= this fraction",
     )
-    parser.add_argument(
-        "--surrogate",
-        action="store_true",
-        help=(
-            "answer GA misses with the surrogate-assisted search "
-            "(exact-oracle re-scored; falls back to the exact GA when "
-            "the surrogate misses its holdout-R2 floor)"
-        ),
-    )
     return parser
 
 
@@ -398,8 +378,6 @@ def _bench_main(argv: Sequence[str]) -> int:
         ),
         seed=args.seed,
     ).with_patience(args.patience)
-    if args.surrogate:
-        optimizer_config = optimizer_config.with_surrogate()
     gateway_config = GatewayConfig(
         max_queue_depth=args.queue_depth,
         dispatchers=args.dispatchers,

@@ -30,9 +30,9 @@ from repro.workloads.trace import Trace
 
 #: Bump when the canonical encoding changes incompatibly; part of every
 #: digest so old store entries invalidate instead of aliasing.
-#: v2: the surrogate-search knobs joined the config hash — a surrogate
-#: and an exact run can legitimately return different strategies.
-FINGERPRINT_VERSION = 2
+#: v3: the config hash no longer carries a ``"surrogate"`` key, because
+#: the exact GA is the only search path.
+FINGERPRINT_VERSION = 3
 
 
 def canonicalize(value: Any) -> Any:
@@ -119,17 +119,14 @@ def config_fingerprint(config: OptimizerConfig) -> str:
 
     Covers every knob the generated strategy depends on: loss target,
     adjustment interval, profile frequencies, fit function, objective,
-    GA hyper-parameters, surrogate-search knobs, guard and fault knobs,
-    and the root seed.  The hardware description is hashed separately
-    (:func:`spec_fingerprint`) so the store can report *which* of the
-    two drifted.
+    GA hyper-parameters, guard and fault knobs, and the root seed.  The
+    hardware description is hashed separately (:func:`spec_fingerprint`)
+    so the store can report *which* of the two drifted.
 
-    The process-wide surrogate kill switch
-    (:func:`repro.dvfs.surrogate.surrogate_search_allowed`) is
-    deliberately NOT hashed: flipping it only ever forces the exact GA,
-    whose results are always acceptable for a surrogate-enabled config —
-    the safe direction — whereas hashing it would split the cache on an
-    operational toggle.
+    The process-wide fast/reference toggles (:mod:`repro.npu.engine`,
+    :mod:`repro.batching`) are deliberately NOT hashed: both paths
+    produce the same strategy, so hashing them would only split the
+    cache on an operational toggle.
     """
     return _digest(
         {
@@ -140,7 +137,6 @@ def config_fingerprint(config: OptimizerConfig) -> str:
             "fit_function": config.fit_function.value,
             "objective": config.objective,
             "ga": canonicalize(config.ga),
-            "surrogate": canonicalize(config.surrogate),
             "fault": canonicalize(config.fault),
             "guard": canonicalize(config.guard),
             "seed": config.seed,

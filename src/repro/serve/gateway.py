@@ -331,8 +331,6 @@ class AsyncGateway:
                 )
                 strategy = self.service.commit(pool_result)
                 self.stats.ga_runs += 1
-                if pool_result.surrogate_used:
-                    self.stats.surrogate_runs += 1
                 self.stats.ga_seconds += pool_result.wall_seconds
                 self.stats.ga_generations += pool_result.ga_generations
                 if not future.done():

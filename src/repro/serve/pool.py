@@ -58,10 +58,6 @@ class PoolResult:
     performance_loss: float
     ga_generations: int
     wall_seconds: float
-    #: Whether the surrogate-assisted GA produced the strategy (False
-    #: also covers quality-gate fallbacks to the exact GA, so operators
-    #: can see gate trips in the service stats).
-    surrogate_used: bool = False
 
 
 def optimize_job(
@@ -82,7 +78,6 @@ def optimize_job(
         performance_loss=report.performance_loss,
         ga_generations=report.search.generations,
         wall_seconds=time.perf_counter() - start,
-        surrogate_used=report.search.surrogate_used,
     )
 
 

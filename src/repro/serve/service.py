@@ -75,10 +75,6 @@ class ServiceStats:
     #: Requests refused by admission control (typed ``Overloaded``).
     shed: int = 0
     ga_runs: int = 0
-    #: GA misses answered by the surrogate-assisted search (a
-    #: surrogate-enabled config whose quality gate fell back to the
-    #: exact GA counts in ``ga_runs`` but not here).
-    surrogate_runs: int = 0
     total_latency_seconds: float = 0.0
     max_latency_seconds: float = 0.0
     ga_seconds: float = 0.0
@@ -173,7 +169,6 @@ class ServiceStats:
             {"counter": "computed", "value": self.computed},
             {"counter": "shed", "value": self.shed},
             {"counter": "ga_runs", "value": self.ga_runs},
-            {"counter": "surrogate_runs", "value": self.surrogate_runs},
             {"counter": "ga_generations", "value": self.ga_generations},
             {
                 "counter": "ga_generations_trimmed",
@@ -363,8 +358,6 @@ class StrategyService:
             result.fingerprint, strategy, self._config_hash, self._spec_hash
         )
         self.stats.ga_runs += 1
-        if result.surrogate_used:
-            self.stats.surrogate_runs += 1
         self.stats.ga_seconds += result.wall_seconds
         self.stats.ga_generations += result.ga_generations
         self.stats.ga_generations_trimmed += max(

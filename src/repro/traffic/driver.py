@@ -153,8 +153,6 @@ class TrafficReport:
     #: optimisations target, separated from the cache-hit distribution
     #: so one doesn't mask the other.
     miss_latency_us: dict[str, float] = field(default_factory=dict)
-    #: GA misses answered by the surrogate-assisted search.
-    surrogate_runs: int = 0
     store_counters: dict[str, int | str] = field(default_factory=dict)
     byte_identical: bool | None = None
     verified_workloads: int = 0
@@ -187,7 +185,6 @@ class TrafficReport:
                 "metric": "miss_p99_us",
                 "value": f"{self.miss_latency_us.get('p99', 0.0):.1f}",
             },
-            {"metric": "surrogate_runs", "value": self.surrogate_runs},
             {"metric": "queue_depth_max", "value": self.queue_depth_max},
             {"metric": "ga_runs", "value": self.ga_runs},
             {"metric": "wall_seconds", "value": f"{self.wall_seconds:.2f}"},
@@ -218,7 +215,6 @@ class TrafficReport:
             "latency_us": dict(self.latency_us),
             "hit_latency_us": dict(self.hit_latency_us),
             "miss_latency_us": dict(self.miss_latency_us),
-            "surrogate_runs": self.surrogate_runs,
             "queue_depth_max": self.queue_depth_max,
             "queue_depth_mean": self.queue_depth_mean,
             "ga_runs": self.ga_runs,
@@ -394,7 +390,6 @@ def drive_traffic(
         latency_us=_percentiles(latencies_us),
         hit_latency_us=_percentiles(hit_latencies_us),
         miss_latency_us=_percentiles(miss_latencies_us),
-        surrogate_runs=stats.surrogate_runs,
         queue_depth_max=gateway.max_queue_depth_seen,
         queue_depth_mean=(
             float(np.mean(depth_samples)) if depth_samples else 0.0
@@ -497,7 +492,6 @@ def run_bench(
                     },
                     "ga_population": optimizer_config.ga.population_size,
                     "ga_iterations": optimizer_config.ga.iterations,
-                    "surrogate": optimizer_config.surrogate.enabled,
                     "python": platform.python_version(),
                     "machine": platform.machine(),
                 },

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.dvfs.ga import GaConfig, _nearest_index, _roulette_pick
+from repro.core.config import OptimizerConfig
+from repro.core.optimizer import EnergyOptimizer
+from repro.dvfs.ga import GaConfig, _nearest_index, _roulette_pick, run_search
 from repro.dvfs.model_free import ModelFreeScorer
 from repro.dvfs.preprocessing import Stage, StageKind
+from repro.dvfs.scoring import StrategyScorer
 from repro.errors import StrategyError
 from repro.npu import NpuDevice, noise_free_spec
-from repro.workloads import build_trace
+from repro.workloads import build_trace, generate
 from tests.conftest import make_compute_op
 
 FREQS = tuple(1000.0 + 100.0 * i for i in range(9))
@@ -148,3 +151,52 @@ class TestModelFreeScorer:
                 freqs_mhz=FREQS,
                 objective="bogus",
             )
+
+
+@pytest.fixture(scope="module")
+def gpt3():
+    trace = generate("gpt3", scale=0.02)
+    config = OptimizerConfig()
+    optimizer = EnergyOptimizer(config)
+    bundle = optimizer.profile(trace)
+    models = optimizer.build_models(bundle)
+    candidates = optimizer.preprocess(bundle)
+    scorer = StrategyScorer(
+        trace=trace,
+        stages=candidates.stages,
+        perf_model=models.performance,
+        power_table=models.power,
+        freqs_mhz=config.npu.frequencies.points,
+        performance_loss_target=config.performance_loss_target,
+        objective=config.objective,
+    )
+    return config, candidates, scorer
+
+
+class TestEvaluationAccounting:
+    """GaResult.evaluations counts oracle calls; carried elites are free."""
+
+    def test_exact_formula(self, gpt3):
+        config, candidates, scorer = gpt3
+        freqs = config.npu.frequencies.points
+        for elite in (0, 2, 5):
+            ga = GaConfig(
+                population_size=24, iterations=10, seed=0, elite_count=elite
+            )
+            result = run_search(scorer, candidates.stages, freqs, ga)
+            assert result.generations == ga.iterations
+            assert result.evaluations == ga.population_size + (
+                result.generations * (ga.population_size - elite)
+            )
+
+    def test_exact_formula_under_patience(self, gpt3):
+        config, candidates, scorer = gpt3
+        freqs = config.npu.frequencies.points
+        ga = GaConfig(
+            population_size=24, iterations=400, seed=0, patience=5
+        )
+        result = run_search(scorer, candidates.stages, freqs, ga)
+        assert result.generations < ga.iterations  # patience actually fired
+        assert result.evaluations == ga.population_size + (
+            result.generations * (ga.population_size - ga.elite_count)
+        )

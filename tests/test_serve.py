@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import threading
 
@@ -9,7 +10,7 @@ import pytest
 
 from repro.core import OptimizerConfig
 from repro.dvfs import GaConfig
-from repro.dvfs.strategy import DvfsStrategy
+from repro.dvfs.strategy import DvfsStrategy, constant_strategy
 from repro.errors import ServeError
 from repro.serve import (
     OptimizerPool,
@@ -20,6 +21,7 @@ from repro.serve import (
     request_fingerprint,
     spec_fingerprint,
 )
+from repro.serve.fingerprint import canonicalize
 from repro.serve.pool import job_config, optimize_job
 from repro.serve.store import STORE_SCHEMA_VERSION, encode_record
 from repro.workloads import build_trace, generate
@@ -457,6 +459,135 @@ class TestStrategyService:
             )
         assert "requests" in rendered and "ga_runs" in rendered
         assert "memory_hits" in store_rendered
+
+
+def _v2_digest(payload) -> str:
+    """A digest exactly as fingerprint version 2 encoded it."""
+    document = json.dumps(
+        {"fingerprint_version": 2, "payload": payload},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(document.encode("utf-8")).hexdigest()
+
+
+def _v2_hashes(trace, config) -> tuple[str, str, str]:
+    """``(request, config, spec)`` hashes a version-2 service computed.
+
+    Version 2 also hashed the default surrogate-search knobs into the
+    config payload; version 3 dropped them.
+    """
+    trace_hash = _v2_digest(
+        {
+            "kind": "trace",
+            "entries": [
+                {
+                    "spec": canonicalize(entry.spec),
+                    "gap_before_us": entry.gap_before_us,
+                    "host_interval_us": entry.host_interval_us,
+                }
+                for entry in trace.entries
+            ],
+        }
+    )
+    config_hash = _v2_digest(
+        {
+            "kind": "optimizer_config",
+            "performance_loss_target": config.performance_loss_target,
+            "adjustment_interval_us": config.adjustment_interval_us,
+            "profile_freqs_mhz": list(config.profile_freqs_mhz),
+            "fit_function": config.fit_function.value,
+            "objective": config.objective,
+            "ga": canonicalize(config.ga),
+            "surrogate": {
+                "__class__": "SurrogateConfig",
+                "enabled": False,
+                "train_size": 160,
+                "holdout_size": 64,
+                "ridge_lambda": 1e-6,
+                "r2_floor": 0.9,
+                "explore_multiplier": 2,
+                "oracle_top_k": 4,
+            },
+            "fault": canonicalize(config.fault),
+            "guard": canonicalize(config.guard),
+            "seed": config.seed,
+        }
+    )
+    spec_hash = _v2_digest(
+        {"kind": "npu_spec", "spec": canonicalize(config.npu)}
+    )
+    request_hash = _v2_digest(
+        {
+            "kind": "request",
+            "trace": trace_hash,
+            "config": config_hash,
+            "spec": spec_hash,
+        }
+    )
+    return request_hash, config_hash, spec_hash
+
+
+class TestFingerprintMigration:
+    """Stores written under fingerprint version 2 invalidate cleanly."""
+
+    @pytest.fixture()
+    def stale(self, bert_trace):
+        return constant_strategy(bert_trace.name, 1000.0, 1_000.0)
+
+    def test_v2_record_is_a_clean_miss(
+        self, tmp_path, bert_trace, quick_serve_config, stale
+    ):
+        root = tmp_path / "s"
+        v2_request, v2_config, v2_spec = _v2_hashes(
+            bert_trace, quick_serve_config
+        )
+        old_path = StrategyStore(root).put(
+            v2_request, stale, v2_config, v2_spec
+        )
+        with StrategyService(
+            config=quick_serve_config, store=StrategyStore(root)
+        ) as service:
+            computed = service.request(bert_trace)
+            assert computed.source == "computed"
+            assert computed.fingerprint != v2_request
+            assert computed.strategy != stale
+            service.store.clear_memory()
+            reread = service.request(bert_trace)
+        assert reread.source == "disk"
+        assert reread.strategy == computed.strategy
+        counters = service.store.counters
+        assert counters.quarantined == 0
+        assert counters.invalidations == 0
+        assert list(service.store.quarantined_files()) == []
+        # The v2 record is left where it was, unread, under its own key.
+        assert old_path.exists()
+        assert sorted(service.store.fingerprints()) == sorted(
+            [v2_request, computed.fingerprint]
+        )
+
+    def test_v2_envelope_at_current_address_invalidates(
+        self, tmp_path, bert_trace, quick_serve_config, stale
+    ):
+        """A v2 envelope found under a v3 key is stale, not corrupt."""
+        root = tmp_path / "s"
+        _, v2_config, v2_spec = _v2_hashes(bert_trace, quick_serve_config)
+        fingerprint = request_fingerprint(bert_trace, quick_serve_config)
+        StrategyStore(root).put(fingerprint, stale, v2_config, v2_spec)
+        with StrategyService(
+            config=quick_serve_config, store=StrategyStore(root)
+        ) as service:
+            computed = service.request(bert_trace)
+            service.store.clear_memory()
+            reread = service.request(bert_trace)
+        assert computed.source == "computed"
+        assert computed.strategy != stale
+        assert reread.source == "disk"
+        assert reread.strategy == computed.strategy
+        counters = service.store.counters
+        assert counters.invalidations == 1
+        assert counters.quarantined == 0
+        assert list(service.store.quarantined_files()) == []
 
 
 class TestServeCli:

@@ -197,38 +197,14 @@ class TestDrive:
         # dominate them: a miss pays a GA run, a hit a store lookup.
         assert report.miss_latency_us["p50"] <= report.miss_latency_us["p99"]
         assert report.miss_latency_us["p50"] > report.hit_latency_us["p99"]
-        assert report.surrogate_runs == 0  # surrogate off by default
         rows = {row["metric"]: row["value"] for row in report.rows()}
         assert rows["miss_p50_us"] == f"{report.miss_latency_us['p50']:.1f}"
         assert rows["hit_p99_us"] == f"{report.hit_latency_us['p99']:.1f}"
-        assert rows["surrogate_runs"] == 0
         # The report serializes cleanly (what BENCH_serve.json holds).
         document = report.to_dict()
         json.dumps(document)
         assert document["miss_latency_us"] == report.miss_latency_us
         assert sum(report.source_counts.values()) == report.offered
-
-    def test_surrogate_drive_counts_runs(self, tmp_path):
-        from repro.dvfs.surrogate import SurrogateConfig
-
-        optimizer_config = OptimizerConfig(
-            ga=TINY_GA, seed=0
-        ).with_surrogate(
-            SurrogateConfig(
-                enabled=True, train_size=32, holdout_size=16, r2_floor=-1e9
-            )
-        )
-        config = TrafficConfig(
-            requests=200, workloads=3, window=64, seed=0, verify=0
-        )
-        with ShardedStrategyStore(
-            tmp_path / "store", shards=2, hot_slots=16
-        ) as store:
-            report = drive_traffic(config, optimizer_config, store=store)
-        # The r2 floor is disarmed, so every GA miss took the surrogate.
-        assert report.ga_runs == 3
-        assert report.surrogate_runs == report.ga_runs
-        assert report.failed == 0
 
     def test_rate_limited_drive_sheds(self, tmp_path, tiny_optimizer_config):
         config = TrafficConfig(
