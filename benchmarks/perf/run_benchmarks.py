@@ -112,13 +112,16 @@ def bench_simulate(trace, warmup: int, rounds: int) -> dict:
     spec = default_npu_spec()
     timeline = FrequencyTimeline.constant(spec.max_frequency_mhz)
     fast_dev = NpuDevice(spec)
-    ref_dev = NpuDevice(spec, engine=False)
+    ref_dev = NpuDevice(spec)
+
+    def ref_run():
+        with reference_only():
+            return ref_dev.run(trace, timeline)
 
     fast = time_rounds(lambda: fast_dev.run(trace, timeline), warmup, rounds)
-    ref = time_rounds(lambda: ref_dev.run(trace, timeline), warmup, rounds)
+    ref = time_rounds(ref_run, warmup, rounds)
     worst = check_result_equivalence(
-        fast_dev.run(trace, timeline), ref_dev.run(trace, timeline),
-        "simulate",
+        fast_dev.run(trace, timeline), ref_run(), "simulate"
     )
     n_ops = len(trace.entries)
     return {
@@ -138,7 +141,7 @@ def bench_sweep(trace, warmup: int, rounds: int) -> dict:
     spec = default_npu_spec()
     freqs = spec.frequencies.points
     fast_dev = NpuDevice(spec)
-    ref_dev = NpuDevice(spec, engine=False)
+    ref_dev = NpuDevice(spec)
 
     def sweep(device):
         return [
@@ -146,12 +149,14 @@ def bench_sweep(trace, warmup: int, rounds: int) -> dict:
             for freq in freqs
         ]
 
+    def ref_sweep():
+        with reference_only():
+            return sweep(ref_dev)
+
     fast = time_rounds(lambda: sweep(fast_dev), warmup, rounds)
-    ref = time_rounds(lambda: sweep(ref_dev), warmup, rounds)
+    ref = time_rounds(ref_sweep, warmup, rounds)
     worst = 0.0
-    for freq, fast_res, ref_res in zip(
-        freqs, sweep(fast_dev), sweep(ref_dev)
-    ):
+    for freq, fast_res, ref_res in zip(freqs, sweep(fast_dev), ref_sweep()):
         worst = max(
             worst,
             check_result_equivalence(

@@ -7,12 +7,17 @@ computes the same quantities array-at-a-time (one-pass multi-frequency
 profiling, stacked model fits, grouped scorer tables).  The batched path
 reproduces the reference bit for bit — including the measurement-noise RNG
 stream — so :class:`~repro.dvfs.ga.GaResult.best_genes` are byte-identical
-either way; this module is the escape hatch that forces the reference
-implementations globally, mirroring :func:`repro.npu.engine.reference_only`
-for the execution engine.  These two process-global toggles and the
-per-device ``engine=False`` are the only fast/reference switches; none
-is part of the strategy fingerprint, since either setting yields the
-same strategy.
+either way; :func:`reference_cold_path` is the escape hatch that forces
+the reference implementations globally.
+
+The switch is read where each path starts, not per layer: profiling picks
+the grid pass or the sequential sweep, and the bundle it returns carries
+that choice into fitting, the power table and preprocessing; the scorer
+picks its table builder.  It stays separate from
+:func:`repro.npu.engine.reference_only` because the two promise different
+things: this one is bitwise, the engine's ≤1e-9 relative.  Neither switch
+is part of the strategy fingerprint, since either setting yields the same
+strategy.
 """
 
 from __future__ import annotations
@@ -28,18 +33,13 @@ def batched_cold_path_enabled() -> bool:
     return _BATCHED_ENABLED
 
 
-def set_batched_cold_path(enabled: bool) -> None:
-    """Globally enable/disable the batched cold path (reference fallback)."""
-    global _BATCHED_ENABLED
-    _BATCHED_ENABLED = bool(enabled)
-
-
 @contextmanager
 def reference_cold_path() -> Iterator[None]:
     """Context manager forcing the scalar cold path (A/B comparisons)."""
+    global _BATCHED_ENABLED
     previous = _BATCHED_ENABLED
-    set_batched_cold_path(False)
+    _BATCHED_ENABLED = False
     try:
         yield
     finally:
-        set_batched_cold_path(previous)
+        _BATCHED_ENABLED = previous

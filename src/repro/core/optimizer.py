@@ -59,7 +59,6 @@ from repro.power.optable import (
     OperatorPowerTable,
     build_operator_power_table,
     build_operator_power_table_arrays,
-    build_operator_power_table_batched,
 )
 from repro.workloads.generators import micro
 from repro.workloads.trace import Trace
@@ -218,12 +217,11 @@ class EnergyOptimizer:
         Fault-injecting instruments consume their noise streams
         differently (drops, perturbations), so anything but the plain
         profiler/telemetry pair keeps the sequential sweep; the grid pass
-        also needs the compiled-trace engine.
+        also needs the compiled-trace fast path.
         """
         return (
             batched_cold_path_enabled()
             and fast_path_enabled()
-            and self._device.engine is not None
             and type(self._profiler) is CannStyleProfiler
             and type(self._telemetry) is PowerTelemetry
         )
@@ -234,7 +232,10 @@ class EnergyOptimizer:
         With the batched cold path on (the default), the whole frequency
         sweep is profiled in one vectorised pass over the compiled trace;
         the resulting reports, telemetry readings, and noise-stream
-        consumption are bit-identical to the sequential loop below.
+        consumption are bit-identical to the sequential loop below.  This
+        is the one place the cold-path switch is read: the bundle's
+        ``grid`` carries the choice into :meth:`build_models` and
+        :meth:`preprocess`.
         """
         baseline_freq = self._config.npu.max_frequency_mhz
         if self._can_profile_batched():
@@ -295,7 +296,6 @@ class EnergyOptimizer:
         tolerant = self._config.fault.profiler_active
         batched = (
             bundle.grid is not None
-            and batched_cold_path_enabled()
             and not tolerant
             and self._config.fit_function in BATCH_FITTERS
         )
@@ -316,13 +316,9 @@ class EnergyOptimizer:
                 performance = patch_missing_operators(
                     performance, bundle.baseline_report
                 )
-        if batched and bundle.power_arrays:
+        if batched:
             power = build_operator_power_table_arrays(
                 bundle.grid.names, bundle.power_arrays, self.calibrate()
-            )
-        elif batched:
-            power = build_operator_power_table_batched(
-                bundle.power_readings, self.calibrate()
             )
         else:
             power = build_operator_power_table(
@@ -333,13 +329,13 @@ class EnergyOptimizer:
     def preprocess(self, bundle: ProfilingBundle) -> PreprocessResult:
         """Step 3a: classification and LFC/HFC candidate construction.
 
-        With the batched cold path on and a grid-profiled bundle, the
-        Table 1 sensitivity mask and the staging loop run straight off
-        the baseline pass's columnar arrays — same floats, same order,
-        bit-identical stages — without materialising report objects.
+        For a grid-profiled bundle, the Table 1 sensitivity mask and the
+        staging loop run straight off the baseline pass's columnar arrays
+        — same floats, same order, bit-identical stages — without
+        materialising report objects.
         """
         base = bundle.grid.baseline if bundle.grid is not None else None
-        if base is not None and batched_cold_path_enabled():
+        if base is not None:
             sensitive = frequency_sensitive_mask(
                 base.is_compute, base.present, base.ratios
             )

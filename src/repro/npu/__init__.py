@@ -21,7 +21,6 @@ from repro.npu.engine import (
     TraceEngine,
     fast_path_enabled,
     reference_only,
-    set_fast_path_enabled,
 )
 from repro.npu.execution import GroundTruthEvaluator, OperatorEvaluation
 from repro.npu.faults import (
@@ -154,7 +153,6 @@ __all__ = [
     "noise_free_spec",
     "reference_only",
     "save_chrome_trace",
-    "set_fast_path_enabled",
     "solve_equilibrium_power",
     "to_chrome_trace",
     "validate_spec",

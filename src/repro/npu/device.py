@@ -123,25 +123,22 @@ class NpuDevice:
     compiled-trace fast path of :mod:`repro.npu.engine`, which is
     numerically equivalent to the reference loop below; stateful plans
     (fault-injecting, guarded, busy-controller) keep the reference loop.
-    Pass ``engine=False`` — or use :func:`repro.npu.engine.reference_only`
-    — to force the reference loop everywhere.
+    :func:`repro.npu.engine.reference_only` forces the reference loop
+    everywhere.
     """
 
     def __init__(
         self,
         npu: NpuSpec,
         evaluator: GroundTruthEvaluator | None = None,
-        engine: bool = True,
     ) -> None:
+        # Imported here: repro.npu.engine imports this module's
+        # result/record/chunk types at import time.
+        from repro.npu.engine import TraceEngine
+
         self._npu = npu
         self._evaluator = evaluator or GroundTruthEvaluator(npu)
-        self._engine = None
-        if engine:
-            # Imported here: repro.npu.engine imports this module's
-            # result/record/chunk types at import time.
-            from repro.npu.engine import TraceEngine
-
-            self._engine = TraceEngine(npu, self._evaluator)
+        self._engine = TraceEngine(npu, self._evaluator)
         self._fast_path_runs = 0
         self._reference_runs = 0
 
@@ -157,7 +154,7 @@ class NpuDevice:
 
     @property
     def engine(self):
-        """The compiled-trace engine, or None if disabled for this device."""
+        """The compiled-trace engine."""
         return self._engine
 
     @property
@@ -191,7 +188,7 @@ class NpuDevice:
         """
         if timeline is None:
             timeline = FrequencyTimeline.constant(self._npu.max_frequency_mhz)
-        if self._engine is not None and self._engine.active_for(timeline):
+        if self._engine.active_for(timeline):
             self._fast_path_runs += 1
             return self._engine.execute(trace, timeline, initial_celsius)
         self._reference_runs += 1

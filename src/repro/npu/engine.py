@@ -33,9 +33,8 @@ inner rounds, cluster steps) never pay for their construction.
 Stateful or faulty plans — :class:`~repro.npu.faults.FaultyFrequencyPlan`,
 :class:`~repro.dvfs.guard.GuardedFrequencyPlan`, anchored plans with a
 busy-controller extra delay — are *not* eligible: the device transparently
-keeps the reference loop for them.  :func:`set_fast_path_enabled` /
-:func:`reference_only` force the reference loop globally (benchmarks and
-equivalence tests use this).
+keeps the reference loop for them.  :func:`reference_only` forces the
+reference loop globally (benchmarks and equivalence tests use this).
 """
 
 from __future__ import annotations
@@ -93,21 +92,16 @@ def fast_path_enabled() -> bool:
     return _FAST_PATH_ENABLED
 
 
-def set_fast_path_enabled(enabled: bool) -> None:
-    """Globally enable/disable the fast path (reference loop fallback)."""
-    global _FAST_PATH_ENABLED
-    _FAST_PATH_ENABLED = bool(enabled)
-
-
 @contextmanager
 def reference_only() -> Iterator[None]:
     """Context manager forcing the reference loop (for A/B comparisons)."""
+    global _FAST_PATH_ENABLED
     previous = _FAST_PATH_ENABLED
-    set_fast_path_enabled(False)
+    _FAST_PATH_ENABLED = False
     try:
         yield
     finally:
-        set_fast_path_enabled(previous)
+        _FAST_PATH_ENABLED = previous
 
 
 class _LazySeq(Sequence):

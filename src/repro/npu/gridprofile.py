@@ -327,7 +327,8 @@ def profile_cold_grid(
     """Profile ``trace`` across the whole frequency sweep in one pass.
 
     Args:
-        device: the target device; its compiled-trace engine must be on.
+        device: the target device; its compiled-trace engine lowers the
+            trace.
         profile_freqs_mhz: the model-fitting frequencies (telemetry runs
             at these).
         baseline_freq_mhz: the maximum-frequency baseline point (profiled
@@ -336,15 +337,12 @@ def profile_cold_grid(
             draws consume their streams exactly as the sequential sweep
             would.
     """
-    engine = device.engine
-    if engine is None:  # pragma: no cover - caller gates on this
-        raise ProfilingError("grid profiling needs the compiled-trace engine")
     npu = device.npu
     validate = npu.frequencies.validate
     profile_set = {validate(float(f)) for f in profile_freqs_mhz}
     sweep = sorted(profile_set | {validate(float(baseline_freq_mhz))})
 
-    compiled = engine.compiled(trace)
+    compiled = device.engine.compiled(trace)
     n = compiled.n_ops
     if n == 0:
         raise ProfilingError(

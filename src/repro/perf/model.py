@@ -19,7 +19,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.batching import batched_cold_path_enabled
 from repro.errors import FittingError, ProfilingError
 from repro.npu.operators import OperatorKind
 from repro.npu.profiler import ProfileReport, merge_reports
@@ -87,21 +86,19 @@ class WorkloadPerformanceModel:
     ) -> np.ndarray:
         """Matrix of predicted durations, shape ``(len(names), len(freqs))``.
 
-        This is the lookup table the genetic-algorithm scoring uses.
-        With the batched cold path enabled, rows sharing a surrogate
-        function are evaluated as one stacked broadcast; the element
-        operations (and their association order) match the per-row
-        ``predict_time_us`` exactly, so the matrix is bit-identical.
+        This is the lookup table the genetic-algorithm scoring uses.  A
+        batch-built model evaluates every row as one stacked broadcast of
+        its fit parameters; any other model evaluates one vectorised
+        surrogate call per row.  The element operations (and their
+        association order) are the same either way, so the two matrices
+        are bit-identical.
         """
         freqs = np.asarray(list(freqs_mhz), dtype=float)
+        if np.any(freqs <= 0):
+            raise FittingError("frequency must be positive")
         matrix = np.empty((len(names), freqs.size), dtype=float)
         stacked = getattr(self, "_stacked", None)
-        if stacked is not None and batched_cold_path_enabled():
-            # Batch-built model: gather the stacked fit parameters and
-            # constants directly instead of walking per-name objects.  The
-            # elementwise expressions below match the object path exactly.
-            if np.any(freqs <= 0):
-                raise FittingError("frequency must be positive")
+        if stacked is not None:
             index, has_fit, constants, params = stacked
             try:
                 rows = np.fromiter(
@@ -130,49 +127,17 @@ class WorkloadPerformanceModel:
                         (a * freqs * freqs + b * freqs + c) / freqs
                     )
             return matrix
-        models = []
-        for name in names:
+        for i, name in enumerate(names):
             try:
-                models.append(self.operators[name])
+                model = self.operators[name]
             except KeyError:
                 raise FittingError(
                     f"no performance model for operator {name!r}"
                 ) from None
-        if not batched_cold_path_enabled():
-            for i, model in enumerate(models):
-                if model.fit is None:
-                    matrix[i, :] = model.constant_us
-                else:
-                    # One vectorised surrogate evaluation per operator row
-                    # instead of a scalar call per (operator, freq) cell.
-                    matrix[i, :] = model.fit.predict_time_us(freqs)
-            return matrix
-        if np.any(freqs <= 0):
-            raise FittingError("frequency must be positive")
-        func1_rows: list[int] = []
-        func1_params: list[tuple[float, ...]] = []
-        func2_rows: list[int] = []
-        func2_params: list[tuple[float, ...]] = []
-        for i, model in enumerate(models):
-            fit = model.fit
-            if fit is None:
+            if model.fit is None:
                 matrix[i, :] = model.constant_us
-            elif fit.function is FitFunction.QUADRATIC_NO_LINEAR:
-                func2_rows.append(i)
-                func2_params.append(fit.params)
-            elif fit.function is FitFunction.QUADRATIC:
-                func1_rows.append(i)
-                func1_params.append(fit.params)
             else:
-                matrix[i, :] = fit.predict_time_us(freqs)
-        if func2_rows:
-            p = np.array(func2_params)
-            a, c = p[:, :1], p[:, 1:]
-            matrix[func2_rows] = (a * freqs * freqs + c) / freqs
-        if func1_rows:
-            p = np.array(func1_params)
-            a, b, c = p[:, :1], p[:, 1:2], p[:, 2:]
-            matrix[func1_rows] = (a * freqs * freqs + b * freqs + c) / freqs
+                matrix[i, :] = model.fit.predict_time_us(freqs)
         return matrix
 
 

@@ -258,60 +258,21 @@ def build_operator_power_table(
     return OperatorPowerTable(constants=constants, entries=entries)
 
 
-def build_operator_power_table_batched(
-    readings_by_freq: Mapping[float, Mapping[str, tuple[float, float]]],
-    constants: CalibrationConstants,
-) -> OperatorPowerTable:
-    """Batched equivalent of :func:`build_operator_power_table`.
-
-    Solves Eq. (14) for all operators at once, one vectorised pass per
-    reference frequency, then averages and clamps exactly like the scalar
-    loop — the per-name alphas are bit-identical (entry *order* is
-    first-appearance instead of set order, which nothing downstream
-    observes: lookups are by name).
-
-    Requires every frequency to cover the same operator names (always
-    true for the healthy cold path, which profiles the same trace at each
-    point); ragged readings fall back to the scalar builder, which
-    handles partially-observed operators.
-
-    Raises:
-        CalibrationError: if no readings are given.
-    """
-    if not readings_by_freq:
-        raise CalibrationError("no power readings given")
-    names: dict[str, None] = {}
-    for readings in readings_by_freq.values():
-        for name in readings:
-            names.setdefault(name, None)
-    name_list = list(names)
-    for readings in readings_by_freq.values():
-        if len(readings) != len(name_list):
-            return build_operator_power_table(readings_by_freq, constants)
-    n_freqs = len(readings_by_freq)
-    estimates_a = np.empty((len(name_list), n_freqs))
-    estimates_s = np.empty((len(name_list), n_freqs))
-    for j, (freq, readings) in enumerate(readings_by_freq.items()):
-        aicore = np.array([readings[name][0] for name in name_list])
-        soc = np.array([readings[name][1] for name in name_list])
-        alpha_a, alpha_s = solve_alpha_batch(freq, aicore, soc, constants)
-        estimates_a[:, j] = alpha_a
-        estimates_s[:, j] = alpha_s
-    return _table_from_estimates(name_list, estimates_a, estimates_s, constants)
-
-
 def build_operator_power_table_arrays(
     names: Sequence[str],
     readings_by_freq: Mapping[float, tuple[np.ndarray, np.ndarray]],
     constants: CalibrationConstants,
 ) -> OperatorPowerTable:
-    """Array-input equivalent of :func:`build_operator_power_table_batched`.
+    """Batched equivalent of :func:`build_operator_power_table`.
 
     Takes each frequency's readings as ``(aicore_watts, soc_watts)``
-    arrays aligned with ``names`` instead of per-name dicts, skipping the
-    dict pack/unpack round trip entirely.  The alpha solve, averaging and
-    clamping are the same calls on the same values, so the table is
-    bit-identical to the dict-input builder's.
+    arrays aligned with ``names`` (every frequency covers every name, as
+    on the healthy cold path, which profiles the same trace at each
+    point) and solves Eq. (14) for all operators at once, one vectorised
+    pass per reference frequency, then averages and clamps exactly like
+    the scalar loop.  The per-name alphas are bit-identical; entry
+    *order* is ``names`` order instead of set order, which nothing
+    downstream observes (lookups are by name).
 
     Raises:
         CalibrationError: if no readings are given.
@@ -331,16 +292,6 @@ def build_operator_power_table_arrays(
         )
         estimates_a[:, j] = alpha_a
         estimates_s[:, j] = alpha_s
-    return _table_from_estimates(name_list, estimates_a, estimates_s, constants)
-
-
-def _table_from_estimates(
-    name_list: list[str],
-    estimates_a: np.ndarray,
-    estimates_s: np.ndarray,
-    constants: CalibrationConstants,
-) -> OperatorPowerTable:
-    """Average, clamp and assemble the lazy table (shared builder tail)."""
     alpha_aicore = np.maximum(0.0, np.mean(estimates_a, axis=1))
     alpha_soc = np.maximum(0.0, np.mean(estimates_s, axis=1))
     index = {name: i for i, name in enumerate(name_list)}

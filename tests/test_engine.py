@@ -38,7 +38,6 @@ from repro.npu.engine import (
     _LazySeq,
     fast_path_enabled,
     reference_only,
-    set_fast_path_enabled,
 )
 from repro.npu.faults import FaultConfig, FaultInjector, FaultyFrequencyPlan
 from repro.npu.operators import OperatorKind, make_fixed_operator
@@ -179,11 +178,11 @@ def anchored_plans(draw, max_ops: int = 12):
 
 
 def _fresh_pair():
-    """Two devices over one spec: one fast-path, one reference-only."""
+    """Two devices over one spec: the second runs under reference_only()."""
     spec = default_npu_spec()
     evaluator = GroundTruthEvaluator(spec)
     fast = NpuDevice(spec, evaluator=evaluator)
-    ref = NpuDevice(spec, evaluator=evaluator, engine=False)
+    ref = NpuDevice(spec, evaluator=evaluator)
     return fast, ref
 
 
@@ -201,7 +200,8 @@ def _fresh_pair():
 def test_fast_path_matches_reference_on_timelines(trace, timeline, celsius0):
     fast_dev, ref_dev = _fresh_pair()
     fast = fast_dev.run(trace, timeline, initial_celsius=celsius0)
-    ref = ref_dev.run(trace, timeline, initial_celsius=celsius0)
+    with reference_only():
+        ref = ref_dev.run(trace, timeline, initial_celsius=celsius0)
     assert fast_dev.fast_path_runs == 1
     assert ref_dev.reference_runs == 1
     assert_results_equivalent(fast, ref)
@@ -217,7 +217,8 @@ def test_fast_path_matches_reference_on_anchored_plans(trace, plan, celsius0):
     fast_dev, ref_dev = _fresh_pair()
     fast = fast_dev.run(trace, plan, initial_celsius=celsius0)
     applied_fast = plan.applied_switch_count
-    ref = ref_dev.run(trace, plan, initial_celsius=celsius0)
+    with reference_only():
+        ref = ref_dev.run(trace, plan, initial_celsius=celsius0)
     assert plan.applied_switch_count == applied_fast
     assert fast_dev.fast_path_runs == 1
     assert_results_equivalent(fast, ref)
@@ -228,29 +229,34 @@ def test_fast_path_matches_reference_on_anchored_plans(trace, plan, celsius0):
 def test_run_stable_and_iterations_match_reference(trace, freq):
     timeline = FrequencyTimeline.constant(freq)
     fast_dev, ref_dev = _fresh_pair()
-    assert_results_equivalent(
-        fast_dev.run_stable(trace, timeline),
-        ref_dev.run_stable(trace, timeline),
-    )
+    with reference_only():
+        ref_stable = ref_dev.run_stable(trace, timeline)
+        ref_iterations = ref_dev.run_iterations(trace, timeline, iterations=3)
+    assert_results_equivalent(fast_dev.run_stable(trace, timeline), ref_stable)
     for fast, ref in zip(
         fast_dev.run_iterations(trace, timeline, iterations=3),
-        ref_dev.run_iterations(trace, timeline, iterations=3),
+        ref_iterations,
     ):
         assert_results_equivalent(fast, ref)
+    assert ref_dev.fast_path_runs == 0
 
 
 def test_switch_mid_operator_splits_identically(small_bert_trace):
     """A switch landing strictly inside an operator splits the chunk."""
     fast_dev, ref_dev = _fresh_pair()
     # Find an operator interior on the reference path, then re-run both.
-    probe = ref_dev.run(small_bert_trace, FrequencyTimeline.constant(1800.0))
+    with reference_only():
+        probe = ref_dev.run(
+            small_bert_trace, FrequencyTimeline.constant(1800.0)
+        )
     record = next(r for r in probe.records if r.duration_us > 2.0)
     mid = (record.start_us + record.end_us) / 2.0
     timeline = FrequencyTimeline(
         1800.0, (FrequencySwitch(time_us=mid, freq_mhz=1000.0),)
     )
     fast = fast_dev.run(small_bert_trace, timeline)
-    ref = ref_dev.run(small_bert_trace, timeline)
+    with reference_only():
+        ref = ref_dev.run(small_bert_trace, timeline)
     assert_results_equivalent(fast, ref)
     assert any(r.straddled_switch for r in fast.records)
 
@@ -300,20 +306,6 @@ def test_reference_only_context_restores_flag(small_bert_trace):
         assert not fast_path_enabled()
         device.run(small_bert_trace, FrequencyTimeline.constant(1800.0))
     assert fast_path_enabled()
-    assert device.reference_runs == 1
-
-    set_fast_path_enabled(False)
-    try:
-        device.run(small_bert_trace, FrequencyTimeline.constant(1800.0))
-        assert device.reference_runs == 2
-    finally:
-        set_fast_path_enabled(True)
-
-
-def test_engine_disabled_per_device(small_bert_trace):
-    device = NpuDevice(default_npu_spec(), engine=False)
-    assert device.engine is None
-    device.run(small_bert_trace, FrequencyTimeline.constant(1800.0))
     assert device.reference_runs == 1
 
 

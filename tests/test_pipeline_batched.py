@@ -21,6 +21,7 @@ from repro.core.config import OptimizerConfig
 from repro.core.optimizer import EnergyOptimizer
 from repro.dvfs.ga import GaConfig, run_search
 from repro.dvfs.scoring import StrategyScorer
+from repro.errors import FittingError
 from repro.perf.fitting import (
     BATCH_FITTERS,
     FitFunction,
@@ -28,7 +29,10 @@ from repro.perf.fitting import (
     fit_func2_batch,
     fit_performance,
 )
-from repro.perf.model import build_performance_model_batched
+from repro.perf.model import (
+    build_performance_model,
+    build_performance_model_batched,
+)
 from repro.power.model import PowerObservation, solve_alpha, solve_alpha_batch
 from repro.workloads import generate
 
@@ -166,15 +170,12 @@ class TestOnePassProfiling:
     def test_reports_and_readings_match_sequential(self):
         trace = generate("bert", scale=0.02)
 
-        def profile(flagged):
-            batching.set_batched_cold_path(flagged)
-            try:
-                return EnergyOptimizer(OptimizerConfig()).profile(trace)
-            finally:
-                batching.set_batched_cold_path(True)
+        def profile():
+            return EnergyOptimizer(OptimizerConfig()).profile(trace)
 
-        batched = profile(True)
-        reference = profile(False)
+        batched = profile()
+        with batching.reference_cold_path():
+            reference = profile()
         assert batched.grid is not None
         assert reference.grid is None
         assert len(batched.reports) == len(reference.reports)
@@ -191,8 +192,8 @@ class TestOnePassProfiling:
 
     def test_power_array_table_matches_dict_builder(self, pipeline, constants):
         from repro.power.optable import (
+            build_operator_power_table,
             build_operator_power_table_arrays,
-            build_operator_power_table_batched,
         )
 
         _, _, bundle, _, _ = pipeline
@@ -200,7 +201,7 @@ class TestOnePassProfiling:
         from_arrays = build_operator_power_table_arrays(
             bundle.grid.names, bundle.power_arrays, constants
         )
-        from_dicts = build_operator_power_table_batched(
+        from_dicts = build_operator_power_table(
             bundle.power_readings, constants
         )
         assert set(from_arrays.entries) == set(from_dicts.entries)
@@ -234,8 +235,6 @@ class TestOnePassProfiling:
 
     def test_batched_model_matches_scalar_model(self, pipeline):
         _, config, bundle, models, _ = pipeline
-        from repro.perf.model import build_performance_model
-
         scalar = build_performance_model(
             list(bundle.reports),
             function=config.fit_function,
@@ -257,13 +256,43 @@ class TestOnePassProfiling:
                 assert got.fit.params == want.fit.params
 
 
+def _scalar_model(pipeline_parts):
+    """The per-row (scalar-built) model over the pipeline's reports."""
+    _, config, bundle, _, _ = pipeline_parts
+    return build_performance_model(
+        list(bundle.reports),
+        function=config.fit_function,
+        fit_freqs_mhz=config.profile_freqs_mhz,
+    )
+
+
+class TestDurationMatrix:
+    def test_stacked_matches_per_row_bitwise(self, pipeline):
+        _, config, _, models, _ = pipeline
+        stacked = models.performance
+        names = list(stacked.operators)
+        grid = config.npu.frequencies.points
+        with batching.reference_cold_path():
+            per_row = _scalar_model(pipeline).duration_matrix(names, grid)
+        assert np.array_equal(stacked.duration_matrix(names, grid), per_row)
+
+    def test_per_row_rejects_non_positive_frequency(self, pipeline):
+        with batching.reference_cold_path():
+            scalar = _scalar_model(pipeline)
+            constant_names = [
+                name
+                for name, model in scalar.operators.items()
+                if model.fit is None
+            ]
+            assert constant_names
+            with pytest.raises(FittingError, match="must be positive"):
+                scalar.duration_matrix(constant_names, [0.0, 1000.0])
+
+
 class TestGroupedScorer:
     def test_tables_bitwise_vs_per_stage_loop(self, pipeline):
-        batching.set_batched_cold_path(False)
-        try:
+        with batching.reference_cold_path():
             reference = _scorer(pipeline)
-        finally:
-            batching.set_batched_cold_path(True)
         grouped = _scorer(pipeline)
         for attr in (
             "_stage_time",
@@ -276,11 +305,8 @@ class TestGroupedScorer:
         assert reference.baseline_time_us == grouped.baseline_time_us
 
     def test_population_scores_identical(self, pipeline):
-        batching.set_batched_cold_path(False)
-        try:
+        with batching.reference_cold_path():
             reference = _scorer(pipeline)
-        finally:
-            batching.set_batched_cold_path(True)
         grouped = _scorer(pipeline)
         rng = np.random.default_rng(123)
         population = rng.integers(
@@ -329,21 +355,16 @@ class TestEndToEndByteIdentity:
     def test_optimize_batched_vs_reference(self, seed):
         trace = generate("gpt3", scale=0.02)
 
-        def run(flagged):
-            batching.set_batched_cold_path(flagged)
-            try:
-                config = OptimizerConfig(
-                    ga=GaConfig(
-                        population_size=48, iterations=16, seed=seed
-                    ),
-                    seed=seed,
-                )
-                return EnergyOptimizer(config).optimize(trace)
-            finally:
-                batching.set_batched_cold_path(True)
+        def run():
+            config = OptimizerConfig(
+                ga=GaConfig(population_size=48, iterations=16, seed=seed),
+                seed=seed,
+            )
+            return EnergyOptimizer(config).optimize(trace)
 
-        batched = run(True)
-        reference = run(False)
+        batched = run()
+        with batching.reference_cold_path():
+            reference = run()
         assert (
             batched.search.best_genes.tobytes()
             == reference.search.best_genes.tobytes()
