@@ -56,6 +56,11 @@ class VariedEvaluator:
         self._scale = float(duration_scale)
 
     @property
+    def inner(self) -> GroundTruthEvaluator:
+        """The wrapped nominal-die evaluator."""
+        return self._inner
+
+    @property
     def duration_scale(self) -> float:
         """The operator-duration multiplier applied by this wrapper."""
         return self._scale

@@ -174,6 +174,7 @@ def run_search(
     evaluations = pop_size
     history: list[float] = [float(scores.max())]
     stale_generations = 0
+    gene_positions = np.arange(n_stages)
 
     for _ in range(config.iterations):
         # ``[-k:]`` would return the whole array for ``elite_count == 0``
@@ -187,21 +188,16 @@ def run_search(
         parents_a = population[_roulette_pick(rng, cumulative, parent_count)]
         parents_b = population[_roulette_pick(rng, cumulative, parent_count)]
 
-        children = parents_a.copy()
+        # Fancy indexing copies, so the children own their genes.
+        children = parents_a
         # Tail-swap crossover: exchange the last k genes (Sect. 6.3.3).
         do_cross = rng.random(parent_count) < config.crossover_rate
         cut = rng.integers(1, n_stages + 1, size=parent_count)
-        # Masked column assignment over the crossing rows — the RNG draws
-        # above are unchanged and gene copies are integer-exact, so this
-        # is bit-identical to the former per-row tail-swap loop.
-        cross_rows = np.nonzero(do_cross)[0]
-        if cross_rows.size:
-            tail = np.arange(n_stages)[None, :] >= (
-                n_stages - cut[cross_rows]
-            )[:, None]
-            crossed = children[cross_rows]
-            crossed[tail] = parents_b[cross_rows][tail]
-            children[cross_rows] = crossed
+        # One masked copy over all rows: a gene comes from ``parents_b``
+        # iff its row crosses and it lies in that row's tail.  Gene
+        # copies are integer-exact, so this matches a per-row tail swap.
+        tail = gene_positions[None, :] >= (n_stages - cut)[:, None]
+        np.copyto(children, parents_b, where=tail & do_cross[:, None])
         # Point mutation: one random gene to one random frequency.
         do_mutate = rng.random(parent_count) < config.mutation_rate
         positions = rng.integers(0, n_stages, size=parent_count)

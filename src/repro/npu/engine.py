@@ -220,9 +220,10 @@ class CompiledTrace:
 
     Construction walks the trace once to collect host-gap arrays and the
     distinct operator characters (the evaluator's own memoisation key);
-    frequency columns are then built lazily, one evaluator call per
-    distinct character per frequency, and reused across every subsequent
-    run of the same trace on the same device.
+    frequency columns are then built lazily, in one vectorised
+    :meth:`unique_grid` pass over the distinct characters per batch of
+    missing frequencies, and reused across every subsequent run of the
+    same trace on the same device.
     """
 
     def __init__(self, trace: "Trace", evaluator) -> None:
@@ -291,8 +292,9 @@ class CompiledTrace:
         """Vectorised unique-spec evaluation over a whole frequency grid.
 
         Returns a :class:`repro.npu.vectoreval.UniqueSpecGrid` and installs
-        any missing per-frequency columns from it (bit-identical to the
-        scalar :meth:`column` build, which stays as the reference path).
+        any missing per-frequency columns from it.  This is the only
+        column builder; ``tests/oracles.py`` keeps the scalar
+        one-evaluation-per-spec build it is pinned against bit for bit.
         Grids are cached per frequency tuple — the evaluation is a pure
         function of (specs, grid), and repeated cold passes over the same
         sweep (the serving miss path) ask for the same grid every time.
@@ -336,40 +338,9 @@ class CompiledTrace:
     def column(self, freq_mhz: float) -> _FreqColumn:
         """The per-operator tables at one frequency (built on first use)."""
         col = self._columns.get(freq_mhz)
-        if col is not None:
-            return col
-        ev = self._evaluator
-        m = len(self._uniq_specs)
-        dur_u = np.empty(m)
-        a0_u = np.empty(m)
-        ga_u = np.empty(m)
-        s0_u = np.empty(m)
-        gs_u = np.empty(m)
-        for j, spec in enumerate(self._uniq_specs):
-            evaluation = ev.evaluate(spec, freq_mhz)
-            a_cold = ev.aicore_power(evaluation, 0.0)
-            s_cold = ev.soc_power(evaluation, 0.0)
-            dur_u[j] = evaluation.duration_us
-            a0_u[j] = a_cold
-            ga_u[j] = ev.aicore_power(evaluation, 1.0) - a_cold
-            s0_u[j] = s_cold
-            gs_u[j] = ev.soc_power(evaluation, 1.0) - s_cold
-        idle_a_cold = ev.idle_aicore_power(freq_mhz, 0.0)
-        idle_s_cold = ev.idle_soc_power(freq_mhz, 0.0)
-        idx = self._uniq_idx
-        col = _FreqColumn(
-            freq_mhz=freq_mhz,
-            dur=dur_u[idx],
-            a0=a0_u[idx],
-            ga=ga_u[idx],
-            s0=s0_u[idx],
-            gs=gs_u[idx],
-            idle_a0=idle_a_cold,
-            idle_ga=ev.idle_aicore_power(freq_mhz, 1.0) - idle_a_cold,
-            idle_s0=idle_s_cold,
-            idle_gs=ev.idle_soc_power(freq_mhz, 1.0) - idle_s_cold,
-        )
-        self._columns[freq_mhz] = col
+        if col is None:
+            self.prime_columns([freq_mhz])
+            col = self._columns[float(freq_mhz)]
         return col
 
     def const_solution(
@@ -1041,6 +1012,7 @@ class TraceEngine:
         fop = np.asarray(op_freqs, dtype=float)
         fgap = np.asarray(gap_freqs, dtype=float)
         distinct = set(fop.tolist()) | set(fgap.tolist())
+        compiled.prime_columns(sorted(distinct))
         cols = {f: compiled.column(f) for f in distinct}
         if len(cols) == 1:
             col = next(iter(cols.values()))
@@ -1129,6 +1101,7 @@ class TraceEngine:
         freqs_after = [s.freq_mhz for s in switches]
         n_switches = len(times)
         distinct = {timeline.initial_mhz, *freqs_after}
+        compiled.prime_columns(sorted(distinct))
         tables = {}
         for f in distinct:
             col = compiled.column(f)

@@ -26,13 +26,14 @@ associativity:
 * the power probes evaluate the full cold and hot expressions and
   subtract, exactly like the engine's column builder.
 
-The equivalence suite pins grid columns against scalar ``column()`` /
-``evaluate()`` results bit for bit.
+``tests/test_engine.py::TestGridColumns`` pins the grid columns the
+engine executes from against a scalar, one-``evaluate()``-per-spec
+oracle (``tests/oracles.py``) bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -119,10 +120,14 @@ def _transfer_cycles_grid(
         a = vol / denom_bw
         c = vol / core_bpc
         x = a[:, None] * f_row[None, :]
-        c_col = np.broadcast_to(c[:, None], x.shape)
-        hi = np.maximum(x, c_col)
-        lo = np.minimum(x, c_col)
+        hi = np.maximum(x, c[:, None])
+        lo = np.minimum(x, c[:, None])
         ratio = lo / hi
+    # smooth_max returns max(x, y) when either side is zero.  A factor of
+    # exactly 1.0 there keeps ``hi * factor == hi`` bitwise, and also
+    # covers a positive volume whose two terms both underflow to 0.0,
+    # where ``lo / hi`` would be 0/0.
+    ratio[lo == 0.0] = 0.0
     # NumPy's vectorised float64 pow (SIMD) rounds differently from the
     # libm pow behind Python's float ** that the scalar smooth_max uses —
     # off by 1 ulp on a few permille of inputs.  Bit-identity demands the
@@ -144,7 +149,19 @@ def evaluate_unique_grid(
     specs: Sequence[OperatorSpec],
     freqs_mhz: Sequence[float],
 ) -> UniqueSpecGrid:
-    """Evaluate every spec at every frequency in one vectorised pass."""
+    """Evaluate every spec at every frequency in one vectorised pass.
+
+    ``evaluator`` is a :class:`GroundTruthEvaluator` or a duration-scaling
+    wrapper around one (:class:`repro.cluster.device.VariedEvaluator`,
+    which exposes ``inner`` and ``duration_scale``).  A wrapper scales
+    only ``duration_us``, after the inner evaluation, so its grid is the
+    inner grid with ``dur`` multiplied by the same factor.
+    """
+    inner = getattr(evaluator, "inner", None)
+    if inner is not None:
+        grid = evaluate_unique_grid(inner, specs, freqs_mhz)
+        return replace(grid, dur=grid.dur * evaluator.duration_scale)
+
     from repro.npu.execution import _NONCOMPUTE_BANDWIDTH_UTILISATION
 
     npu = evaluator.npu
@@ -188,8 +205,17 @@ def evaluate_unique_grid(
     sharpness = memory.saturation_sharpness
     t0_us = memory.transfer_overhead_us
 
-    ld = _transfer_cycles_grid(ld_bytes, denom_bw, core_bpc, sharpness, t0_us, f_row)
-    st = _transfer_cycles_grid(st_bytes, denom_bw, core_bpc, sharpness, t0_us, f_row)
+    # Loads and stores share one transfer pass: rows [0, m) are the loads.
+    ldst = _transfer_cycles_grid(
+        np.concatenate((ld_bytes, st_bytes)),
+        np.concatenate((denom_bw, denom_bw)),
+        core_bpc,
+        sharpness,
+        t0_us,
+        f_row,
+    )
+    ld = ldst[:m]
+    st = ldst[m:]
 
     nf = n_int.astype(np.float64)
     ncol = nf[:, None]
@@ -205,44 +231,46 @@ def evaluate_unique_grid(
     chains_b = ncol - chains_a
     eq8 = np.maximum(chains_a * serial, mx_all + chains_b * serial)
     scen_col = scen[:, None]
-    pipeline = np.select(
-        [scen_col == 0, scen_col == 1, scen_col == 2], [eq5, eq6, eq7], eq8
+    pipeline = np.where(
+        scen_col == 0,
+        eq5,
+        np.where(scen_col == 1, eq6, np.where(scen_col == 2, eq7, eq8)),
     )
 
-    # Per-pipe busy union (analytical_busy_stall): the Fig. 8 two-stream
-    # schedule clips segments against the odd gaps; everything else is a
-    # plain n * length sum.
-    a_gaps = 1.0 + (n_int // 2).astype(np.float64)[:, None]
-    b_gaps = ((n_int - 1) // 2).astype(np.float64)[:, None]
-    odd_gap = serial - mx_all
-    ppd_multi = (scen == 3) & (n_int > 1)
-    clip = ppd_multi[:, None]
-
-    def union(length: np.ndarray) -> np.ndarray:
-        general = ncol * length
-        clipped = a_gaps * length + b_gaps * np.minimum(length, odd_gap)
-        return np.where(clip, clipped, general)
-
-    busy = np.zeros((m, 6, len(freqs)), dtype=np.float64)
-    busy[:, 0, :] = union(ld)
-    for s, slot in enumerate(_CORE_SLOTS):
-        busy[:, slot, :] = union(core_col * frac[:, s][:, None])
-    busy[:, 5, :] = union(st)
+    # Per-pipe busy union (analytical_busy_stall), all six slots at once:
+    # the Fig. 8 two-stream schedule clips segments against the odd gaps;
+    # everything else is a plain n * length sum.
+    n_freqs = len(freqs)
+    length = np.empty((m, 6, n_freqs), dtype=np.float64)
+    length[:, 0, :] = ld
+    length[:, 1:5, :] = (core_col * frac)[:, :, None]
+    length[:, 5, :] = st
+    a_gaps = 1.0 + (n_int // 2).astype(np.float64)[:, None, None]
+    b_gaps = ((n_int - 1) // 2).astype(np.float64)[:, None, None]
+    odd_gap = (serial - mx_all)[:, None, :]
+    clip = ((scen == 3) & (n_int > 1))[:, None, None]
+    busy = np.where(
+        clip,
+        a_gaps * length + b_gaps * np.minimum(length, odd_gap),
+        nf[:, None, None] * length,
+    )
 
     overhead = overhead_us[:, None] * f_row[None, :]
     total = pipeline + overhead
+    compute_col = is_compute[:, None]
+    moved = ld_bytes * nf + st_bytes * nf
+    peak_bw = memory.uncore_bandwidth(derate=1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         dur_compute = total / f_row[None, :]
         util = np.where(total[:, None, :] > 0.0, busy / total[:, None, :], 0.0)
-
-    compute_col = is_compute[:, None]
-    dur = np.where(compute_col, dur_compute, fixed_dur[:, None])
+        dur = np.where(compute_col, dur_compute, fixed_dur[:, None])
+        bw_compute = np.minimum(1.0, (moved[:, None] / dur) / peak_bw)
     util = np.where(is_compute[:, None, None], util, 0.0)
+    bw = np.where(compute_col, bw_compute, nc_bw[:, None])
 
     present = np.zeros((m, 6), dtype=bool)
     present[:, 0] = ld_bytes > 0.0
-    for s, slot in enumerate(_CORE_SLOTS):
-        present[:, slot] = frac[:, s] > 0.0
+    present[:, 1:5] = frac > 0.0
     present[:, 5] = st_bytes > 0.0
     present &= is_compute[:, None]
 
@@ -250,58 +278,44 @@ def evaluate_unique_grid(
     # Absent slots have an exact 0.0 utilisation, so their ``+ w * 0.0``
     # term is a bitwise no-op on the non-negative partial sum.
     pipe_alpha = npu.power.pipe_alpha_w_per_ghz_v2
-    alpha = np.zeros((m, len(freqs)), dtype=np.float64)
+    capped = np.minimum(util, 1.0)
+    alpha = np.zeros((m, n_freqs), dtype=np.float64)
     for slot, pipe in enumerate(SLOT_PIPES):
-        alpha = alpha + pipe_alpha[pipe] * np.minimum(util[:, slot, :], 1.0)
-
-    moved = ld_bytes * nf + st_bytes * nf
-    peak_bw = memory.uncore_bandwidth(derate=1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bw_compute = np.minimum(1.0, (moved[:, None] / dur) / peak_bw)
-    bw = np.where(compute_col, bw_compute, nc_bw[:, None])
+        alpha = alpha + pipe_alpha[pipe] * capped[:, slot, :]
 
     # Power probes, full cold/hot expressions subtracted (engine order).
+    # Per-frequency terms are Python floats from the scalar power model,
+    # laid out as rows; the idle probes are
+    # ``GroundTruthEvaluator.idle_aicore_power``/``idle_soc_power``
+    # spelled out over the same operands.
     power = npu.power
-    n_freqs = len(freqs)
-    a_cold = np.empty((m, n_freqs), dtype=np.float64)
-    ga = np.empty((m, n_freqs), dtype=np.float64)
-    s_cold = np.empty((m, n_freqs), dtype=np.float64)
-    gs = np.empty((m, n_freqs), dtype=np.float64)
-    idle_a0 = np.empty(n_freqs, dtype=np.float64)
-    idle_ga = np.empty(n_freqs, dtype=np.float64)
-    idle_s0 = np.empty(n_freqs, dtype=np.float64)
-    idle_gs = np.empty(n_freqs, dtype=np.float64)
-    for j, freq in enumerate(freqs):
-        volts = npu.volts_at(freq)
-        f_ghz = freq / 1000.0
-        active = alpha[:, j] * f_ghz * volts * volts
-        idle_ai = power.aicore_idle_power(freq, volts)
-        th_cold = power.aicore_thermal_power(0.0, volts)
-        th_hot = power.aicore_thermal_power(1.0, volts)
-        col_a_cold = active + idle_ai + th_cold
-        col_a_hot = active + idle_ai + th_hot
-        coupled = power.coupled_power(freq, volts)
-        bw_util = np.minimum(bw[:, j], 1.0)
-        unc_cold = (
-            power.uncore_idle_watts
-            + power.uncore_bandwidth_watts * bw_util
-            + power.gamma_uncore_w_per_c_v * 0.0 * power.uncore_volts
-        )
-        unc_hot = (
-            power.uncore_idle_watts
-            + power.uncore_bandwidth_watts * bw_util
-            + power.gamma_uncore_w_per_c_v * 1.0 * power.uncore_volts
-        )
-        col_s_cold = col_a_cold + coupled + unc_cold
-        col_s_hot = col_a_hot + coupled + unc_hot
-        a_cold[:, j] = col_a_cold
-        ga[:, j] = col_a_hot - col_a_cold
-        s_cold[:, j] = col_s_cold
-        gs[:, j] = col_s_hot - col_s_cold
-        idle_a0[j] = evaluator.idle_aicore_power(freq, 0.0)
-        idle_ga[j] = evaluator.idle_aicore_power(freq, 1.0) - idle_a0[j]
-        idle_s0[j] = evaluator.idle_soc_power(freq, 0.0)
-        idle_gs[j] = evaluator.idle_soc_power(freq, 1.0) - idle_s0[j]
+    volts = np.array([npu.volts_at(f) for f in freqs], dtype=np.float64)
+    v_list = volts.tolist()
+    f_ghz = f_row / 1000.0
+    idle_ai = np.array(
+        [power.aicore_idle_power(f, v) for f, v in zip(freqs, v_list)]
+    )
+    th_cold = np.array([power.aicore_thermal_power(0.0, v) for v in v_list])
+    th_hot = np.array([power.aicore_thermal_power(1.0, v) for v in v_list])
+    coupled = np.array(
+        [power.coupled_power(f, v) for f, v in zip(freqs, v_list)]
+    )
+    active = alpha * f_ghz * volts * volts
+    a_cold = active + idle_ai + th_cold
+    a_hot = active + idle_ai + th_hot
+    bw_part = power.uncore_idle_watts + power.uncore_bandwidth_watts * (
+        np.minimum(bw, 1.0)
+    )
+    s_cold = a_cold + coupled + (
+        bw_part + power.gamma_uncore_w_per_c_v * 0.0 * power.uncore_volts
+    )
+    s_hot = a_hot + coupled + (
+        bw_part + power.gamma_uncore_w_per_c_v * 1.0 * power.uncore_volts
+    )
+    idle_a0 = idle_ai + th_cold
+    idle_a_hot = idle_ai + th_hot
+    idle_s0 = idle_a0 + coupled + power.uncore_power(0.0, 0.0)
+    idle_s_hot = idle_a_hot + coupled + power.uncore_power(0.0, 1.0)
 
     return UniqueSpecGrid(
         freqs_mhz=freqs,
@@ -311,11 +325,11 @@ def evaluate_unique_grid(
         util=util,
         present=present,
         a_cold=a_cold,
-        ga=ga,
+        ga=a_hot - a_cold,
         s_cold=s_cold,
-        gs=gs,
+        gs=s_hot - s_cold,
         idle_a0=idle_a0,
-        idle_ga=idle_ga,
+        idle_ga=idle_a_hot - idle_a0,
         idle_s0=idle_s0,
-        idle_gs=idle_gs,
+        idle_gs=idle_s_hot - idle_s0,
     )

@@ -1,0 +1,170 @@
+"""Scalar reference builds that the array fast paths are pinned against.
+
+Each oracle is the former production form of a hot path, kept only here
+so the equivalence tests can compare the array form bit for bit:
+
+* :func:`scalar_column` — one ``GroundTruthEvaluator.evaluate`` call per
+  distinct operator character at one frequency (the engine's columns now
+  come from the vectorised ``CompiledTrace.unique_grid``);
+* :func:`four_gather_evaluate` — ``StrategyScorer.evaluate`` as four 2-D
+  fancy gathers plus the ``volts[genes] * time`` product (the scorer now
+  does one stacked ``np.take``);
+* :func:`row_crossover_search` — ``run_search`` with the crossover as a
+  gather/mask/scatter over the crossing rows (the GA now does one masked
+  ``np.copyto``).
+"""
+
+from __future__ import annotations
+
+import time
+from dataclasses import dataclass
+
+import numpy as np
+
+from repro.dvfs.ga import GaConfig, GaResult, _roulette_pick, initial_population
+from repro.dvfs.scoring import PopulationEvaluation, StrategyScorer
+
+
+@dataclass(frozen=True)
+class ScalarColumn:
+    """Per-operator tables at one frequency, built one spec at a time."""
+
+    dur: np.ndarray
+    a0: np.ndarray
+    ga: np.ndarray
+    s0: np.ndarray
+    gs: np.ndarray
+    idle_a0: float
+    idle_ga: float
+    idle_s0: float
+    idle_gs: float
+
+
+def scalar_column(compiled, evaluator, freq_mhz: float) -> ScalarColumn:
+    """Build one engine column with a scalar ``evaluate`` per spec."""
+    specs = compiled.unique_specs
+    m = len(specs)
+    dur_u = np.empty(m)
+    a0_u = np.empty(m)
+    ga_u = np.empty(m)
+    s0_u = np.empty(m)
+    gs_u = np.empty(m)
+    for j, spec in enumerate(specs):
+        evaluation = evaluator.evaluate(spec, freq_mhz)
+        a_cold = evaluator.aicore_power(evaluation, 0.0)
+        s_cold = evaluator.soc_power(evaluation, 0.0)
+        dur_u[j] = evaluation.duration_us
+        a0_u[j] = a_cold
+        ga_u[j] = evaluator.aicore_power(evaluation, 1.0) - a_cold
+        s0_u[j] = s_cold
+        gs_u[j] = evaluator.soc_power(evaluation, 1.0) - s_cold
+    idle_a_cold = evaluator.idle_aicore_power(freq_mhz, 0.0)
+    idle_s_cold = evaluator.idle_soc_power(freq_mhz, 0.0)
+    idx = compiled.unique_index
+    return ScalarColumn(
+        dur=dur_u[idx],
+        a0=a0_u[idx],
+        ga=ga_u[idx],
+        s0=s0_u[idx],
+        gs=gs_u[idx],
+        idle_a0=idle_a_cold,
+        idle_ga=evaluator.idle_aicore_power(freq_mhz, 1.0) - idle_a_cold,
+        idle_s0=idle_s_cold,
+        idle_gs=evaluator.idle_soc_power(freq_mhz, 1.0) - idle_s_cold,
+    )
+
+
+def four_gather_evaluate(
+    scorer: StrategyScorer, population: np.ndarray
+) -> PopulationEvaluation:
+    """``StrategyScorer.evaluate`` as one fancy gather per table."""
+    genes = np.asarray(population)
+    rows = np.arange(scorer.stage_count)[None, :]
+    stage_time = scorer._stage_time
+    time_us = stage_time[rows, genes].sum(axis=1)
+    aicore_j = scorer._stage_aicore_energy[rows, genes].sum(axis=1)
+    soc_j = scorer._stage_soc_energy[rows, genes].sum(axis=1)
+    volts_avg = (
+        scorer._volts[genes] * stage_time[rows, genes]
+    ).sum(axis=1) / time_us
+    soc_base = soc_j / time_us
+    loop_gain = scorer._k * scorer._gamma_soc * volts_avg
+    soc_watts = soc_base / np.maximum(1e-9, 1.0 - loop_gain)
+    delta = scorer._k * soc_watts
+    aicore_watts = aicore_j / time_us + (
+        scorer._gamma_aicore * delta * volts_avg
+    )
+    return PopulationEvaluation(
+        time_us=time_us,
+        aicore_watts=aicore_watts,
+        soc_watts=soc_watts,
+        delta_celsius=delta,
+    )
+
+
+def row_crossover_search(
+    scorer: StrategyScorer,
+    stages,
+    freqs_mhz,
+    config: GaConfig,
+) -> GaResult:
+    """``run_search`` with the crossover scattered over crossing rows."""
+    rng = np.random.default_rng(config.seed)
+    population = initial_population(scorer, stages, config, freqs_mhz, rng)
+    n_stages = scorer.stage_count
+    n_freqs = scorer.frequency_count
+    pop_size = config.population_size
+
+    start = time.perf_counter()
+    scores = scorer.score(population)
+    evaluations = pop_size
+    history: list[float] = [float(scores.max())]
+    stale_generations = 0
+
+    for _ in range(config.iterations):
+        elite_idx = np.argsort(scores)[pop_size - config.elite_count:]
+        elite = population[elite_idx].copy()
+        elite_scores = scores[elite_idx]
+
+        cumulative = np.cumsum(np.maximum(scores, 1e-12))
+        parent_count = pop_size - config.elite_count
+        parents_a = population[_roulette_pick(rng, cumulative, parent_count)]
+        parents_b = population[_roulette_pick(rng, cumulative, parent_count)]
+
+        children = parents_a.copy()
+        do_cross = rng.random(parent_count) < config.crossover_rate
+        cut = rng.integers(1, n_stages + 1, size=parent_count)
+        cross_rows = np.nonzero(do_cross)[0]
+        if cross_rows.size:
+            tail = np.arange(n_stages)[None, :] >= (
+                n_stages - cut[cross_rows]
+            )[:, None]
+            crossed = children[cross_rows]
+            crossed[tail] = parents_b[cross_rows][tail]
+            children[cross_rows] = crossed
+        do_mutate = rng.random(parent_count) < config.mutation_rate
+        positions = rng.integers(0, n_stages, size=parent_count)
+        values = rng.integers(0, n_freqs, size=parent_count)
+        mutate_rows = np.nonzero(do_mutate)[0]
+        children[mutate_rows, positions[mutate_rows]] = values[mutate_rows]
+
+        population = np.vstack([elite, children])
+        scores = np.concatenate([elite_scores, scorer.score(children)])
+        evaluations += pop_size - config.elite_count
+        history.append(float(scores.max()))
+        if history[-1] > history[-2] + 1e-12:
+            stale_generations = 0
+        else:
+            stale_generations += 1
+            if config.patience and stale_generations >= config.patience:
+                break
+
+    best = int(np.argmax(scores))
+    return GaResult(
+        best_genes=population[best].copy(),
+        best_score=float(scores[best]),
+        history=tuple(history),
+        generations=len(history) - 1,
+        evaluations=evaluations,
+        wall_seconds=time.perf_counter() - start,
+    )

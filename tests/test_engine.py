@@ -21,9 +21,11 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.device import VariedEvaluator
+from repro.errors import FrequencyError
 from repro.npu import (
     FrequencySwitch,
     FrequencyTimeline,
@@ -49,9 +51,11 @@ from repro.npu.timeline import (
     analytical_busy_stall,
     build_timeline,
 )
+from repro.workloads import generate
 from repro.workloads.trace import Trace, TraceEntry
 
 from tests.conftest import make_compute_op
+from tests.oracles import scalar_column
 
 GRID = tuple(1000.0 + 100.0 * i for i in range(9))
 
@@ -59,6 +63,8 @@ GRID = tuple(1000.0 + 100.0 * i for i in range(9))
 AGG_REL = 1e-9
 ITEM_REL = 1e-7
 ITEM_ABS = 1e-9
+# Longest chunk one path may hold without a partner on the other.
+DEGENERATE_US = 1e-9
 
 
 def _close(a: float, b: float, rel: float, abs_tol: float = 0.0) -> bool:
@@ -85,14 +91,7 @@ def assert_results_equivalent(fast, ref) -> None:
         assert _close(fr.soc_energy_j, rr.soc_energy_j, ITEM_REL, ITEM_ABS)
         assert fr.evaluation.duration_us == rr.evaluation.duration_us
 
-    # A gap below one float ulp of the running clock may round into a
-    # degenerate (sub-femtosecond) idle chunk in one accumulation order
-    # and not the other; such chunks carry no energy or time at the
-    # 1e-9 contract and are excluded from the structural comparison.
-    fast_chunks = [c for c in fast.chunks if c.end_us - c.start_us > 1e-9]
-    ref_chunks = [c for c in ref.chunks if c.end_us - c.start_us > 1e-9]
-    assert len(fast_chunks) == len(ref_chunks)
-    for fc, rc in zip(fast_chunks, ref_chunks):
+    for fc, rc in _paired_chunks(list(fast.chunks), list(ref.chunks)):
         assert fc.op_index == rc.op_index
         assert fc.freq_mhz == rc.freq_mhz
         assert _close(fc.start_us, rc.start_us, ITEM_REL, ITEM_ABS)
@@ -100,6 +99,49 @@ def assert_results_equivalent(fast, ref) -> None:
         assert _close(fc.aicore_watts, rc.aicore_watts, ITEM_REL, ITEM_ABS)
         assert _close(fc.soc_watts, rc.soc_watts, ITEM_REL, ITEM_ABS)
         assert _close(fc.celsius, rc.celsius, ITEM_REL, ITEM_ABS)
+
+
+def _degenerate(chunk) -> bool:
+    return chunk.end_us - chunk.start_us <= DEGENERATE_US
+
+
+def _same_span(fc, rc) -> bool:
+    return (
+        fc.op_index == rc.op_index
+        and _close(fc.start_us, rc.start_us, ITEM_REL, ITEM_ABS)
+        and _close(fc.end_us, rc.end_us, ITEM_REL, ITEM_ABS)
+    )
+
+
+def _paired_chunks(fast_chunks: list, ref_chunks: list) -> list:
+    """Pair the two paths' chunks in time order.
+
+    Two chunks pair when they cover the same operator (or idle span) over
+    the same interval at the item tolerance, whatever their length.  Only
+    a chunk with no partner may be dropped, and only if it is degenerate:
+    a gap below one float ulp of the running clock can round into a
+    sub-femtosecond chunk in one accumulation order and not the other.
+    Deciding degeneracy on unpaired chunks alone means a ~1e-9 µs chunk
+    present on both sides is compared, never dropped on one side only.
+    """
+    pairs = []
+    i = j = 0
+    while i < len(fast_chunks) or j < len(ref_chunks):
+        fc = fast_chunks[i] if i < len(fast_chunks) else None
+        rc = ref_chunks[j] if j < len(ref_chunks) else None
+        if fc is not None and rc is not None and _same_span(fc, rc):
+            pairs.append((fc, rc))
+            i += 1
+            j += 1
+        elif fc is not None and _degenerate(fc):
+            i += 1
+        elif rc is not None and _degenerate(rc):
+            j += 1
+        else:
+            raise AssertionError(
+                f"unpaired chunk: fast {fc!r}, reference {rc!r}"
+            )
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +233,44 @@ def _fresh_pair():
 # ---------------------------------------------------------------------------
 
 
+def _degenerate_gap_trace() -> Trace:
+    """A 1e-9 µs gap before the last operator, at constant 1000 MHz.
+
+    The fast path's idle chunk comes out 1.0000036e-9 µs long and the
+    reference loop's 0.9999965e-9 µs: a length filter applied to each
+    side on its own keeps the chunk on one side only.
+    """
+    fixed = make_fixed_operator("fixed0", OperatorKind.AICPU, 5.0)
+    op = make_compute_op(
+        name="op0",
+        scenario=Scenario.PINGPONG_FREE_INDEPENDENT,
+        n_blocks=1,
+        core_cycles=24_458.0,
+        ld_bytes=0.0,
+        st_bytes=0.0,
+        overhead_us=0.0,
+        mix={Pipe.CUBE: 1.0},
+    )
+    return Trace(
+        name="hypo",
+        entries=(
+            TraceEntry(spec=fixed),
+            TraceEntry(spec=fixed),
+            TraceEntry(spec=op),
+            TraceEntry(spec=fixed, gap_before_us=1e-9),
+        ),
+    )
+
+
 @given(
     trace=traces(),
     timeline=switching_timelines(),
     celsius0=st.floats(25.0, 95.0),
+)
+@example(
+    trace=_degenerate_gap_trace(),
+    timeline=FrequencyTimeline.constant(1000.0),
+    celsius0=25.0,
 )
 @settings(max_examples=60, deadline=None)
 def test_fast_path_matches_reference_on_timelines(trace, timeline, celsius0):
@@ -259,6 +335,102 @@ def test_switch_mid_operator_splits_identically(small_bert_trace):
         ref = ref_dev.run(small_bert_trace, timeline)
     assert_results_equivalent(fast, ref)
     assert any(r.straddled_switch for r in fast.records)
+
+
+# ---------------------------------------------------------------------------
+# Grid-built columns against the scalar oracle
+# ---------------------------------------------------------------------------
+
+
+def _assert_column_matches_oracle(col, oracle) -> None:
+    for name in ("dur", "a0", "ga", "s0", "gs"):
+        got = getattr(col, name)
+        want = getattr(oracle, name)
+        assert got.tobytes() == want.tobytes(), name
+    for name in ("idle_a0", "idle_ga", "idle_s0", "idle_gs"):
+        assert getattr(col, name) == getattr(oracle, name), name
+
+
+class TestGridColumns:
+    """``CompiledTrace.column`` builds every column through the grid."""
+
+    @pytest.mark.parametrize(
+        ("model", "scale"),
+        [
+            ("gpt3", 0.2),
+            ("bert", 1.0),
+            ("resnet50", 1.0),
+            ("llama2_inference", 1.0),
+            ("vgg19", 1.0),
+        ],
+    )
+    def test_columns_bitwise_vs_scalar_oracle(self, model, scale):
+        spec = default_npu_spec()
+        evaluator = GroundTruthEvaluator(spec)
+        compiled = CompiledTrace(generate(model, scale=scale), evaluator)
+        for freq in GRID:
+            _assert_column_matches_oracle(
+                compiled.column(freq),
+                scalar_column(compiled, evaluator, freq),
+            )
+        assert compiled.column_count == len(GRID)
+
+    @given(trace=traces())
+    @settings(max_examples=60, deadline=None)
+    def test_random_traces_bitwise_vs_scalar_oracle(self, trace):
+        spec = default_npu_spec()
+        evaluator = GroundTruthEvaluator(spec)
+        compiled = CompiledTrace(trace, evaluator)
+        compiled.prime_columns(GRID)
+        for freq in GRID:
+            _assert_column_matches_oracle(
+                compiled.column(freq),
+                scalar_column(compiled, evaluator, freq),
+            )
+
+    def test_duration_scaled_evaluator_bitwise_vs_scalar_oracle(self):
+        spec = default_npu_spec()
+        varied = VariedEvaluator(GroundTruthEvaluator(spec), 1.07)
+        compiled = CompiledTrace(generate("bert", scale=0.2), varied)
+        compiled.prime_columns(GRID)
+        for freq in GRID:
+            _assert_column_matches_oracle(
+                compiled.column(freq), scalar_column(compiled, varied, freq)
+            )
+
+    def test_underflowing_store_volume_stays_finite(self):
+        """Both transfer terms of a 5e-324-byte store underflow to 0.0.
+
+        ``smooth_max`` returns ``max(0, 0)`` there; the grid must not
+        compute ``0 / 0``.
+        """
+        spec = default_npu_spec()
+        evaluator = GroundTruthEvaluator(spec)
+        op = make_compute_op(
+            name="op0",
+            scenario=Scenario.PINGPONG_FREE_INDEPENDENT,
+            n_blocks=1,
+            core_cycles=1_000.0,
+            ld_bytes=0.0,
+            st_bytes=5e-324,
+            overhead_us=0.0,
+            mix={Pipe.CUBE: 1.0},
+        )
+        trace = Trace(name="tiny-store", entries=(TraceEntry(spec=op),))
+        compiled = CompiledTrace(trace, evaluator)
+        compiled.prime_columns(GRID)
+        for freq in GRID:
+            _assert_column_matches_oracle(
+                compiled.column(freq),
+                scalar_column(compiled, evaluator, freq),
+            )
+        assert compiled.column(1000.0).dur[0] == 1.05
+
+    def test_off_grid_frequency_raises(self, small_bert_trace):
+        spec = default_npu_spec()
+        compiled = CompiledTrace(small_bert_trace, GroundTruthEvaluator(spec))
+        with pytest.raises(FrequencyError):
+            compiled.column(1050.0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ real optimizer and compare everything downstream of the noise streams.
 """
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,9 +20,10 @@ from hypothesis import strategies as st
 from repro import batching
 from repro.core.config import OptimizerConfig
 from repro.core.optimizer import EnergyOptimizer
+from repro.core.report import MeasuredMetrics
 from repro.dvfs.ga import GaConfig, run_search
 from repro.dvfs.scoring import StrategyScorer
-from repro.errors import FittingError
+from repro.errors import FittingError, StrategyError
 from repro.perf.fitting import (
     BATCH_FITTERS,
     FitFunction,
@@ -35,6 +37,7 @@ from repro.perf.model import (
 )
 from repro.power.model import PowerObservation, solve_alpha, solve_alpha_batch
 from repro.workloads import generate
+from tests.oracles import four_gather_evaluate, row_crossover_search
 
 GRID3 = (1000.0, 1400.0, 1800.0)
 GRID2 = (1000.0, 1800.0)
@@ -319,6 +322,112 @@ class TestGroupedScorer:
         )
 
 
+def _assert_evaluations_bitwise(got, want) -> None:
+    for name in ("time_us", "aicore_watts", "soc_watts", "delta_celsius"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (
+            name
+        )
+
+
+class TestStackedScorer:
+    """One stacked ``np.take`` equals the four per-table gathers."""
+
+    def test_random_populations_bitwise(self, pipeline):
+        scorer = _scorer(pipeline)
+        n_stages = scorer.stage_count
+        n_freqs = scorer.frequency_count
+        rng = np.random.default_rng(7)
+        for size in (1, 5, 64, 198):
+            population = rng.integers(0, n_freqs, size=(size, n_stages))
+            _assert_evaluations_bitwise(
+                scorer.evaluate(population),
+                four_gather_evaluate(scorer, population),
+            )
+
+    def test_duplicates_and_extremes_bitwise(self, pipeline):
+        scorer = _scorer(pipeline)
+        n_stages = scorer.stage_count
+        n_freqs = scorer.frequency_count
+        rng = np.random.default_rng(11)
+        row = rng.integers(0, n_freqs, size=n_stages)
+        population = np.stack(
+            [
+                np.full(n_stages, n_freqs - 1),
+                row,
+                row,
+                np.zeros(n_stages, dtype=int),
+                np.full(n_stages, n_freqs - 1),
+            ]
+        )
+        got = scorer.evaluate(population)
+        _assert_evaluations_bitwise(
+            got, four_gather_evaluate(scorer, population)
+        )
+        assert got.time_us[1] == got.time_us[2]
+        assert float(got.time_us[0]) == scorer.baseline_time_us
+
+    def test_int32_genes_bitwise(self, pipeline):
+        scorer = _scorer(pipeline)
+        rng = np.random.default_rng(3)
+        population = rng.integers(
+            0, scorer.frequency_count, size=(16, scorer.stage_count)
+        ).astype(np.int32)
+        _assert_evaluations_bitwise(
+            scorer.evaluate(population),
+            four_gather_evaluate(scorer, population),
+        )
+
+    @pytest.mark.parametrize("bad", [-1, 9])
+    def test_out_of_range_gene_raises(self, pipeline, bad):
+        scorer = _scorer(pipeline)
+        population = np.zeros((2, scorer.stage_count), dtype=int)
+        population[1, 0] = bad
+        with pytest.raises(StrategyError, match="genes must lie in"):
+            scorer.evaluate(population)
+
+
+class TestMaskedCrossover:
+    """One masked ``np.copyto`` equals the per-row tail-swap scatter."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"elite_count": 0},
+            {"crossover_rate": 0.0},
+            {"crossover_rate": 1.0},
+            {"mutation_rate": 0.0},
+            {"mutation_rate": 1.0},
+            {"elite_count": 0, "crossover_rate": 1.0, "mutation_rate": 1.0},
+            {"patience": 3, "iterations": 200},
+        ],
+    )
+    def test_ga_result_bitwise(self, pipeline, overrides):
+        _, config, _, _, candidates = pipeline
+        scorer = _scorer(pipeline)
+        freqs = config.npu.frequencies.points
+        for seed in (0, 5):
+            ga_config = GaConfig(
+                **{
+                    "population_size": 32,
+                    "iterations": 30,
+                    "seed": seed,
+                    **overrides,
+                }
+            )
+            got = run_search(scorer, candidates.stages, freqs, ga_config)
+            want = row_crossover_search(
+                scorer, candidates.stages, freqs, ga_config
+            )
+            assert got.best_genes.tobytes() == want.best_genes.tobytes()
+            assert got.best_score == want.best_score
+            assert got.history == want.history
+            assert got.generations == want.generations
+            assert got.evaluations == want.evaluations
+        if "patience" in overrides:
+            assert got.generations < ga_config.iterations
+
+
 class TestGaRegression:
     """The vectorised crossover must not move a single gene."""
 
@@ -372,6 +481,48 @@ class TestEndToEndByteIdentity:
         assert batched.search.best_score == reference.search.best_score
         assert batched.predicted == reference.predicted
         assert batched.under_dvfs == reference.under_dvfs
+
+
+class TestPaperScaleGate:
+    """A paper-scale request (Sect. 7.4) stays byte for byte.
+
+    gpt3 at scale 1.0 (14,208 operators, 777 stages) under the default
+    configuration (GA 200 x 600), seed 1.  The pinned digest and metrics
+    were recorded before the engine built its columns from the grid and
+    the scorer and GA gathered and crossed over in one array pass each.
+    """
+
+    GENES_SHA256 = (
+        "e482eb6fc0b87c948c44955c1271523c5335d7aed175b9b8d20ceed234fbc1e0"
+    )
+    BEST_SCORE = float.fromhex("0x1.0ab88acac87fcp+1")
+    BASELINE = MeasuredMetrics(
+        iteration_seconds=10.346072762881654,
+        aicore_watts=44.95176362450556,
+        soc_watts=242.99547757140525,
+    )
+    UNDER_DVFS = MeasuredMetrics(
+        iteration_seconds=10.521847433228116,
+        aicore_watts=41.910792008539,
+        soc_watts=238.56236347668354,
+    )
+
+    def test_gpt3_scale_one_seed_one(self):
+        trace = generate("gpt3", scale=1.0, seed=1)
+        config = OptimizerConfig(seed=1)
+        config = replace(config, ga=replace(config.ga, seed=1))
+        report = EnergyOptimizer(config).optimize(trace)
+        assert trace.operator_count == 14_208
+        assert report.stage_count == 777
+        digest = hashlib.sha256(
+            np.ascontiguousarray(
+                report.search.best_genes, dtype=np.int64
+            ).tobytes()
+        ).hexdigest()
+        assert digest == self.GENES_SHA256
+        assert report.search.best_score == self.BEST_SCORE
+        assert report.baseline == self.BASELINE
+        assert report.under_dvfs == self.UNDER_DVFS
 
 
 class TestPatienceKnob:
