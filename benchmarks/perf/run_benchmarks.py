@@ -47,7 +47,8 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from repro import batching  # noqa: E402
-from repro.cluster import ClusterSpec, SimulatedCluster  # noqa: E402
+from repro.cluster import ClusterSpec  # noqa: E402
+from repro.cluster.simulator import SimulatedCluster  # noqa: E402
 from repro.core import EnergyOptimizer, OptimizerConfig  # noqa: E402
 from repro.dvfs.ga import GaConfig, run_search  # noqa: E402
 from repro.npu import (  # noqa: E402

@@ -3,10 +3,9 @@
 The acceptance bar for the cluster layer: on an 8-device fleet with
 seeded variation, slack reclamation measurably cuts fleet SoC energy at
 a step-time regression within 0.5%; the plan is byte-identical across
-worker counts, repeated runs, and the strategy-store round-trip; and
-when a device is fault-injected slow, the stale plan raises a barrier
-overrun naming that device and re-reclamation targets it as the new
-straggler.
+repeated runs and the strategy-store round-trip; and when a device is
+degraded, the stale plan raises a barrier overrun naming that device
+and re-reclamation targets it as the new straggler.
 """
 
 from repro.experiments import run_experiment
@@ -25,17 +24,15 @@ def test_bench_ext_cluster(run_once):
     assert measured["ga_feasible"]
     assert measured["ga_soc_energy_savings"] >= 0.0
     assert measured["ga_step_time_regression"] <= 0.005
-    # Determinism: byte-identical plans at any worker count, across
-    # repeated runs, and through the persistent strategy store.
-    assert measured["identical_across_workers"]
+    # Determinism: byte-identical plans across repeated runs and
+    # through the persistent strategy store.
     assert measured["identical_across_runs"]
     assert measured["identical_through_store"]
     assert measured["store_warm_hits"] == measured["devices"]
     # Fault story: the degraded device overruns the stale barrier (the
-    # incident names it), its injector logged the degradation, and
-    # re-reclamation re-targets it as the straggler.
+    # watchdog names it), and re-reclamation re-targets it as the
+    # straggler.
     assert measured["barrier_overruns"] >= 1
     assert measured["overrun_names_victim"]
-    assert measured["victim_degradation_logged"]
     assert measured["retargeted_straggler"] == measured["degraded_device"]
     assert measured["retargeted_soc_energy_savings"] > 0.0

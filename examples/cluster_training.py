@@ -7,7 +7,7 @@ applies slack reclamation: the slowest device sets the all-reduce
 barrier, and every other device is downclocked to arrive just-in-time —
 trading useless barrier waiting for cheaper compute at zero step-time
 cost.  Finally one device is degraded to show the stale plan tripping a
-barrier-overrun incident and the re-targeted reclamation.
+barrier overrun and the re-targeted reclamation.
 
 Usage::
 
@@ -18,13 +18,9 @@ from __future__ import annotations
 
 import sys
 
-from repro.cluster import (
-    ClusterSpec,
-    SimulatedCluster,
-    build_frequency_tables,
-    reclaim_slack,
-)
+from repro.cluster import ClusterSpec
 from repro.core.report import format_table
+from repro.fleet import FleetSimulator, FleetSpec, reclaim_fleet_slack
 from repro.workloads import generate
 
 
@@ -33,28 +29,27 @@ def main() -> None:
     print(f"Generating a GPT-3 training iteration (scale={scale})...")
     trace = generate("gpt3", scale=scale)
 
-    spec = ClusterSpec(n_devices=8, seed=0)
-    cluster = SimulatedCluster(spec)
+    cluster = ClusterSpec(n_devices=8, seed=0)
+    spec = FleetSpec.from_cluster(cluster)  # one rack: a single ring
+    sim = FleetSimulator(spec, trace)
     print(f"Fleet of {spec.n_devices} devices, ring all-reduce "
-          f"{spec.allreduce_us / 1000.0:.2f} ms per step.")
-    for profile in cluster.profiles:
+          f"{cluster.allreduce_us / 1000.0:.2f} ms per step.")
+    for profile in spec.device_profiles():
         print(f"  device {profile.device_id}: "
               f"speed x{profile.total_duration_scale:.4f}, "
               f"ambient {profile.ambient_offset_celsius:+.1f} C")
 
     print("\nBaseline step (every device at maximum frequency)...")
-    baseline = cluster.run_step(trace)
+    baseline = sim.step()
     print(f"  step {baseline.step_us / 1000.0:.2f} ms, straggler device "
           f"{baseline.straggler_id}, fleet SoC "
           f"{baseline.fleet_soc_energy_j:.1f} J")
 
     print("\nReclaiming barrier slack "
           "(downclock non-critical devices to just-in-time arrival)...")
-    tables = build_frequency_tables(cluster, trace)
-    plan = reclaim_slack(tables, trace.name, allreduce_us=spec.allreduce_us)
-    reclaimed = cluster.run_step(
-        trace, plan.strategies, target_compute_us=plan.target_compute_us
-    )
+    plan = reclaim_fleet_slack(sim)
+    sim.reset()  # start the reclaimed step from ambient, like the baseline
+    reclaimed = sim.step(plan, target_compute_us=plan.target_compute_us)
     report = reclaimed.report(baseline)
     print()
     print(report.summary())
@@ -63,22 +58,19 @@ def main() -> None:
 
     print("\nDegrading one device 1.3x and replaying the stale plan...")
     victim = (baseline.straggler_id + 1) % spec.n_devices
-    degraded = SimulatedCluster(
-        spec.with_degraded_device(victim, 1.3, reason="demo degradation")
+    degraded = FleetSimulator(
+        spec.with_degraded_device(victim, 1.3, reason="demo degradation"),
+        trace,
     )
-    stale = degraded.run_step(
-        trace, plan.strategies, target_compute_us=plan.target_compute_us
-    )
-    for incident in stale.incidents:
-        print(f"  incident: {incident.kind} — {incident.detail}")
-    new_plan = reclaim_slack(
-        build_frequency_tables(degraded, trace),
-        trace.name,
-        allreduce_us=spec.allreduce_us,
+    stale = degraded.step(plan, target_compute_us=plan.target_compute_us)
+    print(f"  {stale.overrun_count} barrier overrun(s), latest first: "
+          f"devices {list(stale.overrun_device_ids)}")
+    new_plan = reclaim_fleet_slack(degraded)
+    healthy_mhz = sorted(
+        {float(f) for f in new_plan.freq_mhz[new_plan.covered]}
     )
     print(f"  re-targeted reclamation: straggler is now device "
-          f"{new_plan.straggler_id}; healthy devices drop to "
-          f"{sorted(set(new_plan.frequencies_mhz))} MHz.")
+          f"{new_plan.straggler_id}; devices run at {healthy_mhz} MHz.")
 
 
 if __name__ == "__main__":

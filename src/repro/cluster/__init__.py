@@ -1,43 +1,35 @@
-"""Multi-device data-parallel simulation with cluster-aware DVFS.
+"""Multi-device data-parallel training with cluster-aware DVFS.
 
 The paper optimises one NPU at a time; its deployment story (Sect. 8.1)
 is synchronous data-parallel fleets, where per-device DVFS interacts
 with the all-reduce barrier: slowing the critical device stalls every
-peer, while slowing a non-critical device is free.  This package grows
-the simulator from one chip to a cluster:
+peer, while slowing a non-critical device is free.  This package holds
+the cluster description and the policies; the barrier step itself runs
+on :class:`repro.fleet.simulator.FleetSimulator`, with a cluster lifted
+into a one-rack fleet by :meth:`repro.fleet.spec.FleetSpec.from_cluster`:
 
 * :mod:`repro.cluster.spec` — N devices with seeded per-device variation
-  (silicon speed bins, rack thermal gradients) plus explicit overrides
-  (degradation, per-device control-plane faults);
+  (silicon speed bins, rack thermal gradients) plus explicit degradation
+  overrides;
 * :mod:`repro.cluster.collective` — the ring all-reduce cost law;
-* :mod:`repro.cluster.simulator` — synchronous step execution: the step
-  completes at the barrier of the slowest device, and everyone else's
-  wait is priced as idle energy;
-* :mod:`repro.cluster.dvfs` — slack reclamation (downclock non-critical
-  devices to just-in-time arrival) and a fleet ``energy x step-time``
-  objective for the existing GA;
+* :mod:`repro.cluster.dvfs` — the fleet ``energy x step-time`` GA over
+  the existing :mod:`repro.dvfs.ga`, fed by the fleet simulator's arrays;
 * :mod:`repro.cluster.serve` — per-device strategy fingerprints and
-  store-backed caching through :mod:`repro.serve`.
+  store-backed slack reclamation through :mod:`repro.serve`;
+* :mod:`repro.cluster.simulator` and :mod:`repro.cluster.device` — the
+  looped reference the fleet is checked against
+  (:func:`repro.fleet.reference.compare_with_cluster`); not exported.
 
 Run ``python -m repro.cluster`` for a quick fleet demo.
 """
 
 from repro.cluster.collective import InterconnectSpec
-from repro.cluster.device import ClusterDevice, VariedEvaluator
 from repro.cluster.dvfs import (
+    ClusterScoreBreakdown,
     ClusterScorer,
-    ClusterStrategy,
-    DeviceFrequencyTable,
-    build_frequency_tables,
-    reclaim_slack,
     search_cluster_frequencies,
 )
-from repro.cluster.serve import cached_reclaim, device_request_fingerprint
-from repro.cluster.simulator import (
-    ClusterStepResult,
-    DeviceStepOutcome,
-    SimulatedCluster,
-)
+from repro.cluster.serve import fleet_cached_reclaim, fleet_device_fingerprint
 from repro.cluster.spec import (
     ClusterSpec,
     DeviceOverride,
@@ -46,22 +38,14 @@ from repro.cluster.spec import (
 )
 
 __all__ = [
-    "ClusterDevice",
+    "ClusterScoreBreakdown",
     "ClusterScorer",
     "ClusterSpec",
-    "ClusterStepResult",
-    "ClusterStrategy",
-    "DeviceFrequencyTable",
     "DeviceOverride",
     "DeviceProfile",
-    "DeviceStepOutcome",
     "DeviceVariation",
     "InterconnectSpec",
-    "SimulatedCluster",
-    "VariedEvaluator",
-    "build_frequency_tables",
-    "cached_reclaim",
-    "device_request_fingerprint",
-    "reclaim_slack",
+    "fleet_cached_reclaim",
+    "fleet_device_fingerprint",
     "search_cluster_frequencies",
 ]

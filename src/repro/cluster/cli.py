@@ -1,13 +1,15 @@
 """Command-line entry point: ``python -m repro.cluster``.
 
-Simulates one data-parallel training step on an N-device fleet, applies
-slack reclamation (and optionally the fleet GA), and prints the
-per-device table plus the fleet summary.
+Simulates one data-parallel training step on an N-device cluster (a
+one-rack :class:`~repro.fleet.simulator.FleetSimulator`), applies slack
+reclamation (and optionally the fleet GA), and prints the per-device
+table plus the fleet summary.  Every phase starts from the boards'
+ambient temperatures.
 
 Examples::
 
     python -m repro.cluster gpt3 --scale 0.02 --devices 8
-    python -m repro.cluster bert --scale 0.05 --ga --workers 4
+    python -m repro.cluster bert --scale 0.05 --ga
     python -m repro.cluster gpt3 --scale 0.02 --degrade 3 --slowdown 1.3
 """
 
@@ -17,16 +19,14 @@ import argparse
 import sys
 from typing import Sequence
 
-from repro.cluster.dvfs import (
-    build_frequency_tables,
-    reclaim_slack,
-    search_cluster_frequencies,
-)
-from repro.cluster.simulator import SimulatedCluster
+from repro.cluster.dvfs import search_cluster_frequencies
 from repro.cluster.spec import ClusterSpec
 from repro.core.report import format_table
 from repro.dvfs.ga import GaConfig
 from repro.errors import ReproError
+from repro.fleet.dvfs import reclaim_fleet_slack
+from repro.fleet.simulator import FleetSimulator, FleetStepResult
+from repro.fleet.spec import FleetSpec
 from repro.workloads import generate, workload_names
 
 
@@ -57,12 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=64.0,
         help="all-reduce payload per step, in MiB",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="processes for the table build (0 = inline)",
     )
     parser.add_argument(
         "--ga",
@@ -97,34 +91,48 @@ def _print_step(title: str, report_text: str) -> None:
     print()
 
 
+def _overrun_rows(result: FleetStepResult, target_us: float) -> list[dict]:
+    """One row per reported barrier overrun, latest arrival first."""
+    positions = result.device_ids.searchsorted(result.overrun_device_ids)
+    rows = []
+    for device, pos in zip(result.overrun_device_ids, positions):
+        arrival = float(result.arrival_us[pos])
+        rows.append(
+            {
+                "kind": "barrier_overrun",
+                "device": device,
+                "arrival_us": round(arrival, 1),
+                "late": f"{(arrival - target_us) / target_us:.1%}",
+                "target_us": round(target_us, 1),
+            }
+        )
+    return rows
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
     try:
         trace = generate(args.workload, scale=args.scale, seed=args.seed)
-        spec = ClusterSpec(
-            n_devices=args.devices,
-            gradient_bytes=args.gradient_mb * 2**20,
-            seed=args.seed,
+        spec = FleetSpec.from_cluster(
+            ClusterSpec(
+                n_devices=args.devices,
+                gradient_bytes=args.gradient_mb * 2**20,
+                seed=args.seed,
+            )
         )
-        cluster = SimulatedCluster(spec)
-        baseline = cluster.run_step(trace)
-        tables = build_frequency_tables(cluster, trace, workers=args.workers)
-        plan = reclaim_slack(
-            tables, trace.name, allreduce_us=spec.allreduce_us
-        )
-        reclaimed = cluster.run_step(
-            trace, plan.strategies, target_compute_us=plan.target_compute_us
-        )
+        sim = FleetSimulator(spec, trace)
+        baseline = sim.step()
+        plan = reclaim_fleet_slack(sim)
+        sim.reset()
+        reclaimed = sim.step(plan, target_compute_us=plan.target_compute_us)
         _print_step(
             f"slack reclamation ({args.devices} devices)",
             reclaimed.report(baseline).render(),
         )
         if args.ga:
             ga_plan, ga_result, breakdown = search_cluster_frequencies(
-                tables,
-                trace.name,
-                allreduce_us=spec.allreduce_us,
+                sim,
                 config=GaConfig(
                     population_size=args.population,
                     iterations=args.iterations,
@@ -132,10 +140,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                     patience=30,
                 ),
             )
-            ga_step = cluster.run_step(
-                trace,
-                ga_plan.strategies,
-                target_compute_us=ga_plan.target_compute_us,
+            sim.reset()
+            ga_step = sim.step(
+                ga_plan, target_compute_us=ga_plan.target_compute_us
             )
             _print_step(
                 f"fleet GA ({ga_result.generations} generations, "
@@ -143,31 +150,25 @@ def main(argv: Sequence[str] | None = None) -> int:
                 ga_step.report(baseline).render(),
             )
         if args.degrade is not None:
-            degraded_cluster = SimulatedCluster(
+            degraded = FleetSimulator(
                 spec.with_degraded_device(
                     args.degrade, args.slowdown, reason="cli --degrade"
-                )
-            )
-            stale = degraded_cluster.run_step(
+                ),
                 trace,
-                plan.strategies,
-                target_compute_us=plan.target_compute_us,
             )
-            rows = [i.to_row() for i in stale.incidents]
+            stale = degraded.step(
+                plan, target_compute_us=plan.target_compute_us
+            )
+            rows = _overrun_rows(stale, plan.target_compute_us)
             print(f"== stale plan on degraded device {args.degrade} ==")
             print(format_table(rows) if rows else "(no overruns)")
             print()
-            degraded_tables = build_frequency_tables(
-                degraded_cluster, trace, workers=args.workers
-            )
-            new_plan = reclaim_slack(
-                degraded_tables, trace.name, allreduce_us=spec.allreduce_us
-            )
-            degraded_baseline = degraded_cluster.run_step(trace)
-            retargeted = degraded_cluster.run_step(
-                trace,
-                new_plan.strategies,
-                target_compute_us=new_plan.target_compute_us,
+            new_plan = reclaim_fleet_slack(degraded)
+            degraded.reset()
+            degraded_baseline = degraded.step()
+            degraded.reset()
+            retargeted = degraded.step(
+                new_plan, target_compute_us=new_plan.target_compute_us
             )
             _print_step(
                 f"re-targeted reclamation (straggler now device "

@@ -1,4 +1,4 @@
-"""One cluster member: a varied NPU with its executor stack.
+"""One member of the looped reference cluster: a varied NPU and its executor.
 
 Per-device variation enters the simulation at exactly two points:
 
@@ -12,12 +12,10 @@ Per-device variation enters the simulation at exactly two points:
   shift with its position in the rack.
 
 Everything else is the single-device stack unchanged: the same
-:class:`~repro.npu.device.NpuDevice`, the same
-:class:`~repro.dvfs.executor.DvfsExecutor`, and the same
-:class:`~repro.dvfs.guard.GuardedDvfsExecutor` guarding each device's
-control plane under its own :class:`~repro.npu.faults.FaultInjector`.
-Operator timing is temperature-independent in this simulator, so all
-devices share one memoised evaluator regardless of their ambient.
+:class:`~repro.npu.device.NpuDevice` and the same
+:class:`~repro.dvfs.executor.DvfsExecutor`.  Operator timing is
+temperature-independent in this simulator, so all devices share one
+memoised evaluator regardless of their ambient.
 """
 
 from __future__ import annotations
@@ -26,19 +24,13 @@ from dataclasses import replace
 
 from repro.cluster.spec import DeviceProfile
 from repro.dvfs.executor import DvfsExecutor
-from repro.dvfs.guard import GuardConfig, GuardedDvfsExecutor
 from repro.dvfs.strategy import DvfsStrategy
 from repro.npu.device import ExecutionResult, NpuDevice
 from repro.npu.execution import GroundTruthEvaluator, OperatorEvaluation
-from repro.npu.faults import FaultInjector
 from repro.npu.spec import NpuSpec
 from repro.npu.thermal import ThermalState
 from repro.units import US_PER_S
 from repro.workloads.trace import Trace
-
-#: Stream-name prefix of each device's fault injector.
-DEVICE_FAULT_STREAM = "cluster-device"
-
 
 class VariedEvaluator:
     """Duration-scaling wrapper over a shared ground-truth evaluator.
@@ -87,15 +79,13 @@ class VariedEvaluator:
 
 
 class ClusterDevice:
-    """One ring member: profile + NPU + guarded DVFS executor."""
+    """One ring member: profile + NPU + DVFS executor."""
 
     def __init__(
         self,
         profile: DeviceProfile,
         base_npu: NpuSpec,
         base_evaluator: GroundTruthEvaluator | None = None,
-        guard: GuardConfig | None = None,
-        seed: int = 0,
     ) -> None:
         self._profile = profile
         npu = profile.npu_for(base_npu)
@@ -104,29 +94,6 @@ class ClusterDevice:
         evaluator = VariedEvaluator(inner, scale) if scale != 1.0 else inner
         self._device = NpuDevice(npu, evaluator=evaluator)
         self._executor = DvfsExecutor(self._device)
-        self._injector = FaultInjector.from_seed(
-            profile.fault,
-            seed,
-            f"{DEVICE_FAULT_STREAM}-{profile.device_id}",
-        )
-        if profile.degraded:
-            self._injector.record(
-                site="silicon",
-                kind="degraded",
-                detail=(
-                    f"operator durations x{profile.extra_duration_scale:.2f}"
-                    + (
-                        f" ({profile.override_reason})"
-                        if profile.override_reason
-                        else ""
-                    )
-                ),
-            )
-        self._guarded = GuardedDvfsExecutor(
-            self._executor,
-            guard,
-            self._injector if profile.fault.any_active else None,
-        )
 
     @property
     def profile(self) -> DeviceProfile:
@@ -148,16 +115,6 @@ class ClusterDevice:
         """The underlying executable device."""
         return self._device
 
-    @property
-    def guarded(self) -> GuardedDvfsExecutor:
-        """The guarded executor strategies run through."""
-        return self._guarded
-
-    @property
-    def injector(self) -> FaultInjector:
-        """The device's fault source and event log."""
-        return self._injector
-
     def run(
         self,
         trace: Trace,
@@ -168,16 +125,15 @@ class ClusterDevice:
 
         Without a strategy the device runs the uniform maximum-frequency
         baseline.  With one, the strategy is validated and compiled
-        through the guarded executor, so per-device control-plane faults
-        (and the guard's defences) apply exactly as on a single device.
-        The final frequency is what the device idles at while waiting at
-        the barrier.
+        through the executor, exactly as on a single device.  The final
+        frequency is what the device idles at while waiting at the
+        barrier.
         """
         if strategy is None:
             result = self._device.run(trace, initial_celsius=initial_celsius)
             return result, self._device.npu.max_frequency_mhz
-        self._guarded.validate(trace, strategy)
-        plan = self._guarded.compile(strategy)
+        self._executor.validate(trace, strategy)
+        plan = self._executor.compile(strategy)
         result = self._device.run(trace, plan, initial_celsius=initial_celsius)
         # The frequency the device parked at (last simulated chunk) is
         # what it idles at while waiting for the barrier.

@@ -1,229 +1,39 @@
-"""Cluster-aware DVFS: slack reclamation and a fleet GA objective.
+"""The fleet GA: per-device frequencies under a fleet ``energy x step-time``
+objective.
 
-Two policies, both reusing the per-operator perf/power models unchanged:
+Slack reclamation (:func:`repro.fleet.dvfs.reclaim_fleet_slack`) is the
+deterministic, search-free policy: the straggler sets the barrier and
+every other device drops to the lowest frequency that still meets it.
+:func:`search_cluster_frequencies` is its search-based cross-check: the
+existing genetic algorithm of :mod:`repro.dvfs.ga`, re-targeted with one
+gene per *device* instead of per stage and scored by fleet
+``energy x step-time`` (the cluster analogue of the paper's Eq. 17
+objective, with the same 2x feasibility bonus for plans within the
+step-time budget).
 
-* **Slack reclamation** (:func:`reclaim_slack`) — deterministic and
-  search-free.  The straggler's maximum-frequency arrival time defines
-  the barrier; every other device is downclocked to the *lowest* grid
-  frequency that still arrives by then.  Step time is unchanged (the
-  straggler still sets it) while every non-critical device trades
-  useless barrier-waiting for cheaper, slower compute — energy savings
-  at ~zero step-time cost.
-* **Fleet GA** (:func:`search_cluster_frequencies`) — the existing
-  genetic algorithm of :mod:`repro.dvfs.ga`, re-targeted: one gene per
-  *device* instead of per stage, scored by fleet ``energy x step-time``
-  (the cluster analogue of the paper's Eq. 17 objective, with the same
-  2x feasibility bonus for plans within the step-time budget).
-
-Both consume :class:`DeviceFrequencyTable` — per-device, per-grid-
-frequency measurements of the full trace replay, built by actually
-running each device at each grid point.  Tables are pure functions of
-``(profile, npu, trace)``; building them is embarrassingly parallel and
-deterministic, so :class:`repro.serve.pool.OptimizerPool` fans the work
-out across processes with byte-identical results at any worker count.
+The scorer reads its inputs from a
+:class:`~repro.fleet.simulator.FleetSimulator`: arrivals from the
+simulator's ``(capacity, F)`` duration table, compute-phase SoC energy
+from each grid point's affine solution at ``delta0 = 0`` (a run that
+starts at the board's ambient) and the idle power that prices the
+barrier wait from the same solution.  The result is a
+:class:`~repro.fleet.simulator.FleetPlan` the simulator steps directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.cluster.device import ClusterDevice
-from repro.cluster.simulator import SimulatedCluster
-from repro.cluster.spec import ClusterSpec, DeviceProfile
 from repro.dvfs.ga import GaConfig, GaResult, run_search
 from repro.dvfs.preprocessing import Stage, StageKind
-from repro.dvfs.strategy import DvfsStrategy, constant_strategy
-from repro.errors import ConfigurationError, StrategyError
-from repro.npu.spec import NpuSpec
+from repro.errors import ConfigurationError
 from repro.units import US_PER_S
-from repro.workloads.trace import Trace
 
-
-@dataclass(frozen=True)
-class DeviceFrequencyTable:
-    """One device's trace replay measured at every grid frequency.
-
-    All sequences are indexed by ascending grid frequency.  Durations
-    are non-increasing in frequency; ``soc/aicore_energy_j`` are the
-    compute-phase energies; the idle powers (measured at the device's
-    own ambient) price the barrier wait.
-    """
-
-    device_id: int
-    freqs_mhz: tuple[float, ...]
-    duration_us: tuple[float, ...]
-    soc_energy_j: tuple[float, ...]
-    aicore_energy_j: tuple[float, ...]
-    idle_soc_watts: tuple[float, ...]
-    idle_aicore_watts: tuple[float, ...]
-
-    @property
-    def max_freq_duration_us(self) -> float:
-        """Arrival time at the maximum grid frequency."""
-        return self.duration_us[-1]
-
-    def lowest_index_meeting(self, target_us: float) -> int:
-        """Lowest grid index whose arrival is within ``target_us``.
-
-        Raises:
-            StrategyError: when even the maximum frequency misses the
-                target (the caller set an infeasible barrier).
-        """
-        for index, duration in enumerate(self.duration_us):
-            if duration <= target_us:
-                return index
-        raise StrategyError(
-            f"device {self.device_id} cannot reach the barrier at "
-            f"{target_us:.0f} us even at {self.freqs_mhz[-1]:.0f} MHz "
-            f"({self.duration_us[-1]:.0f} us)"
-        )
-
-
-@dataclass(frozen=True)
-class ClusterStrategy:
-    """A per-device frequency plan for one synchronised workload.
-
-    ``strategies`` line up with device ids and are plain single-device
-    :class:`~repro.dvfs.strategy.DvfsStrategy` objects, so the whole
-    existing executor/guard/store stack applies to each device
-    unchanged.
-    """
-
-    workload: str
-    target_compute_us: float
-    allreduce_us: float
-    straggler_id: int
-    frequencies_mhz: tuple[float, ...]
-    predicted_compute_us: tuple[float, ...]
-    strategies: tuple[DvfsStrategy, ...]
-
-    @property
-    def n_devices(self) -> int:
-        """Fleet size the plan covers."""
-        return len(self.strategies)
-
-    def strategy_json(self) -> tuple[str, ...]:
-        """Per-device serialized strategies (the byte-identity payload)."""
-        return tuple(strategy.to_json() for strategy in self.strategies)
-
-
-def _table_job(
-    payload: tuple[DeviceProfile, NpuSpec, Trace, tuple[float, ...], int],
-) -> DeviceFrequencyTable:
-    """Build one device's table (module-level so workers can pickle it)."""
-    profile, base_npu, trace, freqs, seed = payload
-    member = ClusterDevice(profile, base_npu, seed=seed)
-    return build_device_table(member, trace, freqs)
-
-
-def build_device_table(
-    member: ClusterDevice,
-    trace: Trace,
-    freqs_mhz: tuple[float, ...] | None = None,
-) -> DeviceFrequencyTable:
-    """Measure one device's trace replay at every grid frequency.
-
-    Each grid point runs through the same compile-and-execute path the
-    reclaimed plan will later use (a constant strategy through the
-    guarded executor), so table entries and deployed arrivals agree to
-    the last bit.
-    """
-    freqs = freqs_mhz or member.npu.frequencies.points
-    durations: list[float] = []
-    soc: list[float] = []
-    aicore: list[float] = []
-    idle_soc: list[float] = []
-    idle_aicore: list[float] = []
-    evaluator = member.device.evaluator
-    for freq in freqs:
-        probe = constant_strategy(trace.name, freq, duration_us=1.0)
-        result, _ = member.run(trace, probe)
-        durations.append(result.duration_us)
-        soc.append(result.soc_energy_j)
-        aicore.append(result.aicore_energy_j)
-        idle_soc.append(evaluator.idle_soc_power(freq, 0.0))
-        idle_aicore.append(evaluator.idle_aicore_power(freq, 0.0))
-    return DeviceFrequencyTable(
-        device_id=member.device_id,
-        freqs_mhz=tuple(freqs),
-        duration_us=tuple(durations),
-        soc_energy_j=tuple(soc),
-        aicore_energy_j=tuple(aicore),
-        idle_soc_watts=tuple(idle_soc),
-        idle_aicore_watts=tuple(idle_aicore),
-    )
-
-
-def build_frequency_tables(
-    cluster: SimulatedCluster,
-    trace: Trace,
-    workers: int = 0,
-) -> tuple[DeviceFrequencyTable, ...]:
-    """Build all device tables, optionally fanning out across processes.
-
-    The serial (``workers <= 1``) and parallel paths execute the same
-    pure job, so results are byte-identical at any worker count — the
-    property the `ext_cluster` experiment asserts.
-    """
-    freqs = cluster.spec.npu.frequencies.points
-    payloads = [
-        (profile, cluster.spec.npu, trace, freqs, cluster.spec.seed)
-        for profile in cluster.profiles
-    ]
-    # Imported lazily: the serve package sits above the cluster layer in
-    # the dependency order, and the serial path does not need it.
-    from repro.serve.pool import OptimizerPool
-
-    with OptimizerPool(workers) as pool:
-        tables = pool.map_jobs(_table_job, payloads)
-    return tuple(tables)
-
-
-def reclaim_slack(
-    tables: tuple[DeviceFrequencyTable, ...],
-    workload: str,
-    allreduce_us: float = 0.0,
-    slack_margin: float = 0.0,
-) -> ClusterStrategy:
-    """Downclock non-critical devices to arrive just-in-time.
-
-    The barrier target is the slowest device's maximum-frequency
-    arrival, optionally stretched by ``slack_margin`` (a fraction; 0
-    keeps the step time untouched, small positive values trade bounded
-    step-time loss for deeper downclocking).  Each device gets the
-    lowest grid frequency that still meets the target, as a constant
-    single-stage strategy — zero SetFreq operations at run time.
-    """
-    if not tables:
-        raise ConfigurationError("reclaim_slack needs at least one table")
-    if slack_margin < 0:
-        raise ConfigurationError(
-            f"slack_margin must be non-negative: {slack_margin}"
-        )
-    arrivals = [table.max_freq_duration_us for table in tables]
-    straggler_id = arrivals.index(max(arrivals))
-    target = max(arrivals) * (1.0 + slack_margin)
-    frequencies: list[float] = []
-    predicted: list[float] = []
-    strategies: list[DvfsStrategy] = []
-    for table in tables:
-        index = table.lowest_index_meeting(target)
-        freq = table.freqs_mhz[index]
-        duration = table.duration_us[index]
-        frequencies.append(freq)
-        predicted.append(duration)
-        strategies.append(constant_strategy(workload, freq, duration))
-    return ClusterStrategy(
-        workload=workload,
-        target_compute_us=target,
-        allreduce_us=allreduce_us,
-        straggler_id=straggler_id,
-        frequencies_mhz=tuple(frequencies),
-        predicted_compute_us=tuple(predicted),
-        strategies=tuple(strategies),
-    )
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.fleet.simulator import FleetPlan, FleetSimulator
 
 
 @dataclass(frozen=True)
@@ -241,38 +51,35 @@ class ClusterScorer:
 
     Satisfies the scorer protocol of :func:`repro.dvfs.ga.run_search`
     (``score`` / ``stage_count`` / ``frequency_count``): an individual
-    assigns one grid frequency per *device*, and its score is the
-    baseline's energy-time product over the individual's, doubled when
-    the step time stays within the loss target — the direct fleet
-    analogue of the paper's Eq. 17.
+    assigns one grid frequency per active device (in id order), and its
+    score is the baseline's energy-time product over the individual's,
+    doubled when the step time stays within the loss target — the direct
+    fleet analogue of the paper's Eq. 17.
     """
 
     def __init__(
-        self,
-        tables: tuple[DeviceFrequencyTable, ...],
-        allreduce_us: float,
-        step_loss_target: float = 0.005,
+        self, sim: "FleetSimulator", step_loss_target: float = 0.005
     ) -> None:
-        if not tables:
-            raise ConfigurationError("ClusterScorer needs at least one table")
         if not 0 <= step_loss_target < 1:
             raise ConfigurationError(
                 f"step_loss_target must be in [0, 1): {step_loss_target}"
             )
-        self._freqs = tables[0].freqs_mhz
-        for table in tables:
-            if table.freqs_mhz != self._freqs:
-                raise ConfigurationError(
-                    "all device tables must share one frequency grid"
-                )
-        self._allreduce_us = float(allreduce_us)
+        act = sim.active_ids
+        if act.size == 0:
+            raise ConfigurationError("ClusterScorer needs an active device")
+        self._device_ids = act
+        self._freqs = tuple(float(f) for f in sim.spec.npu.frequencies.points)
+        self._allreduce_us = sim.collective_cost().chosen_us
         self._loss_target = float(step_loss_target)
-        self._durations = np.array(
-            [table.duration_us for table in tables]
-        )  # (devices, freqs)
-        self._soc_energy = np.array([table.soc_energy_j for table in tables])
-        self._idle_soc_w = np.array([table.idle_soc_watts for table in tables])
-        baseline = np.full(len(tables), len(self._freqs) - 1, dtype=int)
+        solutions = [sim.solution(f) for f in self._freqs]
+        self._durations = sim.duration_table()[act]  # (devices, freqs)
+        self._soc_energy = np.stack(
+            [solution.e0_soc_j[act] for solution in solutions], axis=1
+        )
+        self._idle_soc_w = np.array(
+            [solution.idle_soc_w0 for solution in solutions]
+        )  # (freqs,)
+        baseline = np.full(act.size, len(self._freqs) - 1, dtype=int)
         self._baseline_step_us, self._baseline_energy_j = self._evaluate(
             baseline[None, :]
         )
@@ -282,7 +89,7 @@ class ClusterScorer:
 
     @property
     def stage_count(self) -> int:
-        """One gene per device."""
+        """One gene per active device."""
         return self._durations.shape[0]
 
     @property
@@ -294,6 +101,11 @@ class ClusterScorer:
     def freqs_mhz(self) -> tuple[float, ...]:
         """The shared grid, ascending."""
         return self._freqs
+
+    @property
+    def device_ids(self) -> np.ndarray:
+        """The active device each gene belongs to."""
+        return self._device_ids
 
     @property
     def baseline_step_us(self) -> float:
@@ -314,7 +126,7 @@ class ClusterScorer:
         compute = arrivals.max(axis=1)  # (P,)
         step = compute + self._allreduce_us
         active = self._soc_energy[devices[None, :], population]
-        idle_w = self._idle_soc_w[devices[None, :], population]
+        idle_w = self._idle_soc_w[population]
         idle_us = compute[:, None] - arrivals + self._allreduce_us
         energy = (active + idle_w * idle_us / US_PER_S).sum(axis=1)
         return step, energy
@@ -365,41 +177,42 @@ class ClusterScorer:
 
 
 def search_cluster_frequencies(
-    tables: tuple[DeviceFrequencyTable, ...],
-    workload: str,
-    allreduce_us: float,
+    sim: "FleetSimulator",
     step_loss_target: float = 0.005,
     config: GaConfig | None = None,
-) -> tuple[ClusterStrategy, GaResult, ClusterScoreBreakdown]:
+) -> tuple["FleetPlan", GaResult, ClusterScoreBreakdown]:
     """GA search over per-device frequencies with the fleet objective.
 
     Reuses :func:`repro.dvfs.ga.run_search` unchanged — the scorer swaps
     stages for devices.  The all-max individual is always seeded (it is
     the GA's baseline individual) and always feasible, so the result is
-    never worse than uniform maximum frequency.
+    never worse than uniform maximum frequency.  The plan covers the
+    active devices; its barrier target is the slowest predicted arrival.
     """
-    scorer = ClusterScorer(tables, allreduce_us, step_loss_target)
-    stages = scorer.synthetic_stages()
-    result = run_search(scorer, stages, scorer.freqs_mhz, config)
-    breakdown = scorer.breakdown(result.best_genes)
-    frequencies: list[float] = []
-    predicted: list[float] = []
-    strategies: list[DvfsStrategy] = []
-    for table, gene in zip(tables, result.best_genes):
-        freq = table.freqs_mhz[int(gene)]
-        duration = table.duration_us[int(gene)]
-        frequencies.append(freq)
-        predicted.append(duration)
-        strategies.append(constant_strategy(workload, freq, duration))
-    target = max(predicted)
-    straggler_id = predicted.index(target)
-    strategy = ClusterStrategy(
-        workload=workload,
-        target_compute_us=target,
-        allreduce_us=allreduce_us,
-        straggler_id=straggler_id,
-        frequencies_mhz=tuple(frequencies),
-        predicted_compute_us=tuple(predicted),
-        strategies=tuple(strategies),
+    # Imported here: the fleet layer sits above the cluster package in
+    # the import order (its spec embeds a ClusterSpec).
+    from repro.fleet.simulator import FleetPlan
+
+    scorer = ClusterScorer(sim, step_loss_target)
+    result = run_search(
+        scorer, scorer.synthetic_stages(), scorer.freqs_mhz, config
     )
-    return strategy, result, breakdown
+    act = scorer.device_ids
+    capacity = sim.spec.capacity
+    freq_index = np.full(capacity, len(scorer.freqs_mhz) - 1, dtype=np.intp)
+    freq_index[act] = result.best_genes
+    predicted = sim.duration_table()[np.arange(capacity), freq_index]
+    covered = np.zeros(capacity, dtype=bool)
+    covered[act] = True
+    arrivals = predicted[act]
+    plan = FleetPlan(
+        workload=sim.trace.name,
+        target_compute_us=float(arrivals.max()),
+        straggler_id=int(act[int(np.argmax(arrivals))]),
+        freqs_mhz=scorer.freqs_mhz,
+        freq_index=freq_index,
+        freq_mhz=np.asarray(scorer.freqs_mhz)[freq_index],
+        predicted_us=predicted,
+        covered=covered,
+    )
+    return plan, result, scorer.breakdown(result.best_genes)

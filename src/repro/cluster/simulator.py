@@ -1,4 +1,11 @@
-"""Data-parallel step execution over N varied devices.
+"""The looped reference for the fleet's barrier step.
+
+:class:`SimulatedCluster` runs N :class:`~repro.cluster.device.ClusterDevice`
+objects one by one through the single-device engine.  Production steps
+run on :class:`repro.fleet.simulator.FleetSimulator`; this module stays
+only as the ground truth :func:`repro.fleet.reference.compare_with_cluster`
+checks the fleet against (<= 1e-9), so nothing else in the package
+constructs it.
 
 Synchronous data parallelism replays the *same* operator trace on every
 device, then exchanges gradients in a ring all-reduce.  The all-reduce
@@ -9,15 +16,20 @@ is a barrier: the step completes at
 and every faster device spends ``max_d(compute_d) - compute_d`` waiting,
 idling at whatever frequency its DVFS plan parked it at.  That wait is
 not free — idle power at the barrier is integrated with the same RC
-thermal model as everywhere else — and it is exactly the slack the
-cluster DVFS pass reclaims.
+thermal model as everywhere else — and it is exactly the slack
+reclamation takes back.
 
-The simulator also acts as the fleet's watchdog: when a step runs under
-a reclaimed plan (``target_compute_us`` provided), any device arriving
+The reference also keeps the watchdog: when a step runs under a
+reclaimed plan (``target_compute_us`` provided), any device arriving
 measurably after the plan's target is recorded as a ``barrier_overrun``
-in the cluster's :class:`~repro.dvfs.guard.IncidentLog` — the signal
-that the slack plan is stale (e.g. a device degraded into the new
-straggler) and must be regenerated.
+in the cluster's :class:`~repro.dvfs.guard.IncidentLog`.
+
+The table-based reclamation (:class:`DeviceFrequencyTable`,
+:func:`build_frequency_tables`, :func:`reclaim_slack`,
+:class:`ClusterStrategy`) is the reference for
+:func:`repro.fleet.dvfs.reclaim_fleet_slack`: each device is probed at
+every grid frequency through the engine, and the plan is built from
+those per-device Python tables.
 """
 
 from __future__ import annotations
@@ -28,16 +40,14 @@ from typing import Sequence
 from repro.cluster.device import ClusterDevice
 from repro.cluster.spec import ClusterSpec, DeviceProfile
 from repro.core.report import ClusterResult
-from repro.dvfs.guard import GuardConfig, Incident, IncidentLog
-from repro.dvfs.strategy import DvfsStrategy
-from repro.errors import ConfigurationError
+from repro.dvfs.guard import Incident, IncidentLog
+from repro.dvfs.strategy import DvfsStrategy, constant_strategy
+from repro.errors import ConfigurationError, StrategyError
+from repro.fleet.simulator import BARRIER_OVERRUN_TOLERANCE
 from repro.npu.device import ExecutionResult
 from repro.npu.execution import GroundTruthEvaluator
 from repro.units import US_PER_S
 from repro.workloads.trace import Trace
-
-#: Relative lateness at the barrier that counts as an overrun.
-BARRIER_OVERRUN_TOLERANCE = 0.005
 
 
 @dataclass(frozen=True)
@@ -180,20 +190,12 @@ class SimulatedCluster:
     replays.
     """
 
-    def __init__(
-        self, spec: ClusterSpec, guard: GuardConfig | None = None
-    ) -> None:
+    def __init__(self, spec: ClusterSpec) -> None:
         self._spec = spec
         self._evaluator = GroundTruthEvaluator(spec.npu)
         self._profiles = spec.device_profiles()
         self._devices = tuple(
-            ClusterDevice(
-                profile,
-                spec.npu,
-                base_evaluator=self._evaluator,
-                guard=guard,
-                seed=spec.seed,
-            )
+            ClusterDevice(profile, spec.npu, base_evaluator=self._evaluator)
             for profile in self._profiles
         )
         self._log = IncidentLog()
@@ -328,3 +330,155 @@ class SimulatedCluster:
             results.append(result)
             celsius = [d.end_celsius for d in result.devices]
         return results
+
+
+@dataclass(frozen=True)
+class DeviceFrequencyTable:
+    """One device's trace replay measured at every grid frequency.
+
+    All sequences are indexed by ascending grid frequency.  Durations
+    are non-increasing in frequency; ``soc_energy_j`` is the
+    compute-phase energy; the idle power (measured at the device's own
+    ambient) prices the barrier wait.  The last two are the reference
+    for the fleet GA's inputs.
+    """
+
+    device_id: int
+    freqs_mhz: tuple[float, ...]
+    duration_us: tuple[float, ...]
+    soc_energy_j: tuple[float, ...]
+    idle_soc_watts: tuple[float, ...]
+
+    @property
+    def max_freq_duration_us(self) -> float:
+        """Arrival time at the maximum grid frequency."""
+        return self.duration_us[-1]
+
+    def lowest_index_meeting(self, target_us: float) -> int:
+        """Lowest grid index whose arrival is within ``target_us``.
+
+        Raises:
+            StrategyError: when even the maximum frequency misses the
+                target (the caller set an infeasible barrier).
+        """
+        for index, duration in enumerate(self.duration_us):
+            if duration <= target_us:
+                return index
+        raise StrategyError(
+            f"device {self.device_id} cannot reach the barrier at "
+            f"{target_us:.0f} us even at {self.freqs_mhz[-1]:.0f} MHz "
+            f"({self.duration_us[-1]:.0f} us)"
+        )
+
+
+@dataclass(frozen=True)
+class ClusterStrategy:
+    """A per-device frequency plan for one synchronised workload.
+
+    ``strategies`` line up with device ids and are plain single-device
+    :class:`~repro.dvfs.strategy.DvfsStrategy` objects.
+    """
+
+    workload: str
+    target_compute_us: float
+    allreduce_us: float
+    straggler_id: int
+    frequencies_mhz: tuple[float, ...]
+    predicted_compute_us: tuple[float, ...]
+    strategies: tuple[DvfsStrategy, ...]
+
+    @property
+    def n_devices(self) -> int:
+        """Fleet size the plan covers."""
+        return len(self.strategies)
+
+    def strategy_json(self) -> tuple[str, ...]:
+        """Per-device serialized strategies (the byte-identity payload)."""
+        return tuple(strategy.to_json() for strategy in self.strategies)
+
+
+def build_device_table(
+    member: ClusterDevice,
+    trace: Trace,
+    freqs_mhz: tuple[float, ...] | None = None,
+) -> DeviceFrequencyTable:
+    """Measure one device's trace replay at every grid frequency.
+
+    Each grid point runs through the same compile-and-execute path the
+    reclaimed plan will later use (a constant strategy through the
+    executor), so table entries and deployed arrivals agree to the last
+    bit.
+    """
+    freqs = freqs_mhz or member.npu.frequencies.points
+    durations: list[float] = []
+    soc: list[float] = []
+    idle_soc: list[float] = []
+    evaluator = member.device.evaluator
+    for freq in freqs:
+        probe = constant_strategy(trace.name, freq, duration_us=1.0)
+        result, _ = member.run(trace, probe)
+        durations.append(result.duration_us)
+        soc.append(result.soc_energy_j)
+        idle_soc.append(evaluator.idle_soc_power(freq, 0.0))
+    return DeviceFrequencyTable(
+        device_id=member.device_id,
+        freqs_mhz=tuple(freqs),
+        duration_us=tuple(durations),
+        soc_energy_j=tuple(soc),
+        idle_soc_watts=tuple(idle_soc),
+    )
+
+
+def build_frequency_tables(
+    cluster: SimulatedCluster, trace: Trace
+) -> tuple[DeviceFrequencyTable, ...]:
+    """Every device's table, in device order."""
+    freqs = cluster.spec.npu.frequencies.points
+    return tuple(
+        build_device_table(member, trace, freqs) for member in cluster.devices
+    )
+
+
+def reclaim_slack(
+    tables: tuple[DeviceFrequencyTable, ...],
+    workload: str,
+    allreduce_us: float = 0.0,
+    slack_margin: float = 0.0,
+) -> ClusterStrategy:
+    """Downclock non-critical devices to arrive just-in-time.
+
+    The barrier target is the slowest device's maximum-frequency
+    arrival, optionally stretched by ``slack_margin`` (a fraction; 0
+    keeps the step time untouched, small positive values trade bounded
+    step-time loss for deeper downclocking).  Each device gets the
+    lowest grid frequency that still meets the target, as a constant
+    single-stage strategy — zero SetFreq operations at run time.
+    """
+    if not tables:
+        raise ConfigurationError("reclaim_slack needs at least one table")
+    if slack_margin < 0:
+        raise ConfigurationError(
+            f"slack_margin must be non-negative: {slack_margin}"
+        )
+    arrivals = [table.max_freq_duration_us for table in tables]
+    straggler_id = arrivals.index(max(arrivals))
+    target = max(arrivals) * (1.0 + slack_margin)
+    frequencies: list[float] = []
+    predicted: list[float] = []
+    strategies: list[DvfsStrategy] = []
+    for table in tables:
+        index = table.lowest_index_meeting(target)
+        freq = table.freqs_mhz[index]
+        duration = table.duration_us[index]
+        frequencies.append(freq)
+        predicted.append(duration)
+        strategies.append(constant_strategy(workload, freq, duration))
+    return ClusterStrategy(
+        workload=workload,
+        target_compute_us=target,
+        allreduce_us=allreduce_us,
+        straggler_id=straggler_id,
+        frequencies_mhz=tuple(frequencies),
+        predicted_compute_us=tuple(predicted),
+        strategies=tuple(strategies),
+    )

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field, replace
 from repro.analysis.rng import RngFactory
 from repro.cluster.collective import InterconnectSpec
 from repro.errors import ConfigurationError
-from repro.npu.faults import FaultConfig
 from repro.npu.spec import NpuSpec, default_npu_spec
 
 #: Stream name the per-device variation draws come from.
@@ -81,14 +80,11 @@ class DeviceOverride:
         extra_duration_scale: additional operator-duration multiplier
             (> 1 models in-field degradation: aging, derating, a stuck
             fan forcing a thermal offset into timing margins).
-        fault: control-plane fault rates for this device's injector
-            (``None`` keeps the cluster-wide healthy default).
-        reason: free-form tag recorded in the device's fault-event log.
+        reason: free-form tag describing the condition.
     """
 
     device_id: int
     extra_duration_scale: float = 1.0
-    fault: FaultConfig | None = None
     reason: str = ""
 
     def __post_init__(self) -> None:
@@ -115,7 +111,6 @@ class DeviceProfile:
             nominal ambient.
         extra_duration_scale: explicit degradation multiplier from a
             :class:`DeviceOverride` (1.0 when healthy).
-        fault: control-plane fault rates for this device.
         override_reason: the override's tag (empty when healthy).
     """
 
@@ -123,7 +118,6 @@ class DeviceProfile:
     duration_scale: float
     ambient_offset_celsius: float
     extra_duration_scale: float = 1.0
-    fault: FaultConfig = field(default_factory=FaultConfig.none)
     override_reason: str = ""
 
     @property
@@ -163,7 +157,7 @@ class ClusterSpec:
         gradient_bytes: all-reduce payload per training step (the
             gradient size of the replicated model).
         seed: root seed of the per-device variation draws.
-        overrides: explicit per-device conditions (degradation, faults).
+        overrides: explicit per-device conditions (degradation).
     """
 
     name: str = "ring-cluster"
@@ -233,11 +227,6 @@ class ClusterSpec:
                     extra_duration_scale=(
                         override.extra_duration_scale if override else 1.0
                     ),
-                    fault=(
-                        override.fault
-                        if override is not None and override.fault is not None
-                        else FaultConfig.none()
-                    ),
                     override_reason=override.reason if override else "",
                 )
             )
@@ -252,30 +241,7 @@ class ClusterSpec:
             extra_duration_scale=slowdown,
             reason=reason,
         )
-        return replace(
-            self,
-            overrides=self._without(device_id) + (override,),
-        )
-
-    def with_device_fault(
-        self, device_id: int, fault: FaultConfig, reason: str = "faulted"
-    ) -> "ClusterSpec":
-        """A copy with one device's control plane running under faults."""
-        existing = {o.device_id: o for o in self.overrides}.get(device_id)
-        override = DeviceOverride(
-            device_id=device_id,
-            extra_duration_scale=(
-                existing.extra_duration_scale if existing else 1.0
-            ),
-            fault=fault,
-            reason=reason,
-        )
-        return replace(
-            self,
-            overrides=self._without(device_id) + (override,),
-        )
-
-    def _without(self, device_id: int) -> tuple[DeviceOverride, ...]:
-        return tuple(
+        kept = tuple(
             o for o in self.overrides if o.device_id != device_id
         )
+        return replace(self, overrides=kept + (override,))

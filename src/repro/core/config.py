@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
 
 from repro.dvfs.ga import GaConfig
 from repro.dvfs.guard import GuardConfig
@@ -12,9 +11,6 @@ from repro.errors import ConfigurationError
 from repro.npu.faults import FaultConfig
 from repro.npu.spec import NpuSpec, default_npu_spec
 from repro.perf.fitting import FitFunction
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cluster.spec import ClusterSpec
 
 
 @dataclass(frozen=True)
@@ -42,11 +38,6 @@ class OptimizerConfig:
             :class:`repro.dvfs.guard.GuardConfig`).
         seed: root seed for every stochastic component (fault injection
             included, on its own named stream).
-        cluster: optional fleet description for multi-device runs (see
-            :class:`repro.cluster.spec.ClusterSpec`); ``None`` keeps the
-            paper's single-device pipeline.  Deliberately excluded from
-            :func:`repro.serve.fingerprint.config_fingerprint` — the
-            cluster layer hashes it separately, per device.
     """
 
     npu: NpuSpec = field(default_factory=default_npu_spec)
@@ -59,7 +50,6 @@ class OptimizerConfig:
     fault: FaultConfig = field(default_factory=FaultConfig)
     guard: GuardConfig = field(default_factory=GuardConfig)
     seed: int = 0
-    cluster: "ClusterSpec | None" = None
 
     def __post_init__(self) -> None:
         if not 0 < self.performance_loss_target < 1:
@@ -81,15 +71,6 @@ class OptimizerConfig:
             raise ConfigurationError(
                 f"adjustment_interval_us must be positive: "
                 f"{self.adjustment_interval_us}"
-            )
-        # Duck-typed so the core stays import-independent of the
-        # cluster package (which sits above it in the layering).
-        if self.cluster is not None and not hasattr(
-            self.cluster, "device_profiles"
-        ):
-            raise ConfigurationError(
-                f"cluster must be a ClusterSpec, got "
-                f"{type(self.cluster).__name__}"
             )
 
     def with_loss_target(self, target: float) -> "OptimizerConfig":
@@ -115,7 +96,3 @@ class OptimizerConfig:
         full iteration budget.
         """
         return replace(self, ga=replace(self.ga, patience=patience))
-
-    def with_cluster(self, cluster: "ClusterSpec | None") -> "OptimizerConfig":
-        """A copy targeting a multi-device fleet (or back to one device)."""
-        return replace(self, cluster=cluster)

@@ -117,9 +117,11 @@ class OptimizationReport:
 class ClusterResult:
     """Fleet-level outcome of a cluster DVFS policy versus its baseline.
 
-    Produced by :meth:`repro.cluster.simulator.ClusterStepResult.report`;
-    kept here (plain data, no cluster imports) so every layer that
-    renders reports can do so without pulling the cluster package in.
+    Produced by :meth:`repro.fleet.simulator.FleetStepResult.report` (and
+    by the looped reference's ``ClusterStepResult.report``, which also
+    carries its barrier incidents); kept here (plain data, no cluster
+    imports) so every layer that renders reports can do so without
+    pulling the cluster package in.
     """
 
     cluster_name: str

@@ -23,7 +23,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.batching import batched_cold_path_enabled
 from repro.dvfs.preprocessing import Stage
 from repro.errors import StrategyError
 from repro.perf.model import WorkloadPerformanceModel
@@ -127,14 +126,9 @@ class StrategyScorer:
                 for f, v in zip(self._freqs, self._volts)
             ]
         )
-        if batched_cold_path_enabled():
-            self._build_tables_grouped(
-                all_names, perf_model, power_table, idle_ai, idle_soc
-            )
-        else:
-            self._build_tables_reference(
-                all_names, perf_model, power_table, idle_ai, idle_soc
-            )
+        self._build_tables(
+            all_names, perf_model, power_table, idle_ai, idle_soc
+        )
 
         # One (4, S*F) table for the per-generation gather: stage time,
         # AICore energy, SoC energy and the volts-weighted time of each
@@ -161,7 +155,7 @@ class StrategyScorer:
             else baseline.soc_watts[0]
         )
 
-    def _build_tables_reference(
+    def _build_tables(
         self,
         all_names: list[str],
         perf_model: WorkloadPerformanceModel,
@@ -169,37 +163,17 @@ class StrategyScorer:
         idle_ai: np.ndarray,
         idle_soc: np.ndarray,
     ) -> None:
-        """Per-stage table construction (the scalar reference path)."""
-        for j, stage in enumerate(self._stages):
-            names = [all_names[i] for i in stage.op_indices]
-            if names:
-                times = perf_model.duration_matrix(names, self._freqs)
-                p_ai = power_table.aicore_power_matrix(names, self._freqs)
-                p_soc = power_table.soc_power_matrix(names, self._freqs)
-                self._stage_time[j] = times.sum(axis=0)
-                self._stage_aicore_energy[j] = (times * p_ai).sum(axis=0)
-                self._stage_soc_energy[j] = (times * p_soc).sum(axis=0)
-            self._add_stage_idle(j, stage, idle_ai, idle_soc)
+        """Per-stage tables, grouped by distinct operator name.
 
-    def _build_tables_grouped(
-        self,
-        all_names: list[str],
-        perf_model: WorkloadPerformanceModel,
-        power_table: OperatorPowerTable,
-        idle_ai: np.ndarray,
-        idle_soc: np.ndarray,
-    ) -> None:
-        """Grouped table construction (the batched cold path).
-
-        The per-stage loop evaluates the duration/power matrices once per
-        stage *occurrence* of a name; here each distinct name gets one
+        A per-stage loop would evaluate the duration/power matrices once
+        per stage *occurrence* of a name; here each distinct name gets one
         row — duration, power, and their products — and stages gather
         their rows and reduce.  The gathered rows carry the exact same
         values the per-stage matrices would, and the reduction is the
         same ``sum(axis=0)`` over the same row order, so the tables are
-        bit-identical (deliberately NOT ``np.add.reduceat``, whose
-        pairwise summation splits differ from ``sum`` on a gathered
-        block).
+        bit-identical to that loop (``tests/oracles.py::PerStageScorer``;
+        deliberately NOT ``np.add.reduceat``, whose pairwise summation
+        splits differ from ``sum`` on a gathered block).
         """
         uniq: dict[str, int] = {}
         stage_rows: list[np.ndarray] = []

@@ -4,30 +4,30 @@ The paper's pipeline optimises one NPU; its deployment story
 (Sect. 8.1) is synchronous data-parallel fleets, where the all-reduce
 barrier makes per-device DVFS asymmetric: slowing the critical device
 stalls every peer, slowing a non-critical device is free.  This study
-quantifies that asymmetry on a simulated fleet of ``devices`` NPUs with
-seeded silicon/thermal variation:
+quantifies that asymmetry on a simulated cluster of ``devices`` NPUs
+with seeded silicon/thermal variation, stepped as a one-rack
+:class:`~repro.fleet.simulator.FleetSimulator` (every phase starts from
+the boards' ambient temperatures):
 
 * **baseline** — every device at uniform maximum frequency; the step
   completes at the straggler's arrival plus the ring all-reduce, and
   faster devices burn idle power waiting at the barrier;
-* **reclaimed** — per-device frequency tables are built (fanned out
-  over ``workers`` processes through :mod:`repro.serve.pool`, with the
-  serial path asserted byte-identical), non-critical devices are
-  downclocked to arrive just-in-time, and the per-device strategies
-  round-trip through the persistent strategy store;
+* **reclaimed** — non-critical devices are downclocked to arrive
+  just-in-time, the plan is asserted byte-identical on a fresh
+  simulator, and the per-device strategies round-trip through the
+  persistent strategy store;
 * **fleet GA** — the existing genetic algorithm re-targeted at the
   fleet ``energy x step-time`` objective, as a search-based cross-check
   of the deterministic reclamation;
-* **degraded** — one device is fault-injected slow (silicon
-  degradation via its :mod:`repro.npu.faults` injector log).  The stale
-  reclaimed plan now overruns the planned barrier — recorded in the
-  cluster's :class:`~repro.dvfs.guard.IncidentLog` — and re-running
-  reclamation re-targets the new straggler, reclaiming the (larger)
-  slack the degradation created on every healthy device.
+* **degraded** — one device is slowed (silicon degradation).  The stale
+  reclaimed plan now overruns the planned barrier — the step's overrun
+  watchdog names the device — and re-running reclamation re-targets
+  the new straggler, reclaiming the (larger) slack the degradation
+  created on every healthy device.
 
 Headline metrics: fleet SoC-energy savings at the step-time regression
-(must be ~zero), byte-identity across worker counts and repeated runs,
-and the degraded phase's incident count and re-targeted straggler.
+(must be ~zero), byte-identity across repeated runs and the store, and
+the degraded phase's overrun count and re-targeted straggler.
 """
 
 from __future__ import annotations
@@ -36,16 +36,14 @@ import shutil
 import tempfile
 from pathlib import Path
 
-from repro.cluster.dvfs import (
-    build_frequency_tables,
-    reclaim_slack,
-    search_cluster_frequencies,
-)
-from repro.cluster.serve import cached_reclaim
-from repro.cluster.simulator import SimulatedCluster
+from repro.cluster.dvfs import search_cluster_frequencies
+from repro.cluster.serve import fleet_cached_reclaim
 from repro.cluster.spec import ClusterSpec
 from repro.dvfs.ga import GaConfig
 from repro.experiments.base import ExperimentResult, percent
+from repro.fleet.dvfs import plan_strategy_json, reclaim_fleet_slack
+from repro.fleet.simulator import FleetSimulator
+from repro.fleet.spec import FleetSpec
 from repro.serve.store import StrategyStore
 from repro.workloads import generate
 
@@ -56,7 +54,6 @@ def run(
     iterations: int = 60,
     population: int = 40,
     devices: int = 8,
-    workers: int = 2,
     gradient_mb: float = 64.0,
     slowdown: float = 1.3,
     workload: str = "gpt3",
@@ -64,71 +61,44 @@ def run(
 ) -> ExperimentResult:
     """Measure slack reclamation on a varied data-parallel fleet."""
     trace = generate(workload, scale=scale, seed=seed)
-    spec = ClusterSpec(
-        n_devices=devices,
-        gradient_bytes=gradient_mb * 2**20,
-        seed=seed,
+    spec = FleetSpec.from_cluster(
+        ClusterSpec(
+            n_devices=devices,
+            gradient_bytes=gradient_mb * 2**20,
+            seed=seed,
+        )
     )
-    cluster = SimulatedCluster(spec)
+    sim = FleetSimulator(spec, trace)
+    allreduce_us = sim.collective_cost().chosen_us
     root = Path(store_dir) if store_dir else Path(tempfile.mkdtemp())
     cleanup = store_dir is None
     try:
-        baseline = cluster.run_step(trace)
+        baseline = sim.step()
+        plan = reclaim_fleet_slack(sim)
 
-        # Reclamation, serial vs pooled: the tables are pure functions
-        # of (profile, trace), so worker count must not change a byte.
-        serial_tables = build_frequency_tables(cluster, trace, workers=0)
-        pooled_tables = build_frequency_tables(
-            cluster, trace, workers=workers
-        )
-        plan = reclaim_slack(
-            serial_tables, trace.name, allreduce_us=spec.allreduce_us
-        )
-        pooled_plan = reclaim_slack(
-            pooled_tables, trace.name, allreduce_us=spec.allreduce_us
-        )
-        identical_workers = (
-            plan.strategy_json() == pooled_plan.strategy_json()
+        # Repeated-run identity on a fresh simulator.
+        repeat_plan = reclaim_fleet_slack(FleetSimulator(spec, trace))
+        identical_repeat = plan_strategy_json(plan) == plan_strategy_json(
+            repeat_plan
         )
 
-        # Repeated-run identity on a fresh cluster instance.
-        repeat_plan = reclaim_slack(
-            build_frequency_tables(
-                SimulatedCluster(
-                    ClusterSpec(
-                        n_devices=devices,
-                        gradient_bytes=gradient_mb * 2**20,
-                        seed=seed,
-                    )
-                ),
-                trace,
-                workers=0,
-            ),
-            trace.name,
-            allreduce_us=spec.allreduce_us,
-        )
-        identical_repeat = plan.strategy_json() == repeat_plan.strategy_json()
-
-        # Store round-trip: a cold cached_reclaim computes and persists;
-        # a warm one reassembles the identical plan from disk alone.
+        # Store round-trip: a cold call computes and persists; a warm
+        # one reassembles the identical plan from disk alone.
         store = StrategyStore(root)
-        cold = cached_reclaim(cluster, trace, store, workers=0)
-        warm = cached_reclaim(cluster, trace, store, workers=0)
+        cold = fleet_cached_reclaim(sim, store)
+        warm = fleet_cached_reclaim(sim, store)
         identical_store = (
-            cold.strategy.strategy_json() == plan.strategy_json()
-            and warm.strategy.strategy_json() == plan.strategy_json()
+            plan_strategy_json(cold.plan) == plan_strategy_json(plan)
+            and plan_strategy_json(warm.plan) == plan_strategy_json(plan)
         )
 
-        reclaimed = cluster.run_step(
-            trace, plan.strategies, target_compute_us=plan.target_compute_us
-        )
+        sim.reset()
+        reclaimed = sim.step(plan, target_compute_us=plan.target_compute_us)
         reclaim_report = reclaimed.report(baseline)
 
         # Search-based cross-check: the fleet GA objective.
         ga_plan, ga_search, ga_predicted = search_cluster_frequencies(
-            serial_tables,
-            trace.name,
-            allreduce_us=spec.allreduce_us,
+            sim,
             config=GaConfig(
                 population_size=population,
                 iterations=iterations,
@@ -136,41 +106,29 @@ def run(
                 patience=30,
             ),
         )
-        ga_step = cluster.run_step(
-            trace,
-            ga_plan.strategies,
-            target_compute_us=ga_plan.target_compute_us,
+        sim.reset()
+        ga_step = sim.step(
+            ga_plan, target_compute_us=ga_plan.target_compute_us
         )
         ga_report = ga_step.report(baseline)
 
-        # Degraded phase: one non-straggler device fault-injected slow.
+        # Degraded phase: one non-straggler device slowed.
         victim = (baseline.straggler_id + 1) % devices
-        degraded_cluster = SimulatedCluster(
+        degraded = FleetSimulator(
             spec.with_degraded_device(
                 victim, slowdown, reason="injected silicon degradation"
-            )
-        )
-        stale = degraded_cluster.run_step(
-            trace, plan.strategies, target_compute_us=plan.target_compute_us
-        )
-        overruns = [
-            incident
-            for incident in stale.incidents
-            if incident.kind == "barrier_overrun"
-        ]
-        degraded_baseline = degraded_cluster.run_step(trace)
-        new_plan = reclaim_slack(
-            build_frequency_tables(degraded_cluster, trace, workers=0),
-            trace.name,
-            allreduce_us=spec.allreduce_us,
-        )
-        retargeted = degraded_cluster.run_step(
+            ),
             trace,
-            new_plan.strategies,
-            target_compute_us=new_plan.target_compute_us,
+        )
+        stale = degraded.step(plan, target_compute_us=plan.target_compute_us)
+        new_plan = reclaim_fleet_slack(degraded)
+        degraded.reset()
+        degraded_baseline = degraded.step()
+        degraded.reset()
+        retargeted = degraded.step(
+            new_plan, target_compute_us=new_plan.target_compute_us
         )
         retarget_report = retargeted.report(degraded_baseline)
-        victim_events = degraded_cluster.devices[victim].injector.events
 
         def phase_row(phase: str, report) -> dict:
             return {
@@ -203,7 +161,7 @@ def run(
             measured={
                 "devices": devices,
                 "workload": trace.name,
-                "allreduce_ms": spec.allreduce_us / 1000.0,
+                "allreduce_ms": allreduce_us / 1000.0,
                 "baseline_step_ms": baseline.step_us / 1000.0,
                 "soc_energy_savings": reclaim_report.soc_energy_savings,
                 "aicore_energy_savings": (
@@ -214,20 +172,13 @@ def run(
                 "ga_step_time_regression": ga_report.step_time_regression,
                 "ga_feasible": ga_predicted.feasible,
                 "ga_generations": ga_search.generations,
-                "identical_across_workers": identical_workers,
                 "identical_across_runs": identical_repeat,
                 "identical_through_store": identical_store,
                 "store_cold_hits": cold.hit_count,
                 "store_warm_hits": warm.hit_count,
                 "degraded_device": victim,
-                "barrier_overruns": len(overruns),
-                "overrun_names_victim": any(
-                    f"device {victim} " in incident.detail
-                    for incident in overruns
-                ),
-                "victim_degradation_logged": any(
-                    event.kind == "degraded" for event in victim_events
-                ),
+                "barrier_overruns": stale.overrun_count,
+                "overrun_names_victim": victim in stale.overrun_device_ids,
                 "retargeted_straggler": new_plan.straggler_id,
                 "retargeted_soc_energy_savings": (
                     retarget_report.soc_energy_savings
@@ -243,8 +194,9 @@ def run(
                 f"-{reclaim_report.soc_energy_savings:.2%} at "
                 f"{reclaim_report.step_time_regression:+.3%} step time. "
                 f"After device {victim} degrades {slowdown:.1f}x, the "
-                f"stale plan logs {len(overruns)} barrier overrun(s) and "
-                f"re-reclamation targets the new straggler, saving "
+                f"stale plan logs {stale.overrun_count} barrier "
+                f"overrun(s) and re-reclamation targets the new "
+                f"straggler, saving "
                 f"{retarget_report.soc_energy_savings:.2%} of the "
                 f"degraded fleet's energy."
             ),

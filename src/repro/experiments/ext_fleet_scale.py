@@ -1,7 +1,7 @@
 """Extension — vectorized fleet scaling with hierarchical collectives.
 
-The ``ext_cluster`` study works the barrier-slack asymmetry on a looped
-N<=16 cluster; the paper's deployment story (Sect. 8.1) is fleets of
+The ``ext_cluster`` study works the barrier-slack asymmetry on one
+small ring; the paper's deployment story (Sect. 8.1) is fleets of
 thousands of accelerators, where a Python loop per device per step is
 the bottleneck, not the model.  This study exercises :mod:`repro.fleet`
 — the same physics with every device's compiled affine solution stacked

@@ -1,8 +1,10 @@
 """Vectorized 10k-device fleet simulation with elastic membership.
 
-The cluster package (:mod:`repro.cluster`) loops Python device objects
-around the engine — exact, but O(N) interpreter work per step.  This
-package is the same physics at fleet scale: every device's compiled
+This package holds the repository's one production barrier-step
+engine; a :mod:`repro.cluster` ring runs on it as a one-rack fleet.
+Its reference, :mod:`repro.cluster.simulator`, loops Python device
+objects around the engine — exact, but O(N) interpreter work per step.
+Here the same physics runs at fleet scale: every device's compiled
 constant-frequency affine solution (``E = E0 + E1 * delta0``) is
 stacked into ``(devices,)`` NumPy arrays, so the barrier step, the
 idle-priced waits, slack reclamation and delta0 re-targeting are single
@@ -20,7 +22,7 @@ vectorized passes.
 * :mod:`repro.fleet.dvfs` — array-pass slack reclamation producing
   byte-identical per-device constant strategies;
 * :mod:`repro.fleet.reference` — the equivalence harness against the
-  looped cluster.
+  looped reference, and the only module that constructs it.
 
 One process steps 100k devices: the simulator caches everything a step
 needs per membership/plan/target epoch, so a warm step is a few affine

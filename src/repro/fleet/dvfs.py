@@ -1,7 +1,7 @@
 """Vectorized slack reclamation and delta0 re-targeting for the fleet.
 
-The cluster layer's :func:`repro.cluster.dvfs.reclaim_slack` walks
-per-device Python tables; at fleet scale the same policy is three array
+The looped reference's :func:`repro.cluster.simulator.reclaim_slack`
+walks per-device Python tables; here the same policy is three array
 passes over the ``(capacity, F)`` duration table of
 :meth:`repro.fleet.simulator.FleetSimulator.duration_table`.  The
 simulator builds that table once and keeps it (it depends only on the
@@ -17,7 +17,7 @@ recomputes nothing:
 
 Because the duration table is bitwise identical to probing each device
 through the engine, the chosen frequencies, predicted arrivals and the
-barrier target all match the looped cluster reference exactly — and
+barrier target all match the looped reference exactly — and
 :func:`plan_strategies` materialises the same byte-identical per-device
 :func:`~repro.dvfs.strategy.constant_strategy` objects the cluster
 plan carries, which is what the store-backed serve path persists.
@@ -39,13 +39,33 @@ from repro.errors import ConfigurationError, StrategyError
 from repro.fleet.simulator import FleetPlan, FleetSimulator
 
 
+def barrier_target(
+    sim: FleetSimulator, slack_margin: float = 0.0
+) -> tuple[float, int]:
+    """The reclaim barrier over the active devices: ``(target, straggler)``.
+
+    The target is the straggler's maximum-frequency arrival stretched by
+    ``slack_margin``; the straggler is the first active device with the
+    latest such arrival.
+
+    Raises:
+        ConfigurationError: when no device is active.
+    """
+    act = sim.active_ids
+    if act.size == 0:
+        raise ConfigurationError("reclaim needs at least one active device")
+    arrivals = sim.duration_table()[act, -1]
+    straggler_id = int(act[int(np.argmax(arrivals))])
+    return float(arrivals.max()) * (1.0 + slack_margin), straggler_id
+
+
 def reclaim_fleet_slack(
     sim: FleetSimulator, slack_margin: float = 0.0
 ) -> FleetPlan:
     """Downclock every non-critical active device to just-in-time arrival.
 
     One vectorized pass over the simulator's cached duration table;
-    semantics (and bytes) of :func:`repro.cluster.dvfs.reclaim_slack` at
+    semantics (and bytes) of :func:`repro.cluster.simulator.reclaim_slack` at
     any fleet size.  The returned plan's arrays are read-only.
 
     Raises:
@@ -59,14 +79,10 @@ def reclaim_fleet_slack(
         raise ConfigurationError(
             f"slack_margin must be non-negative: {slack_margin}"
         )
+    target, straggler_id = barrier_target(sim, slack_margin)
     freqs = sim.spec.npu.frequencies.points
     table = sim.duration_table()
     act = sim.active_ids
-    if act.size == 0:
-        raise ConfigurationError("reclaim needs at least one active device")
-    arrivals = table[act, -1]
-    straggler_id = int(act[int(np.argmax(arrivals))])
-    target = float(arrivals.max()) * (1.0 + slack_margin)
 
     meets = table[act] <= target
     feasible = meets.any(axis=1)

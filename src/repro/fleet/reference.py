@@ -2,7 +2,8 @@
 
 :func:`compare_with_cluster` runs the fleet against the looped
 :class:`~repro.cluster.simulator.SimulatedCluster` at N <= 16 — the
-ground-truth semantics check: same seeded profiles, same engine
+ground-truth semantics check, and the only module of the package that
+constructs the looped reference: same seeded profiles, same engine
 physics, same barrier.  Durations and reclaimed strategies must be
 bitwise/byte identical; energies and temperatures, whose barrier idle
 integration the fleet collapses to its per-epoch affine form, must
@@ -19,8 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cluster.dvfs import build_frequency_tables, reclaim_slack
-from repro.cluster.simulator import ClusterStepResult, SimulatedCluster
+from repro.cluster.simulator import (
+    ClusterStepResult,
+    SimulatedCluster,
+    build_frequency_tables,
+    reclaim_slack,
+)
 from repro.errors import ConfigurationError
 from repro.fleet.dvfs import plan_strategy_json, reclaim_fleet_slack
 from repro.fleet.simulator import FleetSimulator, FleetStepResult

@@ -1,6 +1,8 @@
 """Vectorized barrier-step execution over an elastic device fleet.
 
-The cluster layer simulates a step by looping Python
+This is the one production barrier-step engine: the cluster and fleet
+CLIs and experiments all step through it.  Its reference,
+:mod:`repro.cluster.simulator`, loops Python
 :class:`~repro.cluster.device.ClusterDevice` objects around the engine —
 exact, but O(N) Python work per step.  The paper's constant-frequency
 solution is an affine scalar pair per device (``E = E0 + E1 * delta0``),
@@ -24,7 +26,7 @@ recomputes anything priced per frequency: the duration table and the
 per-frequency coefficients are built once per simulator, and both are
 index gathers from there.
 
-Semantics are the cluster simulator's, element for element: durations
+Semantics are the looped reference's, element for element: durations
 are bitwise identical to the looped reference (same scale multiply,
 same ``cumsum`` geometry) and energies/temperatures agree to rounding
 (~1e-15; ``tests/test_fleet_equivalence.py`` pins <= 1e-9 at
@@ -42,7 +44,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.cluster.simulator import BARRIER_OVERRUN_TOLERANCE
 from repro.core.report import ClusterResult
 from repro.errors import ConfigurationError
 from repro.fleet.churn import ChurnDraw, FleetEvent, draw_churn
@@ -57,6 +58,9 @@ from repro.npu.engine import (
 from repro.npu.execution import GroundTruthEvaluator
 from repro.units import US_PER_S
 from repro.workloads.trace import Trace
+
+#: Relative lateness at the barrier that counts as an overrun.
+BARRIER_OVERRUN_TOLERANCE = 0.005
 
 #: Sub-intervals the barrier-wait idle integration is split into — the
 #: same discretisation :meth:`repro.cluster.device.ClusterDevice.idle`

@@ -126,14 +126,21 @@ class FleetSpec:
         topology: FleetTopology | None = None,
         churn: ChurnConfig | None = None,
     ) -> "FleetSpec":
-        """Lift a cluster spec into a fleet (intra links preserved)."""
+        """Lift a cluster spec into a fleet (intra links preserved).
+
+        A cluster is one ring, so the default topology is a single rack
+        of ``spec.n_devices``: its collective is the cluster's ring
+        all-reduce at any size.
+        """
         return cls(
             name=spec.name,
             n_devices=spec.n_devices,
             npu=spec.npu,
             variation=spec.variation,
             topology=topology
-            or FleetTopology(intra=spec.interconnect),
+            or FleetTopology(
+                devices_per_rack=spec.n_devices, intra=spec.interconnect
+            ),
             gradient_bytes=spec.gradient_bytes,
             seed=spec.seed,
             overrides=spec.overrides,

@@ -6,6 +6,9 @@ so the equivalence tests can compare the array form bit for bit:
 * :func:`scalar_column` — one ``GroundTruthEvaluator.evaluate`` call per
   distinct operator character at one frequency (the engine's columns now
   come from the vectorised ``CompiledTrace.unique_grid``);
+* :class:`PerStageScorer` — ``StrategyScorer`` with its tables built by
+  a per-stage loop over the duration/power matrices (the scorer now
+  evaluates each distinct operator name once and gathers);
 * :func:`four_gather_evaluate` — ``StrategyScorer.evaluate`` as four 2-D
   fancy gathers plus the ``volts[genes] * time`` product (the scorer now
   does one stacked ``np.take``);
@@ -72,6 +75,24 @@ def scalar_column(compiled, evaluator, freq_mhz: float) -> ScalarColumn:
         idle_s0=idle_s_cold,
         idle_gs=evaluator.idle_soc_power(freq_mhz, 1.0) - idle_s_cold,
     )
+
+
+class PerStageScorer(StrategyScorer):
+    """``StrategyScorer`` whose tables come from the per-stage loop."""
+
+    def _build_tables(
+        self, all_names, perf_model, power_table, idle_ai, idle_soc
+    ) -> None:
+        for j, stage in enumerate(self._stages):
+            names = [all_names[i] for i in stage.op_indices]
+            if names:
+                times = perf_model.duration_matrix(names, self._freqs)
+                p_ai = power_table.aicore_power_matrix(names, self._freqs)
+                p_soc = power_table.soc_power_matrix(names, self._freqs)
+                self._stage_time[j] = times.sum(axis=0)
+                self._stage_aicore_energy[j] = (times * p_ai).sum(axis=0)
+                self._stage_soc_energy[j] = (times * p_soc).sum(axis=0)
+            self._add_stage_idle(j, stage, idle_ai, idle_soc)
 
 
 def four_gather_evaluate(

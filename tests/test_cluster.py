@@ -1,27 +1,47 @@
-"""Tests for the multi-device cluster layer (repro.cluster)."""
+"""Tests for the multi-device cluster layer (repro.cluster).
 
+Production cluster steps run on a one-rack
+:class:`~repro.fleet.simulator.FleetSimulator`; the looped
+:class:`~repro.cluster.simulator.SimulatedCluster` is only its
+reference, so the tests that pin reference behaviour construct it
+directly.
+"""
+
+import ast
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.cluster import (
     ClusterScorer,
     ClusterSpec,
     InterconnectSpec,
-    SimulatedCluster,
-    VariedEvaluator,
-    build_frequency_tables,
-    cached_reclaim,
-    device_request_fingerprint,
-    reclaim_slack,
+    fleet_cached_reclaim,
+    fleet_device_fingerprint,
     search_cluster_frequencies,
 )
 from repro.cluster.cli import main as cluster_main
+from repro.cluster.device import VariedEvaluator
+from repro.cluster.simulator import (
+    SimulatedCluster,
+    build_frequency_tables,
+    reclaim_slack,
+)
 from repro.cluster.spec import DeviceOverride, DeviceVariation
-from repro.core.config import OptimizerConfig
 from repro.dvfs.ga import GaConfig
 from repro.errors import ConfigurationError, StrategyError
+from repro.fleet.dvfs import (
+    plan_strategies,
+    plan_strategy_json,
+    reclaim_fleet_slack,
+)
+from repro.fleet.reference import compare_with_cluster
+from repro.fleet.simulator import FleetSimulator
+from repro.fleet.spec import FleetSpec
 from repro.npu.execution import GroundTruthEvaluator
 from repro.serve.store import StrategyStore
 from repro.units import gbps_to_bytes_per_us
@@ -35,13 +55,31 @@ def tiny_trace():
 
 
 @pytest.fixture(scope="module")
-def small_cluster():
-    return SimulatedCluster(ClusterSpec(n_devices=4, seed=0))
+def small_spec():
+    return ClusterSpec(n_devices=4, seed=0)
+
+
+@pytest.fixture(scope="module")
+def small_fleet(small_spec, tiny_trace):
+    return FleetSimulator(FleetSpec.from_cluster(small_spec), tiny_trace)
+
+
+@pytest.fixture(scope="module")
+def small_cluster(small_spec):
+    """The looped reference of ``small_fleet``."""
+    return SimulatedCluster(small_spec)
 
 
 @pytest.fixture(scope="module")
 def small_tables(small_cluster, tiny_trace):
     return build_frequency_tables(small_cluster, tiny_trace)
+
+
+def fresh_step(sim, plan=None):
+    """One step from the boards' ambient temperatures."""
+    sim.reset()
+    target = None if plan is None else plan.target_compute_us
+    return sim.step(plan, target_compute_us=target)
 
 
 class TestClusterSpec:
@@ -111,6 +149,16 @@ class TestClusterSpec:
             profile.duration_scale * 1.5
         )
 
+    def test_lifted_cluster_is_one_rack(self):
+        """A cluster is one ring at any size, never the hierarchical tree."""
+        spec = ClusterSpec(n_devices=24, seed=0)
+        fleet = FleetSpec.from_cluster(spec)
+        assert fleet.topology.rack_sizes(24) == (24,)
+        cost = fleet.topology.breakdown(
+            spec.gradient_bytes, fleet.topology.rack_sizes(24)
+        )
+        assert cost.chosen_us == spec.allreduce_us
+
 
 class TestCollective:
     def test_ring_allreduce_law(self):
@@ -145,34 +193,27 @@ class TestVariedEvaluator:
 
 
 class TestBarrierSemantics:
-    def test_step_is_straggler_plus_allreduce(
-        self, small_cluster, tiny_trace
-    ):
-        result = small_cluster.run_step(tiny_trace)
-        arrivals = [d.compute_us for d in result.devices]
-        assert result.compute_us == max(arrivals)
-        assert result.straggler_id == arrivals.index(max(arrivals))
-        assert result.step_us == pytest.approx(
-            max(arrivals) + small_cluster.spec.allreduce_us
+    def test_step_is_straggler_plus_allreduce(self, small_fleet, small_spec):
+        result = fresh_step(small_fleet)
+        arrivals = result.arrival_us
+        assert result.compute_us == arrivals.max()
+        assert result.straggler_id == int(
+            result.device_ids[int(np.argmax(arrivals))]
+        )
+        assert result.step_us == arrivals.max() + small_spec.allreduce_us
+
+    def test_straggler_never_waits(self, small_fleet):
+        result = fresh_step(small_fleet)
+        position = result.device_ids.searchsorted(result.straggler_id)
+        assert result.wait_us[position] == 0.0
+        assert np.array_equal(
+            result.wait_us, result.compute_us - result.arrival_us
         )
 
-    def test_straggler_never_waits(self, small_cluster, tiny_trace):
-        result = small_cluster.run_step(tiny_trace)
-        straggler = result.devices[result.straggler_id]
-        assert straggler.wait_us == 0.0
-        for outcome in result.devices:
-            assert outcome.wait_us == pytest.approx(
-                result.compute_us - outcome.compute_us
-            )
-
-    def test_barrier_wait_costs_energy(self, small_cluster, tiny_trace):
-        result = small_cluster.run_step(tiny_trace)
-        for outcome in result.devices:
-            assert outcome.idle_soc_energy_j > 0.0
-            assert (
-                outcome.total_soc_energy_j
-                > outcome.soc_energy_j
-            )
+    def test_barrier_wait_costs_energy(self, small_fleet):
+        result = fresh_step(small_fleet)
+        assert (result.idle_soc_energy_j > 0.0).all()
+        assert (result.total_soc_energy_j > result.soc_energy_j).all()
 
     def test_strategy_count_mismatch_rejected(
         self, small_cluster, tiny_trace, small_tables
@@ -183,36 +224,25 @@ class TestBarrierSemantics:
 
 
 class TestSlackReclamation:
-    def test_zero_regression_and_energy_savings(
-        self, small_cluster, tiny_trace, small_tables
-    ):
-        spec = small_cluster.spec
-        baseline = small_cluster.run_step(tiny_trace)
-        plan = reclaim_slack(
-            small_tables, tiny_trace.name, allreduce_us=spec.allreduce_us
-        )
-        reclaimed = small_cluster.run_step(
-            tiny_trace,
-            plan.strategies,
-            target_compute_us=plan.target_compute_us,
-        )
+    def test_zero_regression_and_energy_savings(self, small_fleet):
+        baseline = fresh_step(small_fleet)
+        plan = reclaim_fleet_slack(small_fleet)
+        reclaimed = fresh_step(small_fleet, plan)
         report = reclaimed.report(baseline)
         assert report.step_time_regression <= 0.005
         assert report.soc_energy_savings > 0.0
-        assert reclaimed.incidents == ()
+        assert reclaimed.overrun_count == 0
 
-    def test_straggler_keeps_max_frequency(self, small_tables, tiny_trace):
-        plan = reclaim_slack(small_tables, tiny_trace.name)
-        grid_max = small_tables[0].freqs_mhz[-1]
-        assert plan.frequencies_mhz[plan.straggler_id] == grid_max
-        assert min(plan.frequencies_mhz) < grid_max
+    def test_straggler_keeps_max_frequency(self, small_fleet):
+        plan = reclaim_fleet_slack(small_fleet)
+        grid_max = plan.freqs_mhz[-1]
+        assert plan.freq_mhz[plan.straggler_id] == grid_max
+        assert plan.freq_mhz.min() < grid_max
 
-    def test_slack_margin_downclocks_deeper(self, small_tables, tiny_trace):
-        tight = reclaim_slack(small_tables, tiny_trace.name)
-        loose = reclaim_slack(
-            small_tables, tiny_trace.name, slack_margin=0.05
-        )
-        assert sum(loose.frequencies_mhz) <= sum(tight.frequencies_mhz)
+    def test_slack_margin_downclocks_deeper(self, small_fleet):
+        tight = reclaim_fleet_slack(small_fleet)
+        loose = reclaim_fleet_slack(small_fleet, slack_margin=0.05)
+        assert loose.freq_mhz.sum() <= tight.freq_mhz.sum()
         assert loose.target_compute_us > tight.target_compute_us
 
     def test_infeasible_barrier_raises(self, small_tables):
@@ -221,134 +251,103 @@ class TestSlackReclamation:
 
 
 class TestClusterScorer:
-    def test_baseline_individual_scores_two(self, small_cluster, small_tables):
-        scorer = ClusterScorer(
-            small_tables, small_cluster.spec.allreduce_us
-        )
+    def test_baseline_individual_scores_two(self, small_fleet):
+        scorer = ClusterScorer(small_fleet)
         baseline = np.full(
             (1, scorer.stage_count), scorer.frequency_count - 1
         )
         assert scorer.score(baseline)[0] == pytest.approx(2.0)
 
-    def test_ga_never_loses_to_uniform_max(
-        self, small_cluster, small_tables, tiny_trace
-    ):
+    def test_ga_never_loses_to_uniform_max(self, small_fleet):
         plan, result, breakdown = search_cluster_frequencies(
-            small_tables,
-            tiny_trace.name,
-            allreduce_us=small_cluster.spec.allreduce_us,
+            small_fleet,
             config=GaConfig(population_size=16, iterations=20, seed=0),
         )
-        scorer = ClusterScorer(
-            small_tables, small_cluster.spec.allreduce_us
-        )
+        scorer = ClusterScorer(small_fleet)
         assert breakdown.feasible
         assert result.best_score >= 2.0
         assert breakdown.fleet_soc_energy_j <= scorer.baseline_energy_j
+        assert plan.covered.all()
+        assert plan.target_compute_us == plan.predicted_us.max()
+        assert tuple(plan.freq_index) == tuple(result.best_genes)
+
+    def test_inputs_are_the_reference_tables(self, small_fleet, small_tables):
+        """Durations and idle powers bitwise, compute energy to rounding."""
+        scorer = ClusterScorer(small_fleet)
+        for i, table in enumerate(small_tables):
+            assert tuple(scorer._durations[i]) == table.duration_us
+            assert tuple(scorer._idle_soc_w) == table.idle_soc_watts
+            assert np.allclose(
+                scorer._soc_energy[i], table.soc_energy_j, rtol=1e-12, atol=0
+            )
 
 
 class TestDeterminismAndCaching:
-    def test_tables_identical_across_worker_counts(
-        self, small_cluster, tiny_trace, small_tables
-    ):
-        pooled = build_frequency_tables(
-            small_cluster, tiny_trace, workers=2
-        )
-        assert pooled == small_tables
-
     def test_cached_reclaim_round_trip(
-        self, small_cluster, tiny_trace, small_tables, tmp_path
+        self, small_fleet, small_spec, tiny_trace, small_tables, tmp_path
     ):
         store = StrategyStore(tmp_path)
-        cold = cached_reclaim(small_cluster, tiny_trace, store)
-        warm = cached_reclaim(small_cluster, tiny_trace, store)
+        cold = fleet_cached_reclaim(small_fleet, store)
+        warm = fleet_cached_reclaim(small_fleet, store)
         assert cold.computed and cold.hit_count == 0
         assert not warm.computed
-        assert warm.hit_count == small_cluster.spec.n_devices
-        direct = reclaim_slack(
+        assert warm.hit_count == small_spec.n_devices
+        reference = reclaim_slack(
             small_tables,
             tiny_trace.name,
-            allreduce_us=small_cluster.spec.allreduce_us,
+            allreduce_us=small_spec.allreduce_us,
         )
-        assert warm.strategy.strategy_json() == direct.strategy_json()
+        assert plan_strategy_json(warm.plan) == reference.strategy_json()
 
     def test_degraded_device_changes_only_its_fingerprint(
-        self, small_cluster, tiny_trace
+        self, small_spec, tiny_trace
     ):
-        spec = small_cluster.spec
+        spec = FleetSpec.from_cluster(small_spec)
         degraded = spec.with_degraded_device(1, 1.3)
-        healthy = {
-            p.device_id: device_request_fingerprint(tiny_trace, spec, p)
-            for p in spec.device_profiles()
-        }
-        after = {
-            p.device_id: device_request_fingerprint(tiny_trace, degraded, p)
-            for p in degraded.device_profiles()
-        }
+        active = tuple(range(spec.n_devices))
+
+        def fingerprints(fleet_spec):
+            return [
+                fleet_device_fingerprint(tiny_trace, fleet_spec, active, i)
+                for i in active
+            ]
+
+        healthy = fingerprints(spec)
+        after = fingerprints(degraded)
         assert healthy[1] != after[1]
         for device_id in (0, 2, 3):
-            # Same profile hash; only the shared config hash differs via
-            # nothing — overrides are not part of the config hash.
+            # Overrides are not part of the shared config hash, so only
+            # the degraded device's own profile hash moves.
             assert healthy[device_id] == after[device_id]
 
 
 class TestFaultStory:
-    def test_degradation_retargets_and_logs(self, tiny_trace):
-        spec = ClusterSpec(n_devices=4, seed=0)
-        cluster = SimulatedCluster(spec)
-        plan = reclaim_slack(
-            build_frequency_tables(cluster, tiny_trace),
-            tiny_trace.name,
-            allreduce_us=spec.allreduce_us,
-        )
-        baseline = cluster.run_step(tiny_trace)
+    def test_degradation_retargets_and_logs(self, small_spec, tiny_trace):
+        spec = FleetSpec.from_cluster(small_spec)
+        sim = FleetSimulator(spec, tiny_trace)
+        plan = reclaim_fleet_slack(sim)
+        baseline = sim.step()
         victim = (baseline.straggler_id + 1) % spec.n_devices
-        degraded = SimulatedCluster(
-            spec.with_degraded_device(victim, 1.4, reason="test")
-        )
-        stale = degraded.run_step(
+        degraded = FleetSimulator(
+            spec.with_degraded_device(victim, 1.4, reason="test"),
             tiny_trace,
-            plan.strategies,
-            target_compute_us=plan.target_compute_us,
         )
-        overruns = [
-            i for i in stale.incidents if i.kind == "barrier_overrun"
-        ]
-        assert overruns
-        assert any(f"device {victim} " in i.detail for i in overruns)
-        assert len(degraded.incident_log) >= len(overruns)
-        events = degraded.devices[victim].injector.events
-        assert any(e.kind == "degraded" for e in events)
-        new_plan = reclaim_slack(
-            build_frequency_tables(degraded, tiny_trace),
-            tiny_trace.name,
-            allreduce_us=spec.allreduce_us,
-        )
+        stale = degraded.step(plan, target_compute_us=plan.target_compute_us)
+        assert stale.overrun_count >= 1
+        assert victim in stale.overrun_device_ids
+        assert degraded.overrun_total == stale.overrun_count
+        new_plan = reclaim_fleet_slack(degraded)
         assert new_plan.straggler_id == victim
-        retargeted = degraded.run_step(
-            tiny_trace,
-            new_plan.strategies,
-            target_compute_us=new_plan.target_compute_us,
-        )
-        assert retargeted.incidents == ()
+        retargeted = fresh_step(degraded, new_plan)
+        assert retargeted.overrun_count == 0
 
 
 class TestWiring:
-    def test_optimizer_config_accepts_cluster(self):
-        spec = ClusterSpec(n_devices=2)
-        config = OptimizerConfig().with_cluster(spec)
-        assert config.cluster is spec
-        assert OptimizerConfig().cluster is None
-
-    def test_optimizer_config_rejects_non_cluster(self):
-        with pytest.raises(ConfigurationError):
-            OptimizerConfig(cluster="not a cluster")
-
-    def test_cluster_result_render(self, small_cluster, tiny_trace):
-        baseline = small_cluster.run_step(tiny_trace)
-        report = small_cluster.run_step(tiny_trace).report(baseline)
+    def test_cluster_result_render(self, small_fleet, small_spec, tiny_trace):
+        baseline = fresh_step(small_fleet)
+        report = fresh_step(small_fleet).report(baseline)
         text = report.render()
-        assert small_cluster.spec.name in text
+        assert small_spec.name in text
         assert tiny_trace.name in text
         assert "straggler" in text
         assert math.isclose(report.step_time_regression, 0.0, abs_tol=1e-9)
@@ -365,3 +364,87 @@ class TestWiring:
         exit_code = cluster_main(["nonsense", "--devices", "2"])
         assert exit_code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_cli_24_devices_steps_the_reference_ring(self, capsys):
+        """More devices than a default rack still step as one ring.
+
+        Every printed step time is the looped reference's, which only
+        holds if the CLI's fleet is a single rack whose collective is
+        the cluster's ring all-reduce.
+        """
+        args = ["gpt3", "--scale", "0.005", "--devices", "24"]
+        exit_code = cluster_main(
+            args + ["--ga", "--iterations", "10", "--degrade", "3"]
+        )
+        out = capsys.readouterr().out
+        assert exit_code == 0
+        trace = generate("gpt3", scale=0.005)
+        spec = ClusterSpec(n_devices=24, seed=0)
+        assert compare_with_cluster(
+            FleetSpec.from_cluster(spec), trace, steps=1
+        ).ok()
+
+        def ms(result):
+            return f"{result.step_us / 1000.0:.2f}"
+
+        def reference_steps(cluster_spec, strategies=None):
+            """Baseline, reclaimed and (optionally) given-plan steps."""
+            cluster = SimulatedCluster(cluster_spec)
+            plan = reclaim_slack(
+                build_frequency_tables(cluster, trace), trace.name
+            )
+            plans = [plan.strategies]
+            if strategies is not None:
+                plans.append(strategies)
+            baseline = ms(cluster.run_step(trace))
+            return [
+                (baseline, ms(cluster.run_step(trace, plan)))
+                for plan in plans
+            ]
+
+        ga_plan, _, _ = search_cluster_frequencies(
+            FleetSimulator(FleetSpec.from_cluster(spec), trace),
+            config=GaConfig(
+                population_size=40, iterations=10, seed=0, patience=30
+            ),
+        )
+        printed = re.findall(r"step ([\d.]+) ms -> ([\d.]+) ms", out)
+        assert printed == reference_steps(
+            spec, plan_strategies(ga_plan)
+        ) + reference_steps(spec.with_degraded_device(3, 1.3))
+        assert f"all-reduce {spec.allreduce_us / 1000.0:.2f} ms" in out
+        assert "straggler now device 3" in out
+        assert re.search(r"barrier_overrun\s+3\s", out)
+
+
+class TestReferenceIsolation:
+    #: The modules allowed to import the looped reference.
+    REFERENCE_USERS = {
+        "repro.fleet.reference",
+        "repro.cluster.simulator",
+        "repro.cluster.device",
+    }
+    REFERENCE_MODULES = {"repro.cluster.simulator", "repro.cluster.device"}
+
+    def test_production_does_not_import_the_reference(self):
+        root = Path(repro.__file__).parent
+        offenders = []
+        for path in sorted(root.rglob("*.py")):
+            parts = path.relative_to(root.parent).with_suffix("").parts
+            if parts[-1] == "__init__":
+                parts = parts[:-1]
+            module = ".".join(parts)
+            if module in self.REFERENCE_USERS:
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and node.module:
+                    names = {node.module} | {
+                        f"{node.module}.{alias.name}" for alias in node.names
+                    }
+                elif isinstance(node, ast.Import):
+                    names = {alias.name for alias in node.names}
+                else:
+                    continue
+                if names & self.REFERENCE_MODULES:
+                    offenders.append(f"{module}:{node.lineno}")
+        assert offenders == []

@@ -16,13 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import (
-    InterconnectSpec,
+from repro.cluster import InterconnectSpec
+from repro.cluster.serve import fleet_cached_reclaim, fleet_config_hash
+from repro.cluster.simulator import (
     SimulatedCluster,
     build_frequency_tables,
     reclaim_slack,
 )
-from repro.cluster.serve import fleet_cached_reclaim, fleet_config_hash
 from repro.cluster.spec import ClusterSpec
 from repro.errors import ConfigurationError
 from repro.fleet import (
@@ -437,6 +437,26 @@ class TestStore:
         assert np.array_equal(cold.plan.freq_index, warm.plan.freq_index)
         assert_plan_frozen(cold.plan)
         assert_plan_frozen(warm.plan)
+
+    @pytest.mark.parametrize("margin", [0.0, 0.02, 0.05])
+    def test_warm_plan_equals_cold_field_for_field(
+        self, tmp_path, tiny_trace, margin
+    ):
+        """A store hit rebuilds the cold barrier, margin included."""
+        sim = FleetSimulator(FleetSpec(n_devices=8, seed=0), tiny_trace)
+        store = StrategyStore(tmp_path)
+        cold = fleet_cached_reclaim(sim, store, slack_margin=margin).plan
+        warm_result = fleet_cached_reclaim(sim, store, slack_margin=margin)
+        assert not warm_result.computed
+        warm = warm_result.plan
+        for field in dataclasses.fields(cold):
+            got = getattr(warm, field.name)
+            want = getattr(cold, field.name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype, field.name
+                assert np.array_equal(got, want), field.name
+            else:
+                assert got == want, field.name
 
     def test_membership_change_invalidates_the_cache(
         self, tmp_path, tiny_trace

@@ -37,7 +37,11 @@ from repro.perf.model import (
 )
 from repro.power.model import PowerObservation, solve_alpha, solve_alpha_batch
 from repro.workloads import generate
-from tests.oracles import four_gather_evaluate, row_crossover_search
+from tests.oracles import (
+    PerStageScorer,
+    four_gather_evaluate,
+    row_crossover_search,
+)
 
 GRID3 = (1000.0, 1400.0, 1800.0)
 GRID2 = (1000.0, 1800.0)
@@ -67,9 +71,9 @@ def pipeline():
     return trace, config, bundle, models, candidates
 
 
-def _scorer(pipeline_parts):
+def _scorer(pipeline_parts, scorer_cls=StrategyScorer):
     trace, config, _, models, candidates = pipeline_parts
-    return StrategyScorer(
+    return scorer_cls(
         trace=trace,
         stages=candidates.stages,
         perf_model=models.performance,
@@ -294,8 +298,7 @@ class TestDurationMatrix:
 
 class TestGroupedScorer:
     def test_tables_bitwise_vs_per_stage_loop(self, pipeline):
-        with batching.reference_cold_path():
-            reference = _scorer(pipeline)
+        reference = _scorer(pipeline, PerStageScorer)
         grouped = _scorer(pipeline)
         for attr in (
             "_stage_time",
@@ -308,8 +311,7 @@ class TestGroupedScorer:
         assert reference.baseline_time_us == grouped.baseline_time_us
 
     def test_population_scores_identical(self, pipeline):
-        with batching.reference_cold_path():
-            reference = _scorer(pipeline)
+        reference = _scorer(pipeline, PerStageScorer)
         grouped = _scorer(pipeline)
         rng = np.random.default_rng(123)
         population = rng.integers(

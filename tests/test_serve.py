@@ -99,6 +99,22 @@ class TestFingerprint:
         assert len(fingerprint) == 64
         assert set(fingerprint) <= set("0123456789abcdef")
 
+    def test_default_fingerprints_are_pinned(self):
+        """Default config and request keys do not drift.
+
+        Stored strategies and serve job seeds (``derive_job_seed``)
+        derive from these digests, so a change here must come with a
+        ``FINGERPRINT_VERSION`` bump.
+        """
+        config = OptimizerConfig()
+        assert config_fingerprint(config) == (
+            "8dc6531281e52026864871dee8f7705c957dce4e3d40c4f0ddc78447ca4d6907"
+        )
+        trace = generate("bert", scale=0.02, seed=0)
+        assert request_fingerprint(trace, config) == (
+            "e1f0c16d1af3938f01eec592ed900d20b611ae2aae6b9b74a08f95973714e477"
+        )
+
     def test_derived_seed_depends_on_both_inputs(self):
         assert derive_job_seed(0, "aa") == derive_job_seed(0, "aa")
         assert derive_job_seed(0, "aa") != derive_job_seed(1, "aa")
