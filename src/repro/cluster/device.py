@@ -26,7 +26,11 @@ from repro.cluster.spec import DeviceProfile
 from repro.dvfs.executor import DvfsExecutor
 from repro.dvfs.strategy import DvfsStrategy
 from repro.npu.device import ExecutionResult, NpuDevice
-from repro.npu.execution import GroundTruthEvaluator, OperatorEvaluation
+from repro.npu.execution import (
+    GroundTruthEvaluator,
+    IdlePoint,
+    OperatorEvaluation,
+)
 from repro.npu.spec import NpuSpec
 from repro.npu.thermal import ThermalState
 from repro.units import US_PER_S
@@ -70,6 +74,9 @@ class VariedEvaluator:
 
     def soc_power(self, evaluation, delta_celsius: float) -> float:
         return self._inner.soc_power(evaluation, delta_celsius)
+
+    def idle_point(self, freq_mhz: float) -> IdlePoint:
+        return self._inner.idle_point(freq_mhz)
 
     def idle_aicore_power(self, freq_mhz: float, delta_celsius: float) -> float:
         return self._inner.idle_aicore_power(freq_mhz, delta_celsius)

@@ -16,6 +16,7 @@
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 from repro.analysis.rng import RngFactory
@@ -54,7 +55,12 @@ from repro.perf.model import (
     build_performance_model_batched,
     patch_missing_operators,
 )
-from repro.power.calibration import CalibrationConstants, run_offline_calibration
+from repro.power.calibration import (
+    CalibrationConstants,
+    CalibrationRuns,
+    collect_calibration_runs,
+    fit_calibration,
+)
 from repro.power.optable import (
     OperatorPowerTable,
     build_operator_power_table,
@@ -62,6 +68,45 @@ from repro.power.optable import (
 )
 from repro.workloads.generators import micro
 from repro.workloads.trace import Trace
+
+
+#: Process-wide noise-free calibration runs, keyed by the hardware's value
+#: (``repr`` covers every spec field, like the engine's shared compiled
+#: traces) and the fast-path switch, which moves the runs at rounding
+#: level.  Every optimizer of one device model in a process — e.g. each
+#: serve miss job — replays only its own telemetry over the same runs.
+_CALIBRATION_RUNS: dict[tuple[str, bool], CalibrationRuns] = {}
+
+#: Guards every read, eviction and insert of ``_CALIBRATION_RUNS``:
+#: optimizers on different threads (a gateway's thread executor) share it.
+_CALIBRATION_RUNS_LOCK = threading.Lock()
+
+#: Device models whose runs stay cached; the oldest is evicted beyond it.
+_CALIBRATION_RUNS_LIMIT = 16
+
+
+def _calibration_runs(device: NpuDevice) -> CalibrationRuns:
+    """The device's Fig. 11 runs, from the process-wide cache.
+
+    A cold key runs outside the lock (two threads may both build it; the
+    runs are deterministic, so either copy serves).
+    """
+    key = (repr(device.npu), fast_path_enabled())
+    with _CALIBRATION_RUNS_LOCK:
+        runs = _CALIBRATION_RUNS.get(key)
+    if runs is not None:
+        return runs
+    runs = collect_calibration_runs(
+        device,
+        micro.mixed_calibration_load(repeats=20),
+        [micro.matmul_loop(repeats=40), micro.gelu_loop(repeats=40)],
+    )
+    with _CALIBRATION_RUNS_LOCK:
+        if key not in _CALIBRATION_RUNS:
+            while len(_CALIBRATION_RUNS) >= _CALIBRATION_RUNS_LIMIT:
+                _CALIBRATION_RUNS.pop(next(iter(_CALIBRATION_RUNS)))
+            _CALIBRATION_RUNS[key] = runs
+        return _CALIBRATION_RUNS[key]
 
 
 class ProfilingBundle:
@@ -195,15 +240,16 @@ class EnergyOptimizer:
         return self._profiler
 
     def calibrate(self) -> CalibrationConstants:
-        """Run (or reuse) the offline Fig. 11 calibration for this device."""
+        """Run (or reuse) the offline Fig. 11 calibration for this device.
+
+        The noise-free device runs come from a process-wide cache; this
+        optimizer's telemetry then reads them exactly as
+        ``run_offline_calibration`` would, so the constants and the
+        telemetry's noise stream are those of an uncached calibration.
+        """
         if self._calibration is None:
-            test_load = micro.mixed_calibration_load(repeats=20)
-            k_loads = [
-                micro.matmul_loop(repeats=40),
-                micro.gelu_loop(repeats=40),
-            ]
-            self._calibration = run_offline_calibration(
-                self._device, self._telemetry, test_load, k_loads
+            self._calibration = fit_calibration(
+                _calibration_runs(self._device), self._telemetry
             )
         return self._calibration
 

@@ -23,6 +23,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 from repro.npu.execution import GroundTruthEvaluator, OperatorEvaluation
 from repro.npu.setfreq import AnchoredFrequencyPlan, FrequencyTimeline
@@ -307,26 +309,25 @@ class NpuDevice:
         if steps < 1:
             raise ConfigurationError(f"steps must be >= 1: {steps}")
         self._npu.frequencies.validate(freq_mhz)
-        thermal = ThermalState(self._npu.thermal, initial_celsius)
+        # Everything but the temperature is fixed for the whole pass, so
+        # the idle-power terms and the RC decay of one step are computed
+        # once; each step is then ``ThermalState.advance`` spelled out.
+        point = self._evaluator.idle_point(freq_mhz)
+        thermal = self._npu.thermal
+        ambient = thermal.ambient_celsius
+        celsius = ambient if initial_celsius is None else float(initial_celsius)
         step_us = duration_us / steps
+        decay = float(np.exp(-step_us / thermal.time_constant_us))
         chunks: list[PowerChunk] = []
         clock = 0.0
         for _ in range(steps):
-            delta = thermal.delta_celsius
-            aicore_w = self._evaluator.idle_aicore_power(freq_mhz, delta)
-            soc_w = self._evaluator.idle_soc_power(freq_mhz, delta)
+            aicore_w, soc_w = point.powers(celsius - ambient)
             chunks.append(
-                PowerChunk(
-                    start_us=clock,
-                    end_us=clock + step_us,
-                    freq_mhz=freq_mhz,
-                    aicore_watts=aicore_w,
-                    soc_watts=soc_w,
-                    celsius=thermal.celsius,
-                    op_index=IDLE_INDEX,
-                )
+                PowerChunk(clock, clock + step_us, freq_mhz, aicore_w, soc_w,
+                           celsius, IDLE_INDEX)
             )
-            thermal.advance(soc_w, step_us)
+            target = thermal.equilibrium_celsius(soc_w)
+            celsius = target + (celsius - target) * decay
             clock += step_us
         return chunks
 
@@ -348,9 +349,9 @@ class NpuDevice:
             nxt = timeline.next_switch_after(clock)
             chunk_end = min(end, nxt.time_us) if nxt is not None else end
             dt = chunk_end - clock
-            delta = thermal.delta_celsius
-            aicore_w = self._evaluator.idle_aicore_power(freq, delta)
-            soc_w = self._evaluator.idle_soc_power(freq, delta)
+            aicore_w, soc_w = self._evaluator.idle_point(freq).powers(
+                thermal.delta_celsius
+            )
             chunks.append(
                 PowerChunk(clock, chunk_end, freq, aicore_w, soc_w,
                            thermal.celsius, IDLE_INDEX)

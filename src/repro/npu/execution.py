@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from repro.errors import ConfigurationError
 from repro.npu.pipelines import Pipe
+from repro.npu.power import PowerSpec
 from repro.npu.spec import NpuSpec
 from repro.npu.timeline import (
     BlockCosts,
@@ -80,6 +81,38 @@ class OperatorEvaluation:
     def utilisation_sum(self) -> float:
         """Sum of all pipe ratios (Sect. 6.1's no-pipeline-bound signal)."""
         return float(sum(self.utilisation.values()))
+
+
+class IdlePoint(NamedTuple):
+    """The temperature-independent idle-power terms at one frequency.
+
+    :meth:`powers` is the one form of the idle-power formulas, so a caller
+    that idles at a fixed frequency (``NpuDevice.run_idle``) can hoist
+    these terms out of its step loop and stay bit-identical to
+    :meth:`GroundTruthEvaluator.idle_aicore_power`/``idle_soc_power``.
+    """
+
+    power: PowerSpec
+    volts: float
+    #: Load-independent AICore power ``beta*f*V^2 + theta*V``.
+    aicore_watts: float
+    #: Core-domain-but-not-AICore power at this operating point.
+    coupled_watts: float
+
+    def powers(self, delta_celsius: float) -> tuple[float, float]:
+        """``(aicore, soc)`` idle power at a temperature rise.
+
+        The SoC figure reuses the AICore term (with its leakage) and adds
+        the coupled core logic and the uncore floor.
+        """
+        aicore = self.aicore_watts + self.power.aicore_thermal_power(
+            delta_celsius, self.volts
+        )
+        return aicore, (
+            aicore
+            + self.coupled_watts
+            + self.power.uncore_power(0.0, delta_celsius)
+        )
 
 
 #: Default bound on the evaluator memo.  A full profiler sweep over the
@@ -223,23 +256,24 @@ class GroundTruthEvaluator:
             + power.uncore_power(evaluation.bandwidth_utilisation, delta_celsius)
         )
 
-    def idle_aicore_power(self, freq_mhz: float, delta_celsius: float) -> float:
-        """AICore power with no operator running."""
+    def idle_point(self, freq_mhz: float) -> IdlePoint:
+        """The idle-power terms at a validated grid frequency."""
         volts = self._npu.volts_at(freq_mhz)
         power = self._npu.power
-        return power.aicore_idle_power(freq_mhz, volts) + (
-            power.aicore_thermal_power(delta_celsius, volts)
+        return IdlePoint(
+            power=power,
+            volts=volts,
+            aicore_watts=power.aicore_idle_power(freq_mhz, volts),
+            coupled_watts=power.coupled_power(freq_mhz, volts),
         )
+
+    def idle_aicore_power(self, freq_mhz: float, delta_celsius: float) -> float:
+        """AICore power with no operator running."""
+        return self.idle_point(freq_mhz).powers(delta_celsius)[0]
 
     def idle_soc_power(self, freq_mhz: float, delta_celsius: float) -> float:
         """SoC power with no operator running."""
-        volts = self._npu.volts_at(freq_mhz)
-        power = self._npu.power
-        return (
-            self.idle_aicore_power(freq_mhz, delta_celsius)
-            + power.coupled_power(freq_mhz, volts)
-            + power.uncore_power(0.0, delta_celsius)
-        )
+        return self.idle_point(freq_mhz).powers(delta_celsius)[1]
 
     def _block_costs(self, spec: OperatorSpec, freq_mhz: float) -> BlockCosts:
         compute = spec.compute

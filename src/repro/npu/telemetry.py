@@ -9,6 +9,7 @@ run, cooldown decay traces).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -55,37 +56,53 @@ class PowerTelemetry:
     def sample_chunks(
         self, chunks: Sequence[PowerChunk], interval_us: float = 1000.0
     ) -> list[PowerSample]:
-        """Read sensors every ``interval_us`` across a chunk sequence."""
+        """Read sensors every ``interval_us`` across a chunk sequence.
+
+        ``chunks`` must be in time order, as a device emits them.  Sample
+        ``i`` is taken at the ``i``-th running sum of ``interval_us`` from
+        the first chunk's start (added one step at a time) and reads the
+        first chunk still running then.  The sensor noise of all samples
+        is drawn in one call, in per-sample (SoC, AICore, temperature)
+        order; a zero sigma draws nothing for its channel.
+
+        Raises:
+            ProfilingError: on no chunks, a non-positive interval, or a
+                window that spans no time.
+        """
         if not chunks:
             raise ProfilingError("no power chunks to sample")
         if interval_us <= 0:
             raise ProfilingError(f"interval must be positive: {interval_us}")
+        times = _sample_times(chunks[0].start_us, chunks[-1].end_us, interval_us)
+        ends = np.fromiter((c.end_us for c in chunks), float, len(chunks))
+        which = np.searchsorted(ends, times, side="right")
+        soc = np.fromiter((c.soc_watts for c in chunks), float, len(chunks))
+        aicore = np.fromiter(
+            (c.aicore_watts for c in chunks), float, len(chunks)
+        )
+        celsius = np.fromiter((c.celsius for c in chunks), float, len(chunks))
+        soc, aicore, celsius = soc[which], aicore[which], celsius[which]
         noise = self._npu.noise
-        samples: list[PowerSample] = []
-        chunk_iter = iter(chunks)
-        current = next(chunk_iter)
-        t = chunks[0].start_us
-        end = chunks[-1].end_us
-        while t < end:
-            while current.end_us <= t:
-                current = next(chunk_iter)
-            samples.append(
-                PowerSample(
-                    time_us=t,
-                    soc_watts=self._noisy(current.soc_watts, noise.power_sigma),
-                    aicore_watts=self._noisy(
-                        current.aicore_watts, noise.power_sigma
-                    ),
-                    celsius=current.celsius
-                    + (
-                        self._rng.normal(0.0, noise.temperature_sigma_celsius)
-                        if noise.temperature_sigma_celsius > 0
-                        else 0.0
-                    ),
+        power_sigma = noise.power_sigma
+        temp_sigma = noise.temperature_sigma_celsius
+        channels = 2 * (power_sigma > 0) + (temp_sigma > 0)
+        if channels:
+            draws = self._rng.standard_normal(times.size * channels)
+            draws = draws.reshape(times.size, channels)
+            if power_sigma > 0:
+                # ``_noisy`` on every sample: value * max(0.5, 1 + N(0, s)).
+                soc = soc * np.maximum(0.5, 1.0 + power_sigma * draws[:, 0])
+                aicore = aicore * np.maximum(
+                    0.5, 1.0 + power_sigma * draws[:, 1]
                 )
+            if temp_sigma > 0:
+                celsius = celsius + temp_sigma * draws[:, -1]
+        return [
+            PowerSample(t, s, a, c)
+            for t, s, a, c in zip(
+                times.tolist(), soc.tolist(), aicore.tolist(), celsius.tolist()
             )
-            t += interval_us
-        return samples
+        ]
 
     def measure(self, result: ExecutionResult) -> PowerMeasurement:
         """Noisy aggregate measurement of a full execution.
@@ -113,6 +130,8 @@ class PowerTelemetry:
         noise = self._npu.noise
         duration = chunks[-1].end_us - chunks[0].start_us
         weights = np.array([c.duration_us for c in chunks])
+        if not weights.sum() > 0:
+            raise ProfilingError("power chunks span no time")
         soc = float(np.average([c.soc_watts for c in chunks], weights=weights))
         aicore = float(
             np.average([c.aicore_watts for c in chunks], weights=weights)
@@ -172,6 +191,8 @@ class PowerTelemetry:
         if not chunks:
             raise ProfilingError("no power chunks given")
         total_us = sum(c.duration_us for c in chunks)
+        if not total_us > 0:
+            raise ProfilingError("power chunks span no time")
         aicore_j = sum(c.aicore_watts * c.duration_us / US_PER_S for c in chunks)
         soc_j = sum(c.soc_watts * c.duration_us / US_PER_S for c in chunks)
         seconds = total_us / US_PER_S
@@ -181,3 +202,30 @@ class PowerTelemetry:
         if sigma <= 0:
             return value
         return float(value * max(0.5, 1.0 + self._rng.normal(0.0, sigma)))
+
+
+def _sample_times(start_us: float, end_us: float, interval_us: float) -> np.ndarray:
+    """``start, start + i, (start + i) + i, ...`` while below ``end_us``.
+
+    ``np.add.accumulate`` adds one element at a time, so each time is the
+    same float a ``t += interval_us`` loop reaches.
+
+    Raises:
+        ProfilingError: if the window spans no time, or the interval is
+            below the clock's float resolution at ``start_us``.
+    """
+    if not end_us > start_us:
+        raise ProfilingError(
+            f"power chunks span no time: window [{start_us}, {end_us}] us"
+        )
+    if start_us + interval_us == start_us:
+        raise ProfilingError(
+            f"interval {interval_us} us is below the clock resolution"
+        )
+    # One spare step absorbs the running sum's rounding, which stays far
+    # below one interval for any window of fewer than ~1e8 samples.
+    count = math.ceil((end_us - start_us) / interval_us) + 2
+    steps = np.full(count, interval_us)
+    steps[0] = start_us
+    times = np.add.accumulate(steps)
+    return times[: int(np.searchsorted(times, end_us, side="left"))]

@@ -8,11 +8,14 @@ the iterative temperature-rise solver used at prediction time.
 
 from repro.power.calibration import (
     CalibrationConstants,
+    CalibrationRuns,
     CooldownObservation,
     IdlePowerFit,
     calibrate_idle_power,
+    collect_calibration_runs,
     extract_gamma,
     extract_temperature_slope,
+    fit_calibration,
     run_offline_calibration,
 )
 from repro.power.evaluation import (
@@ -37,6 +40,7 @@ from repro.power.optable import (
 
 __all__ = [
     "CalibrationConstants",
+    "CalibrationRuns",
     "CooldownObservation",
     "IdlePowerFit",
     "LoadPowerModel",
@@ -49,8 +53,10 @@ __all__ = [
     "TABLE2_BUCKET_EDGES",
     "build_operator_power_table",
     "calibrate_idle_power",
+    "collect_calibration_runs",
     "extract_gamma",
     "extract_temperature_slope",
+    "fit_calibration",
     "fit_load_power_model",
     "measure_load_at_frequencies",
     "run_offline_calibration",

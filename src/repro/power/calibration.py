@@ -21,11 +21,18 @@ from typing import Sequence
 
 from repro.analysis.linear import LineFit, fit_line, solve_two_basis
 from repro.errors import CalibrationError
-from repro.npu.device import NpuDevice
+from repro.npu.device import ExecutionResult, NpuDevice, PowerChunk
 from repro.npu.setfreq import FrequencyTimeline
 from repro.npu.telemetry import PowerTelemetry
 from repro.npu.voltage import VoltageCurve
 from repro.workloads.trace import Trace
+
+
+#: Idle settle time before each idle-power reading.
+_SETTLE_US = 2_000_000.0
+#: Cooldown length after the test load, and its telemetry sample count.
+_COOLDOWN_US = 60_000_000.0
+_COOLDOWN_STEPS = 600
 
 
 @dataclass(frozen=True)
@@ -68,40 +75,71 @@ class CalibrationConstants:
         )
 
 
-def calibrate_idle_power(
-    device: NpuDevice,
-    telemetry: PowerTelemetry,
-    freqs_mhz: tuple[float, float] | None = None,
-    settle_us: float = 2_000_000.0,
-) -> tuple[IdlePowerFit, IdlePowerFit]:
-    """Measure idle power at two frequencies and solve (beta, theta).
+@dataclass(frozen=True)
+class IdleRun:
+    """One idle pass of the idle-power calibration."""
 
-    The default measurement points are the device grid's extremes (the
-    paper uses 1000 and 1800 MHz on the Ascend NPU).
+    freq_mhz: float
+    chunks: tuple[PowerChunk, ...]
 
-    Returns:
-        ``(aicore_fit, soc_fit)``.
 
-    Raises:
-        CalibrationError: if the two frequencies coincide.
+@dataclass(frozen=True)
+class CooldownRun:
+    """The post-load cooldown of the gamma extraction."""
+
+    freq_mhz: float
+    #: Telemetry sampling interval over the cooldown.
+    interval_us: float
+    chunks: tuple[PowerChunk, ...]
+
+
+@dataclass(frozen=True)
+class CalibrationRuns:
+    """The device runs of the offline phase, before any instrument reads.
+
+    The device draws no noise, so these are a function of the hardware
+    (and of the fast-path switch, which moves results at rounding level)
+    alone, and one value can serve every calibration of that hardware:
+    :func:`fit_calibration` replays only the telemetry over them.
     """
+
+    voltage: VoltageCurve
+    ambient_celsius: float
+    idle: tuple[IdleRun, IdleRun]
+    cooldown: CooldownRun
+    #: One equilibrium run per (k-load, frequency) pair, load-major.
+    load_points: tuple[ExecutionResult, ...]
+
+
+def _run_idle_passes(
+    device: NpuDevice,
+    freqs_mhz: tuple[float, float] | None,
+    settle_us: float,
+) -> tuple[IdleRun, IdleRun]:
     if freqs_mhz is None:
         grid = device.npu.frequencies
         freqs_mhz = (grid.min_mhz, grid.max_mhz)
     f1, f2 = freqs_mhz
     if f1 == f2:
         raise CalibrationError("idle calibration needs two distinct frequencies")
-    voltage = device.npu.voltage
-    measurements = []
-    for freq in freqs_mhz:
-        # Idle near ambient: let the chip sit briefly, then read the meters.
-        chunks = device.run_idle(settle_us, freq, steps=20)
-        measurement = telemetry.measure_chunks(chunks)
-        volts = float(voltage.volts(freq))
-        measurements.append((freq, volts, measurement))
+    # Idle near ambient: let the chip sit briefly, then read the meters.
+    return (
+        IdleRun(f1, tuple(device.run_idle(settle_us, f1, steps=20))),
+        IdleRun(f2, tuple(device.run_idle(settle_us, f2, steps=20))),
+    )
+
+
+def _fit_idle_power(
+    runs: tuple[IdleRun, IdleRun],
+    telemetry: PowerTelemetry,
+    voltage: VoltageCurve,
+) -> tuple[IdlePowerFit, IdlePowerFit]:
+    measurements = [
+        (run.freq_mhz, telemetry.measure_chunks(run.chunks)) for run in runs
+    ]
     fits = []
     for attr in ("aicore_avg_watts", "soc_avg_watts"):
-        (fa, va, ma), (fb, vb, mb) = measurements
+        (fa, ma), (fb, mb) = measurements
         beta, theta = solve_two_basis(
             fa,
             getattr(ma, attr),
@@ -114,6 +152,27 @@ def calibrate_idle_power(
     return fits[0], fits[1]
 
 
+def calibrate_idle_power(
+    device: NpuDevice,
+    telemetry: PowerTelemetry,
+    freqs_mhz: tuple[float, float] | None = None,
+    settle_us: float = _SETTLE_US,
+) -> tuple[IdlePowerFit, IdlePowerFit]:
+    """Measure idle power at two frequencies and solve (beta, theta).
+
+    The default measurement points are the device grid's extremes (the
+    paper uses 1000 and 1800 MHz on the Ascend NPU).
+
+    Returns:
+        ``(aicore_fit, soc_fit)``.
+
+    Raises:
+        CalibrationError: if the two frequencies coincide.
+    """
+    runs = _run_idle_passes(device, freqs_mhz, settle_us)
+    return _fit_idle_power(runs, telemetry, device.npu.voltage)
+
+
 @dataclass(frozen=True)
 class CooldownObservation:
     """The gamma-extraction result from one post-load cooldown."""
@@ -124,13 +183,60 @@ class CooldownObservation:
     soc_fit: LineFit
 
 
+def _run_cooldown(
+    device: NpuDevice,
+    test_load: Trace,
+    cooldown_us: float,
+    cooldown_freq_mhz: float | None,
+    steps: int,
+) -> CooldownRun:
+    if cooldown_freq_mhz is None:
+        cooldown_freq_mhz = device.npu.frequencies.min_mhz
+    loaded = device.run_stable(test_load)
+    chunks = device.run_idle(
+        cooldown_us,
+        cooldown_freq_mhz,
+        initial_celsius=loaded.end_celsius,
+        steps=steps,
+    )
+    return CooldownRun(
+        freq_mhz=cooldown_freq_mhz,
+        interval_us=cooldown_us / steps,
+        chunks=tuple(chunks),
+    )
+
+
+def _fit_gamma(
+    run: CooldownRun,
+    telemetry: PowerTelemetry,
+    voltage: VoltageCurve,
+    ambient_celsius: float,
+) -> CooldownObservation:
+    samples = telemetry.sample_chunks(run.chunks, interval_us=run.interval_us)
+    deltas = [s.celsius - ambient_celsius for s in samples]
+    if max(deltas) - min(deltas) < 2.0:
+        raise CalibrationError(
+            "test load did not heat the chip enough for gamma extraction "
+            f"(AT span {max(deltas) - min(deltas):.2f} C)"
+        )
+    volts = float(voltage.volts(run.freq_mhz))
+    aicore_fit = fit_line(deltas, [s.aicore_watts for s in samples])
+    soc_fit = fit_line(deltas, [s.soc_watts for s in samples])
+    return CooldownObservation(
+        gamma_aicore_w_per_c_v=aicore_fit.slope / volts,
+        gamma_soc_w_per_c_v=soc_fit.slope / volts,
+        aicore_fit=aicore_fit,
+        soc_fit=soc_fit,
+    )
+
+
 def extract_gamma(
     device: NpuDevice,
     telemetry: PowerTelemetry,
     test_load: Trace,
-    cooldown_us: float = 60_000_000.0,
+    cooldown_us: float = _COOLDOWN_US,
     cooldown_freq_mhz: float | None = None,
-    steps: int = 600,
+    steps: int = _COOLDOWN_STEPS,
 ) -> CooldownObservation:
     """Run a test load, then fit power-vs-AT slopes during the cooldown.
 
@@ -144,34 +250,48 @@ def extract_gamma(
     Raises:
         CalibrationError: if the load barely heats the chip (degenerate fit).
     """
-    if cooldown_freq_mhz is None:
-        cooldown_freq_mhz = device.npu.frequencies.min_mhz
-    loaded = device.run_stable(test_load)
-    chunks = device.run_idle(
-        cooldown_us,
-        cooldown_freq_mhz,
-        initial_celsius=loaded.end_celsius,
-        steps=steps,
+    run = _run_cooldown(
+        device, test_load, cooldown_us, cooldown_freq_mhz, steps
     )
-    samples = telemetry.sample_chunks(
-        chunks, interval_us=cooldown_us / steps
+    npu = device.npu
+    return _fit_gamma(
+        run, telemetry, npu.voltage, npu.thermal.ambient_celsius
     )
-    ambient = device.npu.thermal.ambient_celsius
-    deltas = [s.celsius - ambient for s in samples]
-    if max(deltas) - min(deltas) < 2.0:
-        raise CalibrationError(
-            "test load did not heat the chip enough for gamma extraction "
-            f"(AT span {max(deltas) - min(deltas):.2f} C)"
-        )
-    volts = float(device.npu.voltage.volts(cooldown_freq_mhz))
-    aicore_fit = fit_line(deltas, [s.aicore_watts for s in samples])
-    soc_fit = fit_line(deltas, [s.soc_watts for s in samples])
-    return CooldownObservation(
-        gamma_aicore_w_per_c_v=aicore_fit.slope / volts,
-        gamma_soc_w_per_c_v=soc_fit.slope / volts,
-        aicore_fit=aicore_fit,
-        soc_fit=soc_fit,
-    )
+
+
+def _run_load_points(
+    device: NpuDevice,
+    loads: Sequence[Trace],
+    freqs_mhz: Sequence[float] | None,
+) -> tuple[ExecutionResult, ...]:
+    if freqs_mhz is None:
+        grid = device.npu.frequencies
+        mid = grid.nearest((grid.min_mhz + grid.max_mhz) / 2.0)
+        freqs_mhz = (grid.min_mhz, mid, grid.max_mhz)
+    results = []
+    for load in loads:
+        for freq in freqs_mhz:
+            result = device.run_stable(load, FrequencyTimeline.constant(freq))
+            results.append(
+                replace(
+                    result,
+                    records=tuple(result.records),
+                    chunks=tuple(result.chunks),
+                )
+            )
+    return tuple(results)
+
+
+def _fit_temperature_slope(
+    results: Sequence[ExecutionResult], telemetry: PowerTelemetry
+) -> LineFit:
+    points: list[tuple[float, float]] = []
+    for result in results:
+        measurement = telemetry.measure(result)
+        points.append((measurement.soc_avg_watts, measurement.avg_celsius))
+    if len(points) < 2:
+        raise CalibrationError("need at least two load points to fit k")
+    return fit_line([p for p, _ in points], [t for _, t in points])
 
 
 def extract_temperature_slope(
@@ -188,23 +308,61 @@ def extract_temperature_slope(
     Raises:
         CalibrationError: with fewer than two loads/frequency combinations.
     """
-    if freqs_mhz is None:
-        grid = device.npu.frequencies
-        mid = grid.nearest((grid.min_mhz + grid.max_mhz) / 2.0)
-        freqs_mhz = (grid.min_mhz, mid, grid.max_mhz)
-    points: list[tuple[float, float]] = []
-    for load in loads:
-        for freq in freqs_mhz:
-            result = device.run_stable(
-                load, FrequencyTimeline.constant(freq)
-            )
-            measurement = telemetry.measure(result)
-            points.append(
-                (measurement.soc_avg_watts, measurement.avg_celsius)
-            )
-    if len(points) < 2:
-        raise CalibrationError("need at least two load points to fit k")
-    return fit_line([p for p, _ in points], [t for _, t in points])
+    results = _run_load_points(device, loads, freqs_mhz)
+    return _fit_temperature_slope(results, telemetry)
+
+
+def collect_calibration_runs(
+    device: NpuDevice,
+    test_load: Trace,
+    k_loads: Sequence[Trace] | None = None,
+) -> CalibrationRuns:
+    """Run the device through the offline phase of Fig. 11.
+
+    Args:
+        device: the accelerator being characterised.
+        test_load: a load that heats the chip for gamma extraction.
+        k_loads: loads for the temperature-slope fit; defaults to the test
+            load alone (several frequencies still give several points).
+    """
+    npu = device.npu
+    return CalibrationRuns(
+        voltage=npu.voltage,
+        ambient_celsius=npu.thermal.ambient_celsius,
+        idle=_run_idle_passes(device, None, _SETTLE_US),
+        cooldown=_run_cooldown(
+            device, test_load, _COOLDOWN_US, None, _COOLDOWN_STEPS
+        ),
+        load_points=_run_load_points(
+            device, list(k_loads) if k_loads else [test_load], None
+        ),
+    )
+
+
+def fit_calibration(
+    runs: CalibrationRuns, telemetry: PowerTelemetry
+) -> CalibrationConstants:
+    """Read the instruments over ``runs`` and fit the offline constants.
+
+    The telemetry calls (two idle measurements, the cooldown samples, one
+    measurement per load point) come in a fixed order, so a telemetry's
+    noise stream ends in the same state whichever device produced
+    ``runs``.
+    """
+    aicore_idle, soc_idle = _fit_idle_power(runs.idle, telemetry, runs.voltage)
+    cooldown = _fit_gamma(
+        runs.cooldown, telemetry, runs.voltage, runs.ambient_celsius
+    )
+    k_fit = _fit_temperature_slope(runs.load_points, telemetry)
+    return CalibrationConstants(
+        voltage=runs.voltage,
+        aicore_idle=aicore_idle,
+        soc_idle=soc_idle,
+        gamma_aicore_w_per_c_v=cooldown.gamma_aicore_w_per_c_v,
+        gamma_soc_w_per_c_v=cooldown.gamma_soc_w_per_c_v,
+        k_celsius_per_watt=k_fit.slope,
+        ambient_celsius=runs.ambient_celsius,
+    )
 
 
 def run_offline_calibration(
@@ -213,7 +371,7 @@ def run_offline_calibration(
     test_load: Trace,
     k_loads: Sequence[Trace] | None = None,
 ) -> CalibrationConstants:
-    """The complete offline phase of Fig. 11.
+    """The complete offline phase of Fig. 11: device runs, then fits.
 
     Args:
         device: the accelerator being characterised.
@@ -222,17 +380,6 @@ def run_offline_calibration(
         k_loads: loads for the temperature-slope fit; defaults to the test
             load alone (several frequencies still give several points).
     """
-    aicore_idle, soc_idle = calibrate_idle_power(device, telemetry)
-    cooldown = extract_gamma(device, telemetry, test_load)
-    k_fit = extract_temperature_slope(
-        device, telemetry, list(k_loads) if k_loads else [test_load]
-    )
-    return CalibrationConstants(
-        voltage=device.npu.voltage,
-        aicore_idle=aicore_idle,
-        soc_idle=soc_idle,
-        gamma_aicore_w_per_c_v=cooldown.gamma_aicore_w_per_c_v,
-        gamma_soc_w_per_c_v=cooldown.gamma_soc_w_per_c_v,
-        k_celsius_per_watt=k_fit.slope,
-        ambient_celsius=device.npu.thermal.ambient_celsius,
+    return fit_calibration(
+        collect_calibration_runs(device, test_load, k_loads), telemetry
     )

@@ -322,8 +322,8 @@ def build_bench_parser() -> argparse.ArgumentParser:
         "--workers", dest="traffic_workers", type=int, default=0,
         help=(
             "optimizer-pool worker processes behind the strategy "
-            "service (default 0 = in-process serial, the historical "
-            "behavior)"
+            "service, which compute the --prewarm batch (default 0 = "
+            "in-process serial, the historical behavior)"
         ),
     )
     parser.add_argument(

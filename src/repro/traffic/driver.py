@@ -66,13 +66,15 @@ class TrafficConfig:
     window: int = 4096
     #: Distinct workloads replayed serially for the byte-identity check.
     verify: int = 8
-    #: Compute every workload's strategy once (serially, committed to
-    #: the store) before the timed drive — measures steady-state serving
-    #: with the cold-start transient excluded, the way the other perf
-    #: harnesses treat warmup rounds.
+    #: Compute every workload's strategy once (as one batch on the
+    #: service's optimizer pool, committed to the store) before the
+    #: timed drive — measures steady-state serving with the cold-start
+    #: transient excluded, the way the other perf harnesses treat warmup
+    #: rounds.
     prewarm: bool = False
-    #: Optimizer-pool worker processes behind the strategy service
-    #: (0/1 = in-process serial, the historical behavior).
+    #: Optimizer-pool worker processes behind the strategy service, which
+    #: compute the prewarm batch (0/1 = in-process serial, the historical
+    #: behavior).  Timed-drive misses run on the gateway's executor.
     workers: int = 0
 
     def __post_init__(self) -> None:
@@ -355,8 +357,7 @@ def drive_traffic(
         for trace in traces:
             service.fingerprint(trace)
         if config.prewarm:
-            for trace in traces:
-                service.request(trace)
+            service.serve_batch(traces)
         wall_start = time.perf_counter()
         raw, gateway = asyncio.run(_run())
         wall_seconds = time.perf_counter() - wall_start

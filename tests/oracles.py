@@ -14,7 +14,14 @@ so the equivalence tests can compare the array form bit for bit:
   does one stacked ``np.take``);
 * :func:`row_crossover_search` — ``run_search`` with the crossover as a
   gather/mask/scatter over the crossing rows (the GA now does one masked
-  ``np.copyto``).
+  ``np.copyto``);
+* :func:`stepwise_run_idle` — ``NpuDevice.run_idle`` with both idle
+  powers and the thermal step recomputed every step (the device now
+  hoists the frequency's idle terms, ``GroundTruthEvaluator.idle_point``,
+  and the RC decay);
+* :func:`scalar_sample_chunks` — ``PowerTelemetry.sample_chunks`` as a
+  ``t += interval`` walk with three scalar noise draws per sample (the
+  telemetry now draws all noise at once and gathers by ``searchsorted``).
 """
 
 from __future__ import annotations
@@ -26,6 +33,9 @@ import numpy as np
 
 from repro.dvfs.ga import GaConfig, GaResult, _roulette_pick, initial_population
 from repro.dvfs.scoring import PopulationEvaluation, StrategyScorer
+from repro.npu.device import IDLE_INDEX, PowerChunk
+from repro.npu.telemetry import PowerSample
+from repro.npu.thermal import ThermalState
 
 
 @dataclass(frozen=True)
@@ -189,3 +199,85 @@ def row_crossover_search(
         evaluations=evaluations,
         wall_seconds=time.perf_counter() - start,
     )
+
+
+def stepwise_run_idle(
+    device,
+    duration_us: float,
+    freq_mhz: float,
+    initial_celsius: float | None = None,
+    steps: int = 60,
+) -> list[PowerChunk]:
+    """``NpuDevice.run_idle`` recomputing every term at every step.
+
+    The idle powers are spelled out from the power spec the device's
+    evaluator computes against (a cluster die's ``VariedEvaluator``
+    wraps the nominal one), as ``GroundTruthEvaluator`` once did.
+    """
+    evaluator = device.evaluator
+    power_npu = getattr(evaluator, "inner", evaluator).npu
+    power = power_npu.power
+    thermal = ThermalState(device.npu.thermal, initial_celsius)
+    step_us = duration_us / steps
+    chunks: list[PowerChunk] = []
+    clock = 0.0
+    for _ in range(steps):
+        delta = thermal.delta_celsius
+        volts = power_npu.volts_at(freq_mhz)
+        aicore_w = power.aicore_idle_power(freq_mhz, volts) + (
+            power.aicore_thermal_power(delta, volts)
+        )
+        soc_w = (
+            aicore_w
+            + power.coupled_power(freq_mhz, volts)
+            + power.uncore_power(0.0, delta)
+        )
+        chunks.append(
+            PowerChunk(
+                start_us=clock,
+                end_us=clock + step_us,
+                freq_mhz=freq_mhz,
+                aicore_watts=aicore_w,
+                soc_watts=soc_w,
+                celsius=thermal.celsius,
+                op_index=IDLE_INDEX,
+            )
+        )
+        thermal.advance(soc_w, step_us)
+        clock += step_us
+    return chunks
+
+
+def scalar_sample_chunks(
+    telemetry, chunks, interval_us: float = 1000.0
+) -> list[PowerSample]:
+    """``PowerTelemetry.sample_chunks`` as a walk over the sample times."""
+    noise = telemetry._npu.noise
+    rng = telemetry.rng
+    samples: list[PowerSample] = []
+    chunk_iter = iter(chunks)
+    current = next(chunk_iter)
+    t = chunks[0].start_us
+    end = chunks[-1].end_us
+    while t < end:
+        while current.end_us <= t:
+            current = next(chunk_iter)
+        samples.append(
+            PowerSample(
+                time_us=t,
+                soc_watts=telemetry._noisy(
+                    current.soc_watts, noise.power_sigma
+                ),
+                aicore_watts=telemetry._noisy(
+                    current.aicore_watts, noise.power_sigma
+                ),
+                celsius=current.celsius
+                + (
+                    rng.normal(0.0, noise.temperature_sigma_celsius)
+                    if noise.temperature_sigma_celsius > 0
+                    else 0.0
+                ),
+            )
+        )
+        t += interval_us
+    return samples

@@ -180,6 +180,43 @@ class TestRunIdle:
         with pytest.raises(ConfigurationError):
             ideal_device.run_idle(100.0, 1800.0, steps=0)
 
+    @pytest.mark.parametrize(
+        "duration_us, freq_mhz, initial_celsius, steps",
+        [
+            (60_000_000.0, 1000.0, 91.3, 600),
+            (2_000_000.0, 1800.0, None, 20),
+            (1234.5, 1400.0, 25.0, 7),
+            (3_000_000.0, 1300.0, 140.0, 1),
+        ],
+    )
+    def test_matches_stepwise_oracle_bitwise(
+        self, device, duration_us, freq_mhz, initial_celsius, steps
+    ):
+        from tests.oracles import stepwise_run_idle
+
+        args = (duration_us, freq_mhz, initial_celsius, steps)
+        assert device.run_idle(*args) == stepwise_run_idle(device, *args)
+
+    def test_varied_die_matches_stepwise_oracle_bitwise(self, npu_spec):
+        """A cluster die: board ambient on the device, power from the
+        nominal evaluator behind the duration-scaling wrapper."""
+        from dataclasses import replace
+
+        from repro.cluster.device import VariedEvaluator
+        from repro.npu import NpuDevice
+        from repro.npu.execution import GroundTruthEvaluator
+        from tests.oracles import stepwise_run_idle
+
+        warm_board = replace(
+            npu_spec, thermal=replace(npu_spec.thermal, ambient_celsius=31.0)
+        )
+        device = NpuDevice(
+            warm_board,
+            evaluator=VariedEvaluator(GroundTruthEvaluator(npu_spec), 1.07),
+        )
+        args = (5_000_000.0, 1500.0, 70.0, 50)
+        assert device.run_idle(*args) == stepwise_run_idle(device, *args)
+
 
 class TestExecutionResult:
     def test_average_power_definition(self, ideal_device):

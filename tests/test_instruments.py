@@ -1,5 +1,7 @@
 """Tests for the profiler and telemetry instruments."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ProfilingError
@@ -10,6 +12,7 @@ from repro.npu import (
     PowerTelemetry,
     merge_reports,
 )
+from repro.npu.device import IDLE_INDEX, PowerChunk
 from repro.workloads import build_trace
 from repro.workloads.operator import OperatorKind, make_fixed_operator
 from tests.conftest import make_compute_op
@@ -33,6 +36,18 @@ def telemetry(npu_spec, rng_factory):
 @pytest.fixture()
 def ideal_telemetry(ideal_spec, rng_factory):
     return PowerTelemetry(ideal_spec, rng_factory.generator("telem"))
+
+
+def zero_span_chunk():
+    return PowerChunk(
+        start_us=5.0,
+        end_us=5.0,
+        freq_mhz=1800.0,
+        aicore_watts=10.0,
+        soc_watts=150.0,
+        celsius=40.0,
+        op_index=IDLE_INDEX,
+    )
 
 
 def run_simple(device, n=4, freq=1800.0):
@@ -153,6 +168,29 @@ class TestTelemetry:
         with pytest.raises(ProfilingError):
             ideal_telemetry.sample_chunks([], interval_us=10.0)
 
+    def test_sample_chunks_rejects_zero_span(self, ideal_telemetry):
+        # Used to return [], which extract_gamma then failed on max([]).
+        with pytest.raises(ProfilingError, match="span no time"):
+            ideal_telemetry.sample_chunks([zero_span_chunk()], 10.0)
+
+    def test_sample_chunks_rejects_interval_below_clock_resolution(
+        self, ideal_telemetry
+    ):
+        # The sample clock would never advance.
+        late = replace(zero_span_chunk(), start_us=1e20, end_us=2e20)
+        with pytest.raises(ProfilingError, match="clock resolution"):
+            ideal_telemetry.sample_chunks([late], 1.0)
+
+    def test_measure_chunks_rejects_zero_span(self, ideal_telemetry):
+        # Used to raise ZeroDivisionError from np.average's weights.
+        with pytest.raises(ProfilingError, match="span no time"):
+            ideal_telemetry.measure_chunks([zero_span_chunk()] * 2)
+
+    def test_true_average_power_rejects_zero_span(self):
+        # Used to raise ZeroDivisionError.
+        with pytest.raises(ProfilingError, match="span no time"):
+            PowerTelemetry.true_average_power([zero_span_chunk()])
+
     def test_per_operator_power_attribution(self, ideal_device, ideal_telemetry):
         hot = make_compute_op(name="hot", core_cycles=200_000.0)
         cold = make_fixed_operator("cold", OperatorKind.IDLE, 200.0)
@@ -179,3 +217,62 @@ class TestTelemetry:
         measurement = ideal_telemetry.measure_chunks(chunks)
         assert measurement.duration_us == pytest.approx(5000.0)
         assert measurement.soc_avg_watts > 0
+
+
+class TestSampleChunksOracle:
+    """The array ``sample_chunks`` against the scalar walk, bit for bit."""
+
+    NOISE = {
+        "default": {},
+        "zero": dict(power_sigma=0.0, temperature_sigma_celsius=0.0),
+        "power-only": dict(temperature_sigma_celsius=0.0),
+        "temperature-only": dict(power_sigma=0.0),
+    }
+
+    @staticmethod
+    def _pair(spec, seed):
+        from repro.analysis.rng import RngFactory
+
+        return (
+            PowerTelemetry(spec, RngFactory(seed).generator("t")),
+            PowerTelemetry(spec, RngFactory(seed).generator("t")),
+        )
+
+    @pytest.mark.parametrize("noise", sorted(NOISE))
+    @pytest.mark.parametrize(
+        "interval_us", [100_000.0, 1000.0, 333.3, 7_777.7, 5e6]
+    )
+    def test_idle_cooldown(self, npu_spec, device, noise, interval_us):
+        from tests.oracles import scalar_sample_chunks
+
+        spec = replace(
+            npu_spec, noise=replace(npu_spec.noise, **self.NOISE[noise])
+        )
+        chunks = device.run_idle(
+            2_000_000.0, 1000.0, initial_celsius=80.0, steps=37
+        )
+        for seed in range(5):
+            fast, scalar = self._pair(spec, seed)
+            fast.rng.random(seed)  # an arbitrary stream position
+            scalar.rng.random(seed)
+            assert fast.sample_chunks(chunks, interval_us) == (
+                scalar_sample_chunks(scalar, chunks, interval_us)
+            )
+            assert (
+                fast.rng.bit_generator.state == scalar.rng.bit_generator.state
+            )
+
+    def test_execution_chunks_with_offset_start(self, npu_spec, device):
+        """Uneven operator chunks, sampled from a window that starts late."""
+        from tests.oracles import scalar_sample_chunks
+
+        result = run_simple(device, n=12, freq=1500.0)
+        chunks = list(result.chunks)[3:]
+        for interval_us in (1.0, 37.5, chunks[0].duration_us):
+            fast, scalar = self._pair(npu_spec, 11)
+            assert fast.sample_chunks(chunks, interval_us) == (
+                scalar_sample_chunks(scalar, chunks, interval_us)
+            )
+            assert (
+                fast.rng.bit_generator.state == scalar.rng.bit_generator.state
+            )

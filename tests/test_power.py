@@ -300,3 +300,145 @@ class TestConstants:
         assert ablated.k_celsius_per_watt == (
             ideal_calibration.k_celsius_per_watt
         )
+
+
+def _uncached_calibration(config, draws):
+    """The uncached reference: a fresh device, the standard calibration
+    loads, and ``run_offline_calibration`` end to end."""
+    from repro.core import EnergyOptimizer
+    from repro.npu import NpuDevice
+    from repro.power import run_offline_calibration
+
+    optimizer = EnergyOptimizer(config)
+    optimizer.telemetry.rng.random(draws)
+    constants = run_offline_calibration(
+        NpuDevice(config.npu),
+        optimizer.telemetry,
+        micro.mixed_calibration_load(repeats=20),
+        [micro.matmul_loop(repeats=40), micro.gelu_loop(repeats=40)],
+    )
+    return _calibration_outcome(optimizer, constants)
+
+
+def _calibration_outcome(optimizer, constants):
+    """Constants, the telemetry's stream position, and any injected faults."""
+    injector = optimizer.injector
+    return (
+        constants,
+        optimizer.telemetry.rng.bit_generator.state,
+        injector.events if injector is not None else None,
+    )
+
+
+def _cached_calibration(config, draws):
+    from repro.core import EnergyOptimizer
+
+    optimizer = EnergyOptimizer(config)
+    optimizer.telemetry.rng.random(draws)
+    return _calibration_outcome(optimizer, optimizer.calibrate())
+
+
+@pytest.fixture()
+def cold_calibration_cache(monkeypatch):
+    """An empty process-wide calibration-runs cache for one test."""
+    from repro.core import optimizer as optimizer_module
+
+    cache: dict = {}
+    monkeypatch.setattr(optimizer_module, "_CALIBRATION_RUNS", cache)
+    return cache
+
+
+class TestCalibrationRunsCache:
+    """``calibrate()`` over cached runs equals an uncached calibration."""
+
+    SEEDS = range(50)
+
+    @staticmethod
+    def _config(setting, seed):
+        from repro.core import OptimizerConfig
+        from repro.npu import noise_free_spec
+        from repro.npu.faults import FaultConfig
+
+        if setting == "zero-noise":
+            return OptimizerConfig(seed=seed, npu=noise_free_spec())
+        if setting == "telemetry-faults":
+            return OptimizerConfig(
+                seed=seed,
+                fault=FaultConfig(
+                    telemetry_dropout_rate=0.05,
+                    telemetry_stuck_rate=0.05,
+                    telemetry_spike_rate=0.05,
+                ),
+            )
+        return OptimizerConfig(seed=seed)
+
+    @pytest.mark.parametrize(
+        "setting", ["default", "zero-noise", "telemetry-faults"]
+    )
+    def test_matches_uncached_calibration(
+        self, cold_calibration_cache, setting
+    ):
+        for seed in self.SEEDS:
+            config = self._config(setting, seed)
+            for draws in (0, 1 + seed % 7):
+                assert _cached_calibration(config, draws) == (
+                    _uncached_calibration(config, draws)
+                ), (seed, draws)
+        assert len(cold_calibration_cache) == 1
+
+    def test_faulty_telemetry_runs_through_the_cache(self):
+        from repro.core import EnergyOptimizer
+        from repro.npu.faults import FaultyPowerTelemetry
+
+        optimizer = EnergyOptimizer(self._config("telemetry-faults", 0))
+        assert type(optimizer.telemetry) is FaultyPowerTelemetry
+        optimizer.calibrate()
+        assert optimizer.injector.events
+
+    def test_reference_only_keys_its_own_runs(self, cold_calibration_cache):
+        """Under ``reference_only()`` the cache serves the reference-loop
+        runs, which differ from the fast path's at rounding level."""
+        from repro.npu.engine import reference_only
+
+        fast = _cached_calibration(self._config("default", 3), 0)
+        with reference_only():
+            for seed in self.SEEDS:
+                config = self._config("default", seed)
+                for draws in (0, 1 + seed % 7):
+                    assert _cached_calibration(config, draws) == (
+                        _uncached_calibration(config, draws)
+                    ), (seed, draws)
+            reference = _cached_calibration(self._config("default", 3), 0)
+        assert len(cold_calibration_cache) == 2
+        assert fast[0] != reference[0]
+        assert fast[0] == _uncached_calibration(self._config("default", 3), 0)[0]
+
+    def test_threads_on_a_cold_cache_match_serial(
+        self, cold_calibration_cache
+    ):
+        import threading
+
+        seeds = (0, 7, 19, 42)
+        serial = [
+            _uncached_calibration(self._config("default", s), 0) for s in seeds
+        ]
+        assert not cold_calibration_cache
+        start = threading.Barrier(len(seeds))
+        results: dict[int, tuple] = {}
+
+        def calibrate(index: int, seed: int) -> None:
+            start.wait()
+            results[index] = _cached_calibration(
+                self._config("default", seed), 0
+            )
+
+        threads = [
+            threading.Thread(target=calibrate, args=(i, s))
+            for i, s in enumerate(seeds)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert [results[i] for i in range(len(seeds))] == serial
+        assert len(cold_calibration_cache) == 1

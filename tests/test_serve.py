@@ -307,23 +307,35 @@ class TestStore:
 
 class TestPoolDeterminism:
     def test_parallel_matches_serial_end_to_end(
-        self, bert_trace, resnet_trace, quick_serve_config
+        self, bert_trace, resnet_trace, quick_serve_config, monkeypatch
     ):
         """The same batch on 2 and 4 workers and serially is byte-identical.
 
         This is the end-to-end concurrency-determinism contract: worker
         count, scheduling order and process boundaries must not change a
-        single byte of any strategy JSON.
+        single byte of any strategy JSON.  The workers start from an
+        empty calibration-runs cache and build their own runs; the serial
+        side replays runs cached before it starts.
         """
+        from repro.core import EnergyOptimizer
+        from repro.core import optimizer as optimizer_module
+
+        monkeypatch.setattr(optimizer_module, "_CALIBRATION_RUNS", {})
         config = quick_serve_config
         jobs = [
             (request_fingerprint(bert_trace, config), bert_trace),
             (request_fingerprint(resnet_trace, config), resnet_trace),
         ]
-        serial = OptimizerPool(workers=0).optimize_batch(jobs, config)
+        parallel_runs = {}
         for workers in (2, 4):
             with OptimizerPool(workers=workers) as pool:
-                parallel = pool.optimize_batch(jobs, config)
+                parallel_runs[workers] = pool.optimize_batch(jobs, config)
+        # Nothing calibrated here yet, so every worker forked cold.
+        assert not optimizer_module._CALIBRATION_RUNS
+        EnergyOptimizer(config).calibrate()
+        assert len(optimizer_module._CALIBRATION_RUNS) == 1
+        serial = OptimizerPool(workers=0).optimize_batch(jobs, config)
+        for parallel in parallel_runs.values():
             assert parallel.keys() == serial.keys()
             for fingerprint in serial:
                 assert (

@@ -246,6 +246,29 @@ class TestDrive:
         assert document["meta"]["requests"] == 200
         assert document["traffic"]["byte_identical"] is True
 
+    def test_prewarm_on_cold_workers_matches_serial_verify(
+        self, tmp_path, tiny_optimizer_config, monkeypatch
+    ):
+        """The prewarm batch runs on two worker processes that build their
+        own calibration runs; the serial verify replays its own."""
+        from repro.core import optimizer as optimizer_module
+
+        monkeypatch.setattr(optimizer_module, "_CALIBRATION_RUNS", {})
+        config = TrafficConfig(
+            requests=200, workloads=3, window=64, seed=0, verify=3,
+            prewarm=True, workers=2,
+        )
+        report = run_bench(
+            config,
+            tiny_optimizer_config,
+            store_root=tmp_path / "bench-root",
+            shards=2,
+            hot_slots=16,
+        )
+        assert report.ga_runs == 0  # every miss was computed by the prewarm
+        assert report.byte_identical is True
+        assert report.verified_workloads == 3
+
     def test_bench_cli_smoke(self, tmp_path, capsys):
         from repro.serve.cli import main
 
