@@ -10,6 +10,21 @@ from __future__ import annotations
 
 import numpy as np
 
+#: Words in a :class:`numpy.random.SeedSequence` entropy pool.  A spawned
+#: sequence zero-pads its run entropy to this many words before appending
+#: the spawn key.
+_POOL_SIZE = 4
+
+
+def _seed_words(seed: int) -> np.ndarray:
+    """``seed`` as little-endian 32-bit words, zero-padded to the pool size.
+
+    The run-entropy half of the array ``SeedSequence(seed, spawn_key=...)``
+    assembles for a non-empty spawn key.
+    """
+    count = max(_POOL_SIZE, -(-seed.bit_length() // 32))
+    return np.frombuffer(seed.to_bytes(4 * count, "little"), dtype="<u4")
+
 
 class RngFactory:
     """Derives independent, named random generators from one root seed.
@@ -35,14 +50,19 @@ class RngFactory:
         """A fresh generator for the component ``name``.
 
         Calling this twice with the same name returns generators that
-        produce identical streams.
+        produce identical streams.  The stream is that of
+        ``SeedSequence(seed, spawn_key=tuple(name.encode("utf-8")))``;
+        the entropy array that sequence would assemble one byte at a time
+        (seed words, zero-padded, then the name's bytes) is built here in
+        one concatenation, which is what makes a per-step stream cheap.
         """
         if not name:
             raise ValueError("component name must be non-empty")
-        child = np.random.SeedSequence(
-            self._seed, spawn_key=tuple(name.encode("utf-8"))
-        )
-        return np.random.default_rng(child)
+        if self._seed < 0:
+            raise ValueError("expected non-negative integer")
+        key = np.frombuffer(name.encode("utf-8"), dtype=np.uint8)
+        entropy = np.concatenate((_seed_words(self._seed), key))
+        return np.random.default_rng(np.random.SeedSequence(entropy))
 
     def child(self, name: str) -> "RngFactory":
         """A derived factory whose streams are independent of this one's."""

@@ -19,8 +19,12 @@ thermal state: arrivals, the gathered energy coefficients, the barrier
 wait, the collective and the overruns.  Even the 8-substep barrier-wait
 idle integration is affine in the step's initial temperature rise
 ``delta0``, so it collapses to per-device ``(p, q)`` pairs.  The engine
-builds all of this once per epoch; a warm step is five affine passes in
-``delta0``.  10k devices step in well under a millisecond and 100k in a
+builds all of this once per epoch; a warm step gathers ``delta0``, makes
+one affine pass for the end temperatures and scatters them into the
+thermal state.  Its result keeps only ``delta0`` and a reference to the
+epoch; the energies and end temperatures are affine passes taken when
+they are read, so a run of steps retains one ``(devices,)`` array per
+step.  10k devices step in well under a millisecond and 100k in a
 few (see ``BENCH_fleet.json``).  Neither a new epoch nor a replan
 recomputes anything priced per frequency: the duration table and the
 per-frequency coefficients are built once per simulator, and both are
@@ -39,7 +43,7 @@ devices between steps with deterministic re-sharding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -127,6 +131,14 @@ class FleetStepResult:
     Array fields line up with :attr:`device_ids` (active devices in id
     order).  The scalar aggregates mirror
     :class:`~repro.cluster.simulator.ClusterStepResult`.
+
+    A result stores one array of its own, the step's initial temperature
+    rise :attr:`delta0` (read-only); everything else is shared,
+    read-only, with every step of its epoch.  The energies and
+    :attr:`end_celsius` are affine in ``delta0`` and are computed from
+    the epoch's ``(p, q)`` pairs on *each* access, with no caching:
+    a caller that reads one of them repeatedly should keep a reference
+    to the array it got.
     """
 
     fleet_name: str
@@ -138,17 +150,46 @@ class FleetStepResult:
     arrival_us: np.ndarray
     wait_us: np.ndarray
     freq_mhz: np.ndarray
-    aicore_energy_j: np.ndarray
-    soc_energy_j: np.ndarray
-    idle_aicore_energy_j: np.ndarray
-    idle_soc_energy_j: np.ndarray
-    end_celsius: np.ndarray
+    #: Initial temperature rise over ambient of each active device.
+    delta0: np.ndarray
+    #: The cached epoch the step ran in: its ``(p, q)`` pairs.
+    epoch: _Epoch = field(repr=False)
     #: Devices that arrived measurably past the planned barrier (count,
     #: and the worst offenders by lateness).
     overrun_count: int = 0
     overrun_device_ids: tuple[int, ...] = ()
     #: Churn events applied immediately before this step.
     events: tuple[FleetEvent, ...] = ()
+
+    @property
+    def aicore_energy_j(self) -> np.ndarray:
+        """Per-device compute AICore energy (J)."""
+        ep = self.epoch
+        return _affine(ep.aicore_p, ep.aicore_q, self.delta0)
+
+    @property
+    def soc_energy_j(self) -> np.ndarray:
+        """Per-device compute SoC energy (J)."""
+        ep = self.epoch
+        return _affine(ep.soc_p, ep.soc_q, self.delta0)
+
+    @property
+    def idle_aicore_energy_j(self) -> np.ndarray:
+        """Per-device barrier-idle AICore energy (J)."""
+        ep = self.epoch
+        return _affine(ep.idle_aicore_p, ep.idle_aicore_q, self.delta0)
+
+    @property
+    def idle_soc_energy_j(self) -> np.ndarray:
+        """Per-device barrier-idle SoC energy (J)."""
+        ep = self.epoch
+        return _affine(ep.idle_soc_p, ep.idle_soc_q, self.delta0)
+
+    @property
+    def end_celsius(self) -> np.ndarray:
+        """Per-device board temperature at the end of the step."""
+        ep = self.epoch
+        return _affine(ep.celsius_p, ep.celsius_q, self.delta0)
 
     @property
     def n_devices(self) -> int:
@@ -199,6 +240,8 @@ class FleetStepResult:
         selected in O(N) (:func:`descending_top_k`, not a full sort).
         """
         order = descending_top_k(self.arrival_us, top_k)
+        soc = self.total_soc_energy_j
+        aicore = self.total_aicore_energy_j
         rows = []
         for pos in order:
             device = int(self.device_ids[pos])
@@ -210,10 +253,8 @@ class FleetStepResult:
                     ),
                     "wait_ms": round(float(self.wait_us[pos]) / 1000.0, 3),
                     "idle_mhz": round(float(self.freq_mhz[pos])),
-                    "soc_j": round(float(self.total_soc_energy_j[pos]), 3),
-                    "aicore_j": round(
-                        float(self.total_aicore_energy_j[pos]), 3
-                    ),
+                    "soc_j": round(float(soc[pos]), 3),
+                    "aicore_j": round(float(aicore[pos]), 3),
                     "straggler": "*" if device == self.straggler_id else "",
                 }
             )
@@ -231,12 +272,8 @@ class FleetStepResult:
                         float(np.mean(self.wait_us[rest])) / 1000.0, 3
                     ),
                     "idle_mhz": "",
-                    "soc_j": round(
-                        float(np.sum(self.total_soc_energy_j[rest])), 3
-                    ),
-                    "aicore_j": round(
-                        float(np.sum(self.total_aicore_energy_j[rest])), 3
-                    ),
+                    "soc_j": round(float(np.sum(soc[rest])), 3),
+                    "aicore_j": round(float(np.sum(aicore[rest])), 3),
                     "straggler": "",
                 }
             )
@@ -313,9 +350,8 @@ class _Epoch:
     """Everything a step needs that the thermal state does not change.
 
     Per-device outputs are affine in the step's initial temperature
-    rise ``delta0``: ``x = x_p + x_q * delta0``.  The shared arrays
-    (ids, arrivals, waits, frequencies) are read-only because every
-    result of the epoch carries them.
+    rise ``delta0``: ``x = x_p + x_q * delta0``.  Every array is
+    read-only because every result of the epoch carries them.
     """
 
     device_ids: np.ndarray
@@ -610,9 +646,10 @@ class FleetSimulator:
                 only; :meth:`run_steps` passes the step's own events).
         """
         ep = self._epoch_for(plan, target_compute_us)
-        delta0 = self._celsius[ep.device_ids] - ep.ambient
-        celsius = _affine(ep.celsius_p, ep.celsius_q, delta0)
-        self._celsius[ep.device_ids] = celsius
+        delta0 = _read_only(self._celsius[ep.device_ids] - ep.ambient)
+        self._celsius[ep.device_ids] = _affine(
+            ep.celsius_p, ep.celsius_q, delta0
+        )
         self._overrun_total += ep.overrun_count
         return FleetStepResult(
             fleet_name=self._spec.name,
@@ -624,13 +661,8 @@ class FleetSimulator:
             arrival_us=ep.arrival_us,
             wait_us=ep.wait_us,
             freq_mhz=ep.freq_mhz,
-            aicore_energy_j=_affine(ep.aicore_p, ep.aicore_q, delta0),
-            soc_energy_j=_affine(ep.soc_p, ep.soc_q, delta0),
-            idle_aicore_energy_j=_affine(
-                ep.idle_aicore_p, ep.idle_aicore_q, delta0
-            ),
-            idle_soc_energy_j=_affine(ep.idle_soc_p, ep.idle_soc_q, delta0),
-            end_celsius=celsius,
+            delta0=delta0,
+            epoch=ep,
             overrun_count=ep.overrun_count,
             overrun_device_ids=ep.overrun_device_ids,
             events=events,
@@ -677,7 +709,8 @@ class FleetSimulator:
             np.arange(width)[:, None] * capacity
             + (index * (width * capacity) + act)
         )
-        arrival, e0a, e1a, e0s, e1s, p, q = np.take(self._coef, flat)
+        coef = _read_only(np.take(self._coef, flat))
+        arrival, e0a, e1a, e0s, e1s, p, q = coef
         idle_a0, idle_ga, idle_s0, idle_gs = np.take(self._idle, index, axis=1)
 
         compute_us = float(arrival.max())
@@ -722,11 +755,11 @@ class FleetSimulator:
                 order = descending_top_k(lateness[late], DEFAULT_TOP_K)
                 offenders = tuple(int(late_ids[pos]) for pos in order)
 
-        ambient = self._ambient[act]
+        ambient = _read_only(self._ambient[act])
         return _Epoch(
             device_ids=_read_only(act),
             ambient=ambient,
-            arrival_us=_read_only(arrival),
+            arrival_us=arrival,
             wait_us=_read_only(wait),
             freq_mhz=_read_only(freqs),
             compute_us=compute_us,
@@ -736,12 +769,12 @@ class FleetSimulator:
             aicore_q=e1a,
             soc_p=e0s,
             soc_q=e1s,
-            idle_aicore_p=ia_p,
-            idle_aicore_q=ia_q,
-            idle_soc_p=is_p,
-            idle_soc_q=is_q,
-            celsius_p=ambient + p,
-            celsius_q=q,
+            idle_aicore_p=_read_only(ia_p),
+            idle_aicore_q=_read_only(ia_q),
+            idle_soc_p=_read_only(is_p),
+            idle_soc_q=_read_only(is_q),
+            celsius_p=_read_only(ambient + p),
+            celsius_q=_read_only(q),
             overrun_count=overrun_count,
             overrun_device_ids=offenders,
         )

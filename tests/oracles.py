@@ -21,7 +21,10 @@ so the equivalence tests can compare the array form bit for bit:
   and the RC decay);
 * :func:`scalar_sample_chunks` — ``PowerTelemetry.sample_chunks`` as a
   ``t += interval`` walk with three scalar noise draws per sample (the
-  telemetry now draws all noise at once and gathers by ``searchsorted``).
+  telemetry now draws all noise at once and gathers by ``searchsorted``);
+* :func:`eager_step_arrays` — ``FleetSimulator.step`` building a step's
+  four energy arrays and its end temperatures as it runs (a step result
+  now keeps only ``delta0`` and computes them on access).
 """
 
 from __future__ import annotations
@@ -281,3 +284,29 @@ def scalar_sample_chunks(
         )
         t += interval_us
     return samples
+
+
+#: The per-device arrays a fleet step used to build, with the epoch's
+#: ``(p, q)`` pair each is affine in.
+EAGER_STEP_PAIRS = {
+    "aicore_energy_j": ("aicore_p", "aicore_q"),
+    "soc_energy_j": ("soc_p", "soc_q"),
+    "idle_aicore_energy_j": ("idle_aicore_p", "idle_aicore_q"),
+    "idle_soc_energy_j": ("idle_soc_p", "idle_soc_q"),
+    "end_celsius": ("celsius_p", "celsius_q"),
+}
+
+
+def eager_step_arrays(epoch, delta0: np.ndarray) -> dict[str, np.ndarray]:
+    """A fleet step's five affine arrays, built the way the step used to.
+
+    One ``out = q * delta0; out += p`` pass per array, in the step's
+    initial temperature rise ``delta0``, from the epoch's coefficient
+    pairs.
+    """
+    arrays = {}
+    for name, (p_name, q_name) in EAGER_STEP_PAIRS.items():
+        out = getattr(epoch, q_name) * delta0
+        out += getattr(epoch, p_name)
+        arrays[name] = out
+    return arrays

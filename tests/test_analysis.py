@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import (
     RngFactory,
@@ -208,3 +210,53 @@ class TestRngFactory:
     def test_rejects_non_int_seed(self):
         with pytest.raises(TypeError):
             RngFactory("seed")  # type: ignore[arg-type]
+
+
+def spawned_state(seed: int, name: str) -> dict:
+    """The generator state of numpy's own spawn-key derivation."""
+    sequence = np.random.SeedSequence(
+        seed, spawn_key=tuple(name.encode("utf-8"))
+    )
+    return np.random.default_rng(sequence).bit_generator.state
+
+
+#: Seeds around every word boundary the entropy assembly has: one word,
+#: the 32-bit carry, two words, a full pool and one word past it.
+BOUNDARY_SEEDS = st.sampled_from(
+    [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64]
+) | st.integers(0, 2**20).map(lambda k: 2**128 + k)
+
+#: ASCII, multi-byte UTF-8 and embedded NUL, 1-64 characters.
+COMPONENT_NAMES = st.text(
+    alphabet=st.sampled_from(
+        ["a", "Z", "-", "7", "\x00", "é", "日", "🙂"]
+    ),
+    min_size=1,
+    max_size=64,
+)
+
+
+class TestRngFactoryEntropy:
+    """``generator`` pre-assembles the entropy numpy would build."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=BOUNDARY_SEEDS, name=COMPONENT_NAMES)
+    def test_state_equals_the_spawn_key_derivation(self, seed, name):
+        state = RngFactory(seed).generator(name).bit_generator.state
+        assert state == spawned_state(seed, name)
+
+    @pytest.mark.parametrize("name", ["fleet-churn-0", "fleet-churn-199"])
+    def test_churn_stream_names(self, name):
+        state = RngFactory(12345).generator(name).bit_generator.state
+        assert state == spawned_state(12345, name)
+
+    def test_negative_seed_raises_like_numpy(self):
+        with pytest.raises(ValueError) as numpy_error:
+            spawned_state(-1, "x")
+        with pytest.raises(ValueError) as ours:
+            RngFactory(-1).generator("x")
+        assert str(ours.value) == str(numpy_error.value)
+
+    def test_empty_name_checked_before_the_seed(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            RngFactory(-1).generator("")

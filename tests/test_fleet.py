@@ -10,6 +10,7 @@ the store round-trip, the straggler top-k reporting and the CLI.
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from repro.fleet.reference import compare_with_cluster
 from repro.fleet.simulator import MEMBERSHIP_KINDS
 from repro.serve.store import StrategyStore
 from repro.workloads import generate
+from tests.oracles import EAGER_STEP_PAIRS, eager_step_arrays
 
 
 @pytest.fixture(scope="module")
@@ -729,9 +731,72 @@ class TestEpochCache:
     def test_shared_arrays_are_read_only(self, small_fleet):
         small_fleet.reset()
         result = small_fleet.step()
-        for name in ("device_ids", "arrival_us", "wait_us", "freq_mhz"):
+        arrays = [
+            getattr(result, name)
+            for name in ("device_ids", "arrival_us", "wait_us", "freq_mhz")
+        ]
+        # The step's own delta0 and the epoch pairs its arrays derive from.
+        arrays += [result.delta0, result.epoch.ambient]
+        for pair in EAGER_STEP_PAIRS.values():
+            arrays += [getattr(result.epoch, name) for name in pair]
+        for values in arrays:
             with pytest.raises(ValueError):
-                getattr(result, name)[0] = 0
+                values[0] = 0
+
+
+class TestStepArraysOnAccess:
+    """A result keeps ``delta0``; its five affine arrays come on access."""
+
+    def test_arrays_equal_the_eager_oracle(self, tiny_trace):
+        sim = FleetSimulator(churned_spec(64, 3), tiny_trace)
+        plan = reclaim_fleet_slack(sim)
+        results = sim.run_steps(
+            plan, 60, plan.target_compute_us, replan=auto_retarget()
+        )
+        epochs = {id(r.epoch) for r in results}
+        assert len(epochs) > 1  # at least one churn-driven replan
+        for result in results:
+            eager = eager_step_arrays(result.epoch, result.delta0)
+            for name, values in eager.items():
+                assert np.array_equal(getattr(result, name), values), name
+            soc = eager["soc_energy_j"] + eager["idle_soc_energy_j"]
+            aicore = eager["aicore_energy_j"] + eager["idle_aicore_energy_j"]
+            assert np.array_equal(result.total_soc_energy_j, soc)
+            assert np.array_equal(result.total_aicore_energy_j, aicore)
+            assert result.fleet_soc_energy_j == float(np.sum(soc))
+            assert result.fleet_aicore_energy_j == float(np.sum(aicore))
+
+        # Each step's end temperatures are the thermal state the next
+        # step starts from: survivors carry them, joiners start at
+        # their own ambient.
+        for prev, nxt in zip(results, results[1:]):
+            _, i, j = np.intersect1d(
+                prev.device_ids, nxt.device_ids, return_indices=True
+            )
+            assert np.array_equal(
+                nxt.delta0[j], prev.end_celsius[i] - nxt.epoch.ambient[j]
+            )
+            joined = np.isin(nxt.device_ids, prev.device_ids, invert=True)
+            assert not nxt.delta0[joined].any()
+        last = results[-1]
+        assert np.array_equal(sim.celsius[last.device_ids], last.end_celsius)
+
+    def test_run_steps_retains_one_array_per_step(self, tiny_trace):
+        n_devices, steps = 2000, 40
+        spec = FleetSpec(n_devices=n_devices, seed=3)
+        sim = FleetSimulator(spec, tiny_trace)
+        plan = reclaim_fleet_slack(sim)
+        target = plan.target_compute_us
+        sim.step(plan, target)  # build the epoch outside the measurement
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            results = sim.run_steps(plan, steps, target)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(results) == steps
+        assert retained <= 1.25 * n_devices * 8 * steps
 
 
 class TestComparisonHarness:
