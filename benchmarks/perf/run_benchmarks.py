@@ -1,22 +1,22 @@
 #!/usr/bin/env python
 """Repo-wide performance microbenchmarks for the simulation engine.
 
-Measures the four hot paths the compiled-trace engine accelerates, each
-A/B against the reference per-chunk loop (forced via
+Measures the hot paths the compiled-trace engine accelerates, each A/B
+against the reference per-chunk loop (forced via
 :func:`repro.npu.engine.reference_only`):
 
 * ``simulate``  — single-iteration trace execution (operators/second);
 * ``sweep``     — a full-grid constant-frequency ``run_stable`` profiler
   sweep (wall seconds);
-* ``cluster``   — a synchronous multi-device training step (steps/second);
 * ``ga``        — genetic-algorithm strategy search (seconds/generation;
-  array-scoring based, engine-independent, tracked for the trajectory).
+  array-scoring based, engine-independent, tracked for the trajectory);
+* ``pipeline``  — cold-path strategy generation, profile to search.
 
 Methodology: every arm runs ``--warmup`` untimed rounds first (populating
 the evaluator memo, compiled-trace cache, and the constant-frequency
 affine reductions — the warm regime is the representative one, since
-sweeps, ``repro.serve`` warm-up, GA baselines and cluster steps all rerun
-the same trace), then ``--rounds`` timed rounds; the minimum is the
+sweeps, ``repro.serve`` warm-up and GA baselines all rerun the same
+trace), then ``--rounds`` timed rounds; the minimum is the
 headline number.  The first fast-path round of each section is also
 reported separately as ``cold_seconds`` (compile + column build cost).
 
@@ -46,9 +46,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from repro import batching  # noqa: E402
-from repro.cluster import ClusterSpec  # noqa: E402
-from repro.cluster.simulator import SimulatedCluster  # noqa: E402
 from repro.core import EnergyOptimizer, OptimizerConfig  # noqa: E402
 from repro.dvfs.ga import GaConfig, run_search  # noqa: E402
 from repro.npu import (  # noqa: E402
@@ -174,45 +171,6 @@ def bench_sweep(trace, warmup: int, rounds: int) -> dict:
     }
 
 
-def bench_cluster(trace, n_devices: int, warmup: int, rounds: int) -> dict:
-    """One synchronous baseline training step on an N-device fleet."""
-    fast_cluster = SimulatedCluster(ClusterSpec(n_devices=n_devices))
-    ref_cluster = SimulatedCluster(ClusterSpec(n_devices=n_devices))
-
-    fast = time_rounds(lambda: fast_cluster.run_step(trace), warmup, rounds)
-
-    def ref_step():
-        with reference_only():
-            return ref_cluster.run_step(trace)
-
-    ref = time_rounds(ref_step, warmup, rounds)
-
-    fast_step = fast_cluster.run_step(trace)
-    ref_step_result = ref_step()
-    worst = 0.0
-    for field in ("step_us", "fleet_soc_energy_j", "fleet_aicore_energy_j"):
-        err = _rel_err(
-            getattr(fast_step, field), getattr(ref_step_result, field)
-        )
-        worst = max(worst, err)
-        if err > EQUIV_REL_TOL:
-            raise EquivalenceFailure(
-                f"cluster: {field} diverged by {err:.3e}"
-            )
-    if fast_step.straggler_id != ref_step_result.straggler_id:
-        raise EquivalenceFailure("cluster: straggler identity diverged")
-    return {
-        "trace": trace.name,
-        "devices": n_devices,
-        "fast": fast,
-        "reference": ref,
-        "fast_steps_per_second": 1.0 / fast["best_seconds"],
-        "reference_steps_per_second": 1.0 / ref["best_seconds"],
-        "speedup": ref["best_seconds"] / fast["best_seconds"],
-        "max_rel_error": worst,
-    }
-
-
 def bench_ga(trace, warmup: int, rounds: int) -> dict:
     """GA search seconds/generation over a profiled model of ``trace``."""
     ga = GaConfig(population_size=64, iterations=40, seed=0)
@@ -251,19 +209,18 @@ def bench_ga(trace, warmup: int, rounds: int) -> dict:
 def bench_pipeline(trace, warmup: int, rounds: int) -> dict:
     """Cold-path strategy generation: profile -> fit -> score -> search.
 
-    Fast arm: compiled-trace engine + batched cold path (the defaults).
-    Reference arm: per-chunk execution loop + scalar cold path.  Offline
-    calibration is shared (it is per-device, not per-workload, and would
-    otherwise dominate both arms identically).
+    Fast arm: compiled-trace engine, so the optimizer profiles the whole
+    sweep in one grid pass.  Reference arm: per-chunk execution loop
+    under :func:`reference_only`, which also sends profiling down the
+    sequential sweep.  Offline calibration is shared (it is per-device,
+    not per-workload, and would otherwise dominate both arms
+    identically).
 
-    Gates, both fatal:
-
-    * byte-identical ``best_genes`` for seeds 0/1/2 between the batched
-      and scalar cold paths (same execution engine, so the noise streams
-      are comparable bit for bit);
-    * fitted-model predictions within ``EQUIV_REL_TOL`` between the fast
-      arm and the full reference arm (whose engine-off measurements
-      differ at float rounding level).
+    Gate (fatal): fitted-model predictions within ``EQUIV_REL_TOL``
+    between the two arms (the engine-off measurements differ at float
+    rounding level).  The grid pass's byte-identical ``best_genes``
+    against the sequential sweep at this config is a unit test
+    (``tests/test_pipeline_batched.py``).
     """
     spec = default_npu_spec()
     grid = np.asarray(spec.frequencies.points, dtype=float)
@@ -285,24 +242,10 @@ def bench_pipeline(trace, warmup: int, rounds: int) -> dict:
     fast = time_rounds(lambda: cold_path(), warmup, rounds)
 
     def ref_cold_path(seed=0):
-        with reference_only(), batching.reference_cold_path():
+        with reference_only():
             return cold_path(seed)
 
     ref = time_rounds(lambda: ref_cold_path(), min(warmup, 1), rounds)
-
-    # Determinism gate: the batched cold path must reproduce the scalar
-    # one byte for byte (engine on in both arms).
-    for seed in (0, 1, 2):
-        _, batched_result = cold_path(seed)
-        with batching.reference_cold_path():
-            _, scalar_result = cold_path(seed)
-        if (
-            batched_result.best_genes.tobytes()
-            != scalar_result.best_genes.tobytes()
-        ):
-            raise EquivalenceFailure(
-                f"pipeline: best_genes diverged for seed {seed}"
-            )
 
     # Model-prediction gate vs the full (engine-off) reference arm.
     fast_models, _ = cold_path()
@@ -348,7 +291,6 @@ def bench_pipeline(trace, warmup: int, rounds: int) -> dict:
         "reference": ref,
         "speedup": ref["best_seconds"] / fast["best_seconds"],
         "max_rel_error": worst,
-        "best_genes_identical_seeds": [0, 1, 2],
     }
 
 
@@ -362,7 +304,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--rounds", type=int, default=3)
     parser.add_argument("--warmup", type=int, default=2)
-    parser.add_argument("--devices", type=int, default=4)
     parser.add_argument(
         "--skip-ga", action="store_true",
         help="skip the GA section (it dominates smoke-run wall time)",
@@ -371,7 +312,7 @@ def main(argv: list[str] | None = None) -> int:
         "--only",
         default=None,
         help="comma-separated subset of sections to run "
-        "(simulate,sweep,cluster,ga,pipeline)",
+        "(simulate,sweep,ga,pipeline)",
     )
     parser.add_argument(
         "--output",
@@ -405,12 +346,6 @@ def main(argv: list[str] | None = None) -> int:
     sections = [
         ("simulate", lambda: bench_simulate(trace, args.warmup, args.rounds)),
         ("sweep", lambda: bench_sweep(trace, args.warmup, args.rounds)),
-        (
-            "cluster",
-            lambda: bench_cluster(
-                trace, args.devices, args.warmup, args.rounds
-            ),
-        ),
     ]
     if not args.skip_ga:
         sections.append(

@@ -1,12 +1,14 @@
 """Benchmark: vectorized fleet scaling with hierarchical collectives.
 
-The acceptance bar for the fleet layer: the stacked-array simulator
-reproduces the looped cluster to <= 1e-9 (durations bitwise, plans
-byte-identical), reclamation still saves fleet energy at zero step-time
-regression at hundreds of devices, the hierarchical collective never
+The acceptance bar for the fleet layer at scale: reclamation still
+saves fleet energy at zero step-time regression at hundreds of devices, the hierarchical collective never
 loses to the flat ring, churn replays are bit-identical, the store
 round-trip serves every device warm, and the vectorized barrier step
-sustains a real step rate at thousands of devices.
+sustains a real step rate at thousands of devices.  That the
+stacked-array simulator reproduces the looped cluster to <= 1e-9
+(durations bitwise, plans byte-identical) is a unit test,
+``tests/test_fleet_equivalence.py``, since the looped reference ships
+only with the tests.
 """
 
 from repro.experiments import run_experiment
@@ -18,11 +20,6 @@ def test_bench_ext_fleet_scale(run_once):
         devices=256, scaling_sizes=(64, 256, 1024),
     )
     measured = result.measured
-    # Equivalence: the vectorization must not change the physics.
-    assert measured["equivalence_ok"]
-    assert measured["plans_byte_identical"]
-    assert measured["durations_bitwise"]
-    assert measured["equivalence_max_rel_err"] <= 1e-9
     # Energy: fleet savings at zero step-time regression, at scale.
     assert measured["soc_energy_savings"] > 0.0
     assert measured["step_time_regression"] <= 0.005

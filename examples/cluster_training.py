@@ -18,9 +18,13 @@ from __future__ import annotations
 
 import sys
 
-from repro.cluster import ClusterSpec
 from repro.core.report import format_table
-from repro.fleet import FleetSimulator, FleetSpec, reclaim_fleet_slack
+from repro.fleet import (
+    FleetSimulator,
+    FleetSpec,
+    FleetTopology,
+    reclaim_fleet_slack,
+)
 from repro.workloads import generate
 
 
@@ -29,11 +33,15 @@ def main() -> None:
     print(f"Generating a GPT-3 training iteration (scale={scale})...")
     trace = generate("gpt3", scale=scale)
 
-    cluster = ClusterSpec(n_devices=8, seed=0)
-    spec = FleetSpec.from_cluster(cluster)  # one rack: a single ring
+    spec = FleetSpec(  # one rack: a single ring
+        name="ring-cluster",
+        n_devices=8,
+        topology=FleetTopology(devices_per_rack=8),
+        seed=0,
+    )
     sim = FleetSimulator(spec, trace)
     print(f"Fleet of {spec.n_devices} devices, ring all-reduce "
-          f"{cluster.allreduce_us / 1000.0:.2f} ms per step.")
+          f"{sim.collective_cost().chosen_us / 1000.0:.2f} ms per step.")
     for profile in spec.device_profiles():
         print(f"  device {profile.device_id}: "
               f"speed x{profile.total_duration_scale:.4f}, "

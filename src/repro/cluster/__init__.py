@@ -4,21 +4,17 @@ The paper optimises one NPU at a time; its deployment story (Sect. 8.1)
 is synchronous data-parallel fleets, where per-device DVFS interacts
 with the all-reduce barrier: slowing the critical device stalls every
 peer, while slowing a non-critical device is free.  This package holds
-the cluster description and the policies; the barrier step itself runs
-on :class:`repro.fleet.simulator.FleetSimulator`, with a cluster lifted
-into a one-rack fleet by :meth:`repro.fleet.spec.FleetSpec.from_cluster`:
+the per-device model and the policies; the barrier step itself runs on
+:class:`repro.fleet.simulator.FleetSimulator`, with a cluster described
+as a one-rack :class:`repro.fleet.spec.FleetSpec`:
 
-* :mod:`repro.cluster.spec` — N devices with seeded per-device variation
-  (silicon speed bins, rack thermal gradients) plus explicit degradation
-  overrides;
+* :mod:`repro.cluster.spec` — seeded per-device variation (silicon speed
+  bins, rack thermal gradients) plus explicit degradation overrides;
 * :mod:`repro.cluster.collective` — the ring all-reduce cost law;
 * :mod:`repro.cluster.dvfs` — the fleet ``energy x step-time`` GA over
   the existing :mod:`repro.dvfs.ga`, fed by the fleet simulator's arrays;
 * :mod:`repro.cluster.serve` — per-device strategy fingerprints and
-  store-backed slack reclamation through :mod:`repro.serve`;
-* :mod:`repro.cluster.simulator` and :mod:`repro.cluster.device` — the
-  looped reference the fleet is checked against
-  (:func:`repro.fleet.reference.compare_with_cluster`); not exported.
+  store-backed slack reclamation through :mod:`repro.serve`.
 
 Run ``python -m repro.cluster`` for a quick fleet demo.
 """
@@ -31,7 +27,6 @@ from repro.cluster.dvfs import (
 )
 from repro.cluster.serve import fleet_cached_reclaim, fleet_device_fingerprint
 from repro.cluster.spec import (
-    ClusterSpec,
     DeviceOverride,
     DeviceProfile,
     DeviceVariation,
@@ -40,7 +35,6 @@ from repro.cluster.spec import (
 __all__ = [
     "ClusterScoreBreakdown",
     "ClusterScorer",
-    "ClusterSpec",
     "DeviceOverride",
     "DeviceProfile",
     "DeviceVariation",

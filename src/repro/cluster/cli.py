@@ -20,13 +20,13 @@ import sys
 from typing import Sequence
 
 from repro.cluster.dvfs import search_cluster_frequencies
-from repro.cluster.spec import ClusterSpec
 from repro.core.report import format_table
 from repro.dvfs.ga import GaConfig
 from repro.errors import ReproError
 from repro.fleet.dvfs import reclaim_fleet_slack
 from repro.fleet.simulator import FleetSimulator, FleetStepResult
 from repro.fleet.spec import FleetSpec
+from repro.fleet.topology import FleetTopology
 from repro.workloads import generate, workload_names
 
 
@@ -114,12 +114,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         trace = generate(args.workload, scale=args.scale, seed=args.seed)
-        spec = FleetSpec.from_cluster(
-            ClusterSpec(
-                n_devices=args.devices,
-                gradient_bytes=args.gradient_mb * 2**20,
-                seed=args.seed,
-            )
+        spec = FleetSpec(
+            name="ring-cluster",
+            n_devices=args.devices,
+            topology=FleetTopology(devices_per_rack=args.devices),
+            gradient_bytes=args.gradient_mb * 2**20,
+            seed=args.seed,
         )
         sim = FleetSimulator(spec, trace)
         baseline = sim.step()

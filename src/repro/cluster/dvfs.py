@@ -190,7 +190,7 @@ def search_cluster_frequencies(
     active devices; its barrier target is the slowest predicted arrival.
     """
     # Imported here: the fleet layer sits above the cluster package in
-    # the import order (its spec embeds a ClusterSpec).
+    # the import order (its spec is built from the cluster's device model).
     from repro.fleet.simulator import FleetPlan
 
     scorer = ClusterScorer(sim, step_loss_target)

@@ -16,15 +16,15 @@ hardware *plus* the device's realised profile — a degraded or re-binned
 device changes its own fingerprint and nobody else's.
 
 The fleet layer (:mod:`repro.fleet`) sits above the cluster package in
-the import order (its spec embeds a ClusterSpec), so fleet types are
-imported inside the function bodies.
+the import order (its spec is built from the cluster's device model), so
+fleet types are imported inside the function bodies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cluster.spec import ClusterSpec, DeviceProfile
+from repro.cluster.spec import DeviceProfile
 from repro.serve.fingerprint import (
     combine_fingerprints,
     payload_fingerprint,
@@ -35,8 +35,12 @@ from repro.serve.store import StrategyStore
 from repro.workloads.trace import Trace
 
 
-def device_spec_hash(spec: ClusterSpec, profile: DeviceProfile) -> str:
-    """Hash of one device's hardware: nominal spec + realised profile."""
+def device_spec_hash(spec, profile: DeviceProfile) -> str:
+    """Hash of one device's hardware: nominal spec + realised profile.
+
+    ``spec`` is the device's :class:`~repro.fleet.spec.FleetSpec`; only
+    its nominal ``npu`` enters the hash.
+    """
     return payload_fingerprint(
         "cluster_device",
         {
@@ -85,7 +89,7 @@ def fleet_device_fingerprint(
     return combine_fingerprints(
         trace_fingerprint(trace),
         fleet_config_hash(spec, active_ids, slack_margin),
-        device_spec_hash(spec.cluster_spec(), profile),
+        device_spec_hash(spec, profile),
     )
 
 
@@ -136,9 +140,7 @@ def fleet_cached_reclaim(
     config_hash = fleet_config_hash(spec, active, slack_margin)
     trace_hash = trace_fingerprint(trace)
     profiles = spec.device_profiles()
-    spec_hashes = [
-        device_spec_hash(spec.cluster_spec(), profiles[i]) for i in active
-    ]
+    spec_hashes = [device_spec_hash(spec, profiles[i]) for i in active]
     fingerprints = [
         combine_fingerprints(trace_hash, config_hash, spec_hash)
         for spec_hash in spec_hashes

@@ -1,4 +1,4 @@
-"""Cluster description: N varied devices behind one interconnect.
+"""Per-device variation: the silicon and thermal spread of a fleet.
 
 Real fleets are not N copies of the datasheet chip.  Silicon speed
 binning spreads operator latency a few percent between dies, and rack
@@ -7,21 +7,22 @@ matter for synchronous data-parallel training: the *slowest* device sets
 the step time, so per-device variation is precisely what creates the
 reclaimable slack on every other device.
 
-:class:`ClusterSpec` is the immutable description; per-device draws come
-from the repo's standard seeded-stream plumbing
-(:class:`repro.analysis.rng.RngFactory`), with a *fixed number of draws
-per device* so profiles are stable under any later extension of the
-drawing code — the same discipline :mod:`repro.npu.faults` uses.
+:class:`DeviceVariation` is the statistical spread, :class:`DeviceOverride`
+an explicit degradation, and :class:`DeviceProfile` one board's realised
+draw.  :meth:`repro.fleet.spec.FleetSpec.device_profiles` draws the
+profiles from the repo's standard seeded-stream plumbing
+(:class:`repro.analysis.rng.RngFactory`, stream :data:`VARIATION_STREAM`),
+with a *fixed number of draws per device* so profiles are stable under
+any later extension of the drawing code — the same discipline
+:mod:`repro.npu.faults` uses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
-from repro.analysis.rng import RngFactory
-from repro.cluster.collective import InterconnectSpec
 from repro.errors import ConfigurationError
-from repro.npu.spec import NpuSpec, default_npu_spec
+from repro.npu.spec import NpuSpec
 
 #: Stream name the per-device variation draws come from.
 VARIATION_STREAM = "cluster-variation"
@@ -142,106 +143,3 @@ class DeviceProfile:
                 + self.ambient_offset_celsius,
             ),
         )
-
-
-@dataclass(frozen=True)
-class ClusterSpec:
-    """Immutable description of one data-parallel cluster.
-
-    Attributes:
-        name: label used in reports.
-        n_devices: ring size.
-        npu: the nominal accelerator every device is built from.
-        variation: statistical spread of the per-device draws.
-        interconnect: ring-link characteristics.
-        gradient_bytes: all-reduce payload per training step (the
-            gradient size of the replicated model).
-        seed: root seed of the per-device variation draws.
-        overrides: explicit per-device conditions (degradation).
-    """
-
-    name: str = "ring-cluster"
-    n_devices: int = 8
-    npu: NpuSpec = field(default_factory=default_npu_spec)
-    variation: DeviceVariation = field(default_factory=DeviceVariation)
-    interconnect: InterconnectSpec = field(default_factory=InterconnectSpec)
-    gradient_bytes: float = 64 * 2**20
-    seed: int = 0
-    overrides: tuple[DeviceOverride, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.n_devices < 1:
-            raise ConfigurationError(
-                f"n_devices must be >= 1: {self.n_devices}"
-            )
-        if self.gradient_bytes < 0:
-            raise ConfigurationError(
-                f"gradient_bytes must be non-negative: {self.gradient_bytes}"
-            )
-        seen: set[int] = set()
-        for override in self.overrides:
-            if override.device_id >= self.n_devices:
-                raise ConfigurationError(
-                    f"override targets device {override.device_id}, but the "
-                    f"cluster has {self.n_devices} devices"
-                )
-            if override.device_id in seen:
-                raise ConfigurationError(
-                    f"duplicate override for device {override.device_id}"
-                )
-            seen.add(override.device_id)
-
-    @property
-    def allreduce_us(self) -> float:
-        """Per-step gradient-exchange time on this cluster."""
-        return self.interconnect.allreduce_us(
-            self.gradient_bytes, self.n_devices
-        )
-
-    def device_profiles(self) -> tuple[DeviceProfile, ...]:
-        """The seeded per-device draws, overrides applied.
-
-        Each device consumes exactly two draws (speed, ambient) from the
-        :data:`VARIATION_STREAM` generator, in device order, so profile
-        ``i`` depends only on ``(seed, i)`` — growing the cluster appends
-        devices without re-rolling the existing ones.
-        """
-        rng = RngFactory(self.seed).generator(VARIATION_STREAM)
-        by_id = {override.device_id: override for override in self.overrides}
-        profiles: list[DeviceProfile] = []
-        for device_id in range(self.n_devices):
-            speed_draw = float(rng.standard_normal())
-            ambient_draw = float(rng.standard_normal())
-            spread = self.variation.max_speed_spread
-            scale = 1.0 + self.variation.speed_sigma * speed_draw
-            scale = min(1.0 + spread, max(1.0 - spread, scale))
-            ambient = self.variation.ambient_sigma_celsius * ambient_draw
-            cap = self.variation.max_ambient_spread_celsius
-            ambient = min(cap, max(-cap, ambient))
-            override = by_id.get(device_id)
-            profiles.append(
-                DeviceProfile(
-                    device_id=device_id,
-                    duration_scale=scale,
-                    ambient_offset_celsius=ambient,
-                    extra_duration_scale=(
-                        override.extra_duration_scale if override else 1.0
-                    ),
-                    override_reason=override.reason if override else "",
-                )
-            )
-        return tuple(profiles)
-
-    def with_degraded_device(
-        self, device_id: int, slowdown: float, reason: str = "degraded"
-    ) -> "ClusterSpec":
-        """A copy with one device explicitly slowed by ``slowdown``x."""
-        override = DeviceOverride(
-            device_id=device_id,
-            extra_duration_scale=slowdown,
-            reason=reason,
-        )
-        kept = tuple(
-            o for o in self.overrides if o.device_id != device_id
-        )
-        return replace(self, overrides=kept + (override,))

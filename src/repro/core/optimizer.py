@@ -20,7 +20,6 @@ import threading
 from dataclasses import dataclass
 
 from repro.analysis.rng import RngFactory
-from repro.batching import batched_cold_path_enabled
 from repro.core.config import OptimizerConfig
 from repro.core.report import MeasuredMetrics, OptimizationReport
 from repro.dvfs.classification import (
@@ -266,8 +265,7 @@ class EnergyOptimizer:
         also needs the compiled-trace fast path.
         """
         return (
-            batched_cold_path_enabled()
-            and fast_path_enabled()
+            fast_path_enabled()
             and type(self._profiler) is CannStyleProfiler
             and type(self._telemetry) is PowerTelemetry
         )
@@ -275,12 +273,12 @@ class EnergyOptimizer:
     def profile(self, trace: Trace) -> ProfilingBundle:
         """Step 1: run the workload at the reference frequencies.
 
-        With the batched cold path on (the default), the whole frequency
-        sweep is profiled in one vectorised pass over the compiled trace;
-        the resulting reports, telemetry readings, and noise-stream
-        consumption are bit-identical to the sequential loop below.  This
-        is the one place the cold-path switch is read: the bundle's
-        ``grid`` carries the choice into :meth:`build_models` and
+        When the grid pass applies (:meth:`_can_profile_batched`), the
+        whole frequency sweep is profiled in one vectorised pass over the
+        compiled trace; the resulting reports, telemetry readings, and
+        noise-stream consumption are bit-identical to the sequential loop
+        below.  This is the one place the choice is made: the bundle's
+        ``grid`` carries it into :meth:`build_models` and
         :meth:`preprocess`.
         """
         baseline_freq = self._config.npu.max_frequency_mhz

@@ -117,11 +117,9 @@ class OptimizationReport:
 class ClusterResult:
     """Fleet-level outcome of a cluster DVFS policy versus its baseline.
 
-    Produced by :meth:`repro.fleet.simulator.FleetStepResult.report` (and
-    by the looped reference's ``ClusterStepResult.report``, which also
-    carries its barrier incidents); kept here (plain data, no cluster
-    imports) so every layer that renders reports can do so without
-    pulling the cluster package in.
+    Produced by :meth:`repro.fleet.simulator.FleetStepResult.report`;
+    kept here (plain data, no cluster imports) so every layer that
+    renders reports can do so without pulling the cluster package in.
     """
 
     cluster_name: str
@@ -136,7 +134,6 @@ class ClusterResult:
     aicore_energy_j: float
     straggler_id: int
     device_rows: tuple[dict, ...] = ()
-    incidents: tuple[Incident, ...] = field(default=())
 
     @property
     def step_time_regression(self) -> float:
@@ -155,7 +152,7 @@ class ClusterResult:
 
     def summary(self) -> str:
         """One-paragraph human-readable summary."""
-        text = (
+        return (
             f"{self.cluster_name} x{self.n_devices} on {self.workload}: "
             f"step {self.baseline_step_us / 1000.0:.2f} ms -> "
             f"{self.step_us / 1000.0:.2f} ms "
@@ -166,21 +163,12 @@ class ClusterResult:
             f"{self.straggler_id}, all-reduce "
             f"{self.allreduce_us / 1000.0:.2f} ms."
         )
-        if self.incidents:
-            text += f" {len(self.incidents)} barrier incident(s) recorded."
-        return text
-
-    def incident_rows(self) -> list[dict]:
-        """Cluster-incident table rows (for :func:`format_table`)."""
-        return [incident.to_row() for incident in self.incidents]
 
     def render(self) -> str:
         """Summary plus the per-device table."""
         body = self.summary()
         if self.device_rows:
             body += "\n" + format_table(list(self.device_rows))
-        if self.incidents:
-            body += "\n" + format_table(self.incident_rows())
         return body
 
 

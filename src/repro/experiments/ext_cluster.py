@@ -38,12 +38,12 @@ from pathlib import Path
 
 from repro.cluster.dvfs import search_cluster_frequencies
 from repro.cluster.serve import fleet_cached_reclaim
-from repro.cluster.spec import ClusterSpec
 from repro.dvfs.ga import GaConfig
 from repro.experiments.base import ExperimentResult, percent
 from repro.fleet.dvfs import plan_strategy_json, reclaim_fleet_slack
 from repro.fleet.simulator import FleetSimulator
 from repro.fleet.spec import FleetSpec
+from repro.fleet.topology import FleetTopology
 from repro.serve.store import StrategyStore
 from repro.workloads import generate
 
@@ -61,12 +61,12 @@ def run(
 ) -> ExperimentResult:
     """Measure slack reclamation on a varied data-parallel fleet."""
     trace = generate(workload, scale=scale, seed=seed)
-    spec = FleetSpec.from_cluster(
-        ClusterSpec(
-            n_devices=devices,
-            gradient_bytes=gradient_mb * 2**20,
-            seed=seed,
-        )
+    spec = FleetSpec(
+        name="ring-cluster",
+        n_devices=devices,
+        topology=FleetTopology(devices_per_rack=devices),
+        gradient_bytes=gradient_mb * 2**20,
+        seed=seed,
     )
     sim = FleetSimulator(spec, trace)
     allreduce_us = sim.collective_cost().chosen_us

@@ -2,27 +2,25 @@
 
 This package holds the repository's one production barrier-step
 engine; a :mod:`repro.cluster` ring runs on it as a one-rack fleet.
-Its reference, :mod:`repro.cluster.simulator`, loops Python device
-objects around the engine — exact, but O(N) interpreter work per step.
-Here the same physics runs at fleet scale: every device's compiled
+Its reference, the looped ``SimulatedCluster`` under ``tests/reference``,
+steps Python device objects through the engine — exact, but O(N)
+interpreter work per step.  Here the same physics runs at fleet scale: every device's compiled
 constant-frequency affine solution (``E = E0 + E1 * delta0``) is
 stacked into ``(devices,)`` NumPy arrays, so the barrier step, the
 idle-priced waits, slack reclamation and delta0 re-targeting are single
 vectorized passes.
 
-* :mod:`repro.fleet.spec` — the fleet description, composing the
-  cluster's seeded per-device variation with rack structure and churn;
+* :mod:`repro.fleet.spec` — the fleet description: the cluster's
+  per-device variation, drawn per board, with rack structure and churn;
 * :mod:`repro.fleet.topology` — hierarchical collectives: intra-rack
   ring + inter-rack tree, with flat-ring algorithm selection;
 * :mod:`repro.fleet.churn` — seeded join/leave/fail dynamics with
   replay-identical histories and deterministic re-sharding;
 * :mod:`repro.fleet.simulator` — the vectorized barrier step,
-  equivalence-tested (<= 1e-9) against the looped
-  :class:`~repro.cluster.simulator.SimulatedCluster` at small N;
+  equivalence-tested (<= 1e-9) against the looped reference at small N
+  (``tests/test_fleet_equivalence.py``);
 * :mod:`repro.fleet.dvfs` — array-pass slack reclamation producing
-  byte-identical per-device constant strategies;
-* :mod:`repro.fleet.reference` — the equivalence harness against the
-  looped reference, and the only module that constructs it.
+  byte-identical per-device constant strategies.
 
 One process steps 100k devices: the simulator caches everything a step
 needs per membership/plan/target epoch, so a warm step is a few affine

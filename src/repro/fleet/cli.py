@@ -8,9 +8,8 @@ Two subcommands:
 
 ``bench``
     The scaling benchmark behind ``BENCH_fleet.json``: warm
-    steps-per-second of the vectorized barrier step at fleet size,
-    optionally one large scale run, plus the small-N equivalence check
-    against the looped cluster.
+    steps-per-second of the vectorized barrier step at fleet size, and
+    optionally one large scale run.
 
 Examples::
 
@@ -38,7 +37,6 @@ from repro.core.report import format_table
 from repro.errors import ReproError
 from repro.fleet.churn import ChurnConfig
 from repro.fleet.dvfs import auto_retarget, reclaim_fleet_slack
-from repro.fleet.reference import EQUIVALENCE_TOLERANCE, compare_with_cluster
 from repro.fleet.simulator import FleetSimulator, straggler_summary
 from repro.fleet.spec import FleetSpec
 from repro.fleet.topology import FleetTopology
@@ -156,12 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="timing rounds per arm (best round is reported)",
     )
     bench.add_argument(
-        "--reference-devices",
-        type=int,
-        default=8,
-        help="fleet size of the looped-cluster equivalence check",
-    )
-    bench.add_argument(
         "--output",
         default=None,
         metavar="PATH",
@@ -173,14 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FLOOR",
         help="exit 1 when the warm baseline rate falls below FLOOR",
-    )
-    bench.add_argument(
-        "--assert-equivalence",
-        action="store_true",
-        help=(
-            "exit 1 when the looped-cluster check exceeds "
-            f"{EQUIVALENCE_TOLERANCE:g} or plans are not byte-identical"
-        ),
     )
     bench.add_argument(
         "--scale-devices",
@@ -327,15 +311,6 @@ def _bench(args: argparse.Namespace) -> int:
         scale_run = _scale_run(args, spec, trace)
 
     collective = sim.collective_cost()
-    comparison = compare_with_cluster(
-        FleetSpec(
-            n_devices=args.reference_devices,
-            gradient_bytes=spec.gradient_bytes,
-            seed=args.seed,
-        ),
-        trace,
-        slack_margin=args.slack_margin,
-    )
 
     sizes = spec.topology.rack_sizes(args.devices)
     payload = {
@@ -369,19 +344,6 @@ def _bench(args: argparse.Namespace) -> int:
             },
         },
         "scale_run": scale_run,
-        "equivalence": {
-            "devices": comparison.n_devices,
-            "steps": comparison.steps,
-            "plans_byte_identical": comparison.plans_byte_identical,
-            "overruns_equal": comparison.overruns_equal,
-            "max_rel_duration": comparison.max_rel_duration,
-            "max_rel_energy": comparison.max_rel_energy,
-            "max_rel_celsius": comparison.max_rel_celsius,
-            "max_rel_fleet_total": comparison.max_rel_fleet_total,
-            "max_rel_err": comparison.max_rel_err,
-            "tolerance": EQUIVALENCE_TOLERANCE,
-            "ok": comparison.ok(),
-        },
     }
     text = json.dumps(payload, indent=2)
     if args.output:
@@ -393,9 +355,7 @@ def _bench(args: argparse.Namespace) -> int:
     print(
         f"{args.devices} devices: baseline {baseline_rate:.1f} steps/s, "
         f"reclaimed {reclaimed_rate:.1f} steps/s, churned "
-        f"{churn_rate:.1f} steps/s, replan {replan_ms:.2f} ms; "
-        f"equivalence max rel err "
-        f"{comparison.max_rel_err:.3e} over {comparison.n_devices} devices"
+        f"{churn_rate:.1f} steps/s, replan {replan_ms:.2f} ms"
     )
     if scale_run is not None:
         print(
@@ -406,7 +366,6 @@ def _bench(args: argparse.Namespace) -> int:
             f"{scale_run['max_rss_mb']:.0f} MiB)"
         )
 
-    failed = False
     if (
         args.assert_steps_per_sec is not None
         and baseline_rate < args.assert_steps_per_sec
@@ -416,16 +375,8 @@ def _bench(args: argparse.Namespace) -> int:
             f"{args.assert_steps_per_sec:.1f} steps/s floor",
             file=sys.stderr,
         )
-        failed = True
-    if args.assert_equivalence and not comparison.ok():
-        print(
-            f"FAIL: equivalence check ({comparison.max_rel_err:.3e} rel "
-            f"err, plans identical: {comparison.plans_byte_identical}, "
-            f"overruns equal: {comparison.overruns_equal})",
-            file=sys.stderr,
-        )
-        failed = True
-    return 1 if failed else 0
+        return 1
+    return 0
 
 
 def _scale_run(args: argparse.Namespace, spec: FleetSpec, trace) -> dict:

@@ -1,7 +1,7 @@
 """Vectorized slack reclamation and delta0 re-targeting for the fleet.
 
-The looped reference's :func:`repro.cluster.simulator.reclaim_slack`
-walks per-device Python tables; here the same policy is three array
+The looped reference's ``reclaim_slack`` (``tests/reference``) walks
+per-device Python tables; here the same policy is three array
 passes over the ``(capacity, F)`` duration table of
 :meth:`repro.fleet.simulator.FleetSimulator.duration_table`.  The
 simulator builds that table once and keeps it (it depends only on the
@@ -65,7 +65,7 @@ def reclaim_fleet_slack(
     """Downclock every non-critical active device to just-in-time arrival.
 
     One vectorized pass over the simulator's cached duration table;
-    semantics (and bytes) of :func:`repro.cluster.simulator.reclaim_slack` at
+    semantics (and bytes) of the looped reference's ``reclaim_slack`` at
     any fleet size.  The returned plan's arrays are read-only.
 
     Raises:

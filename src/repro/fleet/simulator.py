@@ -1,10 +1,10 @@
 """Vectorized barrier-step execution over an elastic device fleet.
 
 This is the one production barrier-step engine: the cluster and fleet
-CLIs and experiments all step through it.  Its reference,
-:mod:`repro.cluster.simulator`, loops Python
-:class:`~repro.cluster.device.ClusterDevice` objects around the engine —
-exact, but O(N) Python work per step.  The paper's constant-frequency
+CLIs and experiments all step through it.  Its reference, the looped
+``SimulatedCluster`` kept under ``tests/reference``, steps Python device
+objects through the engine one by one — exact, but O(N) Python work per
+step.  The paper's constant-frequency
 solution is an affine scalar pair per device (``E = E0 + E1 * delta0``),
 so a fleet of N devices collapses to ``(N,)``-shaped NumPy arrays:
 :func:`repro.npu.engine.batched_const_solutions` stacks every device's
@@ -67,7 +67,7 @@ from repro.workloads.trace import Trace
 BARRIER_OVERRUN_TOLERANCE = 0.005
 
 #: Sub-intervals the barrier-wait idle integration is split into — the
-#: same discretisation :meth:`repro.cluster.device.ClusterDevice.idle`
+#: same discretisation the looped reference's ``ClusterDevice.idle``
 #: uses, so the two simulators price waits identically.
 IDLE_INTEGRATION_STEPS = 8
 
@@ -129,8 +129,8 @@ class FleetStepResult:
     """Outcome of one synchronous step, in ``(active devices,)`` arrays.
 
     Array fields line up with :attr:`device_ids` (active devices in id
-    order).  The scalar aggregates mirror
-    :class:`~repro.cluster.simulator.ClusterStepResult`.
+    order).  The scalar aggregates mirror the looped reference's
+    ``ClusterStepResult``.
 
     A result stores one array of its own, the step's initial temperature
     rise :attr:`delta0` (read-only); everything else is shared,

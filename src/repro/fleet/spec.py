@@ -1,32 +1,28 @@
 """Fleet description: a rack-structured population of varied devices.
 
-:class:`FleetSpec` composes the cluster layer's device model — the same
-:class:`~repro.cluster.spec.DeviceVariation` draws, the same explicit
-:class:`~repro.cluster.spec.DeviceOverride` degradations, the same
-two-draws-per-device seeding discipline — with a rack-structured
-:class:`~repro.fleet.topology.FleetTopology` and elastic
-:class:`~repro.fleet.churn.ChurnConfig` dynamics.
-
-The spec deliberately *is* a :class:`~repro.cluster.spec.ClusterSpec`
-plus fleet structure: :meth:`FleetSpec.cluster_spec` projects it back
-onto the single-ring cluster (same seed, same variation, the intra-rack
-interconnect), which is what makes the looped ``SimulatedCluster`` an
-exact small-N reference for the vectorized fleet — profiles come from
-the identical draw stream, so device ``i`` is the same silicon in both
-simulators.
+:class:`FleetSpec` combines the cluster layer's device model — the
+:class:`~repro.cluster.spec.DeviceVariation` spread and the explicit
+:class:`~repro.cluster.spec.DeviceOverride` degradations — with a
+rack-structured :class:`~repro.fleet.topology.FleetTopology` and elastic
+:class:`~repro.fleet.churn.ChurnConfig` dynamics.  A single ring (the
+``python -m repro.cluster`` fleet) is a spec whose one rack holds every
+device.
 
 Capacity is provisioned up front: profiles are drawn for
 ``n_devices + churn.max_joins`` boards so later joins activate
-pre-drawn spares without re-rolling anyone (profile ``i`` depends only
-on ``(seed, i)``).
+pre-drawn spares without re-rolling anyone.  Each board consumes
+exactly two draws (speed, ambient) from the
+:data:`~repro.cluster.spec.VARIATION_STREAM` generator, in device
+order, so profile ``i`` depends only on ``(seed, i)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from repro.analysis.rng import RngFactory
 from repro.cluster.spec import (
-    ClusterSpec,
+    VARIATION_STREAM,
     DeviceOverride,
     DeviceProfile,
     DeviceVariation,
@@ -73,37 +69,56 @@ class FleetSpec:
                 f"min_active ({self.churn.min_active}) exceeds the initial "
                 f"fleet size ({self.n_devices})"
             )
-        # Delegate the remaining validation (payload, override ids and
-        # duplicates) to the cluster spec over the full capacity.
-        self.cluster_spec(self.capacity)
+        if self.gradient_bytes < 0:
+            raise ConfigurationError(
+                f"gradient_bytes must be non-negative: {self.gradient_bytes}"
+            )
+        seen: set[int] = set()
+        for override in self.overrides:
+            if override.device_id >= self.capacity:
+                raise ConfigurationError(
+                    f"override targets device {override.device_id}, but the "
+                    f"fleet has {self.capacity} devices"
+                )
+            if override.device_id in seen:
+                raise ConfigurationError(
+                    f"duplicate override for device {override.device_id}"
+                )
+            seen.add(override.device_id)
 
     @property
     def capacity(self) -> int:
         """Provisioned boards: the initial fleet plus join spares."""
         return self.n_devices + self.churn.max_joins
 
-    def cluster_spec(self, n_devices: int | None = None) -> ClusterSpec:
-        """The single-ring cluster view of this fleet's first devices.
-
-        With the default ``n_devices`` this is the N<=16 reference the
-        fleet is equivalence-tested against: identical seed and
-        variation (so identical profiles), the intra-rack interconnect,
-        and the same gradient payload.
-        """
-        return ClusterSpec(
-            name=self.name,
-            n_devices=self.n_devices if n_devices is None else n_devices,
-            npu=self.npu,
-            variation=self.variation,
-            interconnect=self.topology.intra,
-            gradient_bytes=self.gradient_bytes,
-            seed=self.seed,
-            overrides=self.overrides,
-        )
-
     def device_profiles(self) -> tuple[DeviceProfile, ...]:
         """Seeded draws for every provisioned board (spares included)."""
-        return self.cluster_spec(self.capacity).device_profiles()
+        rng = RngFactory(self.seed).generator(VARIATION_STREAM)
+        by_id = {override.device_id: override for override in self.overrides}
+        variation = self.variation
+        spread = variation.max_speed_spread
+        cap = variation.max_ambient_spread_celsius
+        profiles: list[DeviceProfile] = []
+        for device_id in range(self.capacity):
+            speed_draw = float(rng.standard_normal())
+            ambient_draw = float(rng.standard_normal())
+            scale = 1.0 + variation.speed_sigma * speed_draw
+            scale = min(1.0 + spread, max(1.0 - spread, scale))
+            ambient = variation.ambient_sigma_celsius * ambient_draw
+            ambient = min(cap, max(-cap, ambient))
+            override = by_id.get(device_id)
+            profiles.append(
+                DeviceProfile(
+                    device_id=device_id,
+                    duration_scale=scale,
+                    ambient_offset_celsius=ambient,
+                    extra_duration_scale=(
+                        override.extra_duration_scale if override else 1.0
+                    ),
+                    override_reason=override.reason if override else "",
+                )
+            )
+        return tuple(profiles)
 
     def with_degraded_device(
         self, device_id: int, slowdown: float, reason: str = "degraded"
@@ -118,31 +133,3 @@ class FleetSpec:
             o for o in self.overrides if o.device_id != device_id
         )
         return replace(self, overrides=kept + (override,))
-
-    @classmethod
-    def from_cluster(
-        cls,
-        spec: ClusterSpec,
-        topology: FleetTopology | None = None,
-        churn: ChurnConfig | None = None,
-    ) -> "FleetSpec":
-        """Lift a cluster spec into a fleet (intra links preserved).
-
-        A cluster is one ring, so the default topology is a single rack
-        of ``spec.n_devices``: its collective is the cluster's ring
-        all-reduce at any size.
-        """
-        return cls(
-            name=spec.name,
-            n_devices=spec.n_devices,
-            npu=spec.npu,
-            variation=spec.variation,
-            topology=topology
-            or FleetTopology(
-                devices_per_rack=spec.n_devices, intra=spec.interconnect
-            ),
-            gradient_bytes=spec.gradient_bytes,
-            seed=spec.seed,
-            overrides=spec.overrides,
-            churn=churn or ChurnConfig.none(),
-        )

@@ -152,8 +152,9 @@ def evaluate_unique_grid(
     """Evaluate every spec at every frequency in one vectorised pass.
 
     ``evaluator`` is a :class:`GroundTruthEvaluator` or a duration-scaling
-    wrapper around one (:class:`repro.cluster.device.VariedEvaluator`,
-    which exposes ``inner`` and ``duration_scale``).  A wrapper scales
+    wrapper around one (the looped fleet reference's ``VariedEvaluator``
+    in ``tests/reference``, which exposes ``inner`` and
+    ``duration_scale``).  A wrapper scales
     only ``duration_us``, after the inner evaluation, so its grid is the
     inner grid with ``dur`` multiplied by the same factor.
     """

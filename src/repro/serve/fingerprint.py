@@ -123,12 +123,12 @@ def config_fingerprint(config: OptimizerConfig) -> str:
     hardware description is hashed separately (:func:`spec_fingerprint`)
     so the store can report *which* of the two drifted.
 
-    The two process-wide fast/reference switches
-    (:func:`repro.npu.engine.reference_only`,
-    :func:`repro.batching.reference_cold_path`) are deliberately NOT
-    hashed: the cold-path switch is bitwise and the engine switch stays
-    within 1e-9 relative, so hashing them would only split the cache on
-    an operational toggle.
+    The process-wide engine switch
+    (:func:`repro.npu.engine.reference_only`) is deliberately NOT
+    hashed, nor is the profiling route it implies (the one-pass grid
+    versus the sequential sweep, which are bitwise identical): the
+    engine switch stays within 1e-9 relative, so hashing it would only
+    split the cache on an operational toggle.
     """
     return _digest(
         {

@@ -24,7 +24,13 @@ so the equivalence tests can compare the array form bit for bit:
   telemetry now draws all noise at once and gathers by ``searchsorted``);
 * :func:`eager_step_arrays` — ``FleetSimulator.step`` building a step's
   four energy arrays and its end temperatures as it runs (a step result
-  now keeps only ``delta0`` and computes them on access).
+  now keeps only ``delta0`` and computes them on access);
+* :class:`SequentialProfiler` / :func:`sequential_sweep` — the optimizer
+  profiling one frequency at a time (it now profiles the whole sweep in
+  one grid pass whenever its instruments are the plain pair).
+
+The looped multi-device reference is larger and lives in its own
+package, :mod:`tests.reference`.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ import numpy as np
 from repro.dvfs.ga import GaConfig, GaResult, _roulette_pick, initial_population
 from repro.dvfs.scoring import PopulationEvaluation, StrategyScorer
 from repro.npu.device import IDLE_INDEX, PowerChunk
+from repro.npu.profiler import CannStyleProfiler
 from repro.npu.telemetry import PowerSample
 from repro.npu.thermal import ThermalState
 
@@ -310,3 +317,24 @@ def eager_step_arrays(epoch, delta0: np.ndarray) -> dict[str, np.ndarray]:
         out += getattr(epoch, p_name)
         arrays[name] = out
     return arrays
+
+
+class SequentialProfiler(CannStyleProfiler):
+    """The plain profiler under a type the grid pass does not accept.
+
+    ``EnergyOptimizer`` takes the one-pass grid profiler only for the
+    exact ``CannStyleProfiler``/``PowerTelemetry`` pair, so this
+    subclass, with no overrides, sends it down the sequential sweep.
+    """
+
+
+def sequential_sweep(optimizer):
+    """Make ``optimizer`` profile one frequency at a time; returns it.
+
+    The swapped-in profiler draws from the optimizer's own profiler RNG,
+    so both routes consume the same noise stream.
+    """
+    optimizer._profiler = SequentialProfiler(
+        optimizer.config.npu, optimizer.profiler.rng
+    )
+    return optimizer

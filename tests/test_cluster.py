@@ -2,12 +2,13 @@
 
 Production cluster steps run on a one-rack
 :class:`~repro.fleet.simulator.FleetSimulator`; the looped
-:class:`~repro.cluster.simulator.SimulatedCluster` is only its
+:class:`~tests.reference.simulator.SimulatedCluster` is only its
 reference, so the tests that pin reference behaviour construct it
 directly.
 """
 
 import ast
+import hashlib
 import math
 import re
 from pathlib import Path
@@ -18,34 +19,37 @@ import pytest
 import repro
 from repro.cluster import (
     ClusterScorer,
-    ClusterSpec,
     InterconnectSpec,
     fleet_cached_reclaim,
     fleet_device_fingerprint,
     search_cluster_frequencies,
 )
 from repro.cluster.cli import main as cluster_main
-from repro.cluster.device import VariedEvaluator
-from repro.cluster.simulator import (
-    SimulatedCluster,
-    build_frequency_tables,
-    reclaim_slack,
-)
 from repro.cluster.spec import DeviceOverride, DeviceVariation
 from repro.dvfs.ga import GaConfig
 from repro.errors import ConfigurationError, StrategyError
+from repro.fleet.churn import ChurnConfig
 from repro.fleet.dvfs import (
     plan_strategies,
     plan_strategy_json,
     reclaim_fleet_slack,
 )
-from repro.fleet.reference import compare_with_cluster
 from repro.fleet.simulator import FleetSimulator
 from repro.fleet.spec import FleetSpec
+from repro.fleet.topology import FleetTopology
+from repro.npu.engine import reference_only
 from repro.npu.execution import GroundTruthEvaluator
 from repro.serve.store import StrategyStore
 from repro.units import gbps_to_bytes_per_us
 from repro.workloads import generate
+from tests.reference.compare import compare_with_cluster
+from tests.reference.device import VariedEvaluator
+from tests.reference.simulator import (
+    SimulatedCluster,
+    build_frequency_tables,
+    reclaim_slack,
+)
+from tests.reference.spec import ClusterSpec, cluster_spec_of, fleet_spec_of
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +65,7 @@ def small_spec():
 
 @pytest.fixture(scope="module")
 def small_fleet(small_spec, tiny_trace):
-    return FleetSimulator(FleetSpec.from_cluster(small_spec), tiny_trace)
+    return FleetSimulator(fleet_spec_of(small_spec), tiny_trace)
 
 
 @pytest.fixture(scope="module")
@@ -83,23 +87,25 @@ def fresh_step(sim, plan=None):
 
 
 class TestClusterSpec:
+    """The cluster's device model, as production draws it (``FleetSpec``)."""
+
     def test_profiles_are_deterministic(self):
-        spec = ClusterSpec(n_devices=8, seed=3)
+        spec = FleetSpec(n_devices=8, seed=3)
         assert spec.device_profiles() == spec.device_profiles()
         assert (
             spec.device_profiles()
-            == ClusterSpec(n_devices=8, seed=3).device_profiles()
+            == FleetSpec(n_devices=8, seed=3).device_profiles()
         )
 
     def test_different_seeds_differ(self):
-        a = ClusterSpec(n_devices=8, seed=0).device_profiles()
-        b = ClusterSpec(n_devices=8, seed=1).device_profiles()
+        a = FleetSpec(n_devices=8, seed=0).device_profiles()
+        b = FleetSpec(n_devices=8, seed=1).device_profiles()
         assert a != b
 
     def test_growing_the_cluster_preserves_prefix(self):
         """Profile i depends only on (seed, i): 2 draws per device."""
-        small = ClusterSpec(n_devices=4, seed=0).device_profiles()
-        grown = ClusterSpec(n_devices=8, seed=0).device_profiles()
+        small = FleetSpec(n_devices=4, seed=0).device_profiles()
+        grown = FleetSpec(n_devices=8, seed=0).device_profiles()
         assert grown[:4] == small
 
     def test_draw_clamps_respected(self):
@@ -109,14 +115,14 @@ class TestClusterSpec:
             ambient_sigma_celsius=100.0,
             max_ambient_spread_celsius=3.0,
         )
-        for profile in ClusterSpec(
+        for profile in FleetSpec(
             n_devices=32, variation=variation, seed=0
         ).device_profiles():
             assert 0.95 <= profile.duration_scale <= 1.05
             assert -3.0 <= profile.ambient_offset_celsius <= 3.0
 
     def test_no_variation_means_identical_devices(self):
-        profiles = ClusterSpec(
+        profiles = FleetSpec(
             n_devices=4, variation=DeviceVariation.none(), seed=0
         ).device_profiles()
         assert all(p.duration_scale == 1.0 for p in profiles)
@@ -124,13 +130,13 @@ class TestClusterSpec:
 
     def test_override_out_of_range_rejected(self):
         with pytest.raises(ConfigurationError):
-            ClusterSpec(
+            FleetSpec(
                 n_devices=2, overrides=(DeviceOverride(device_id=5),)
             )
 
     def test_duplicate_override_rejected(self):
         with pytest.raises(ConfigurationError):
-            ClusterSpec(
+            FleetSpec(
                 n_devices=4,
                 overrides=(
                     DeviceOverride(device_id=1),
@@ -139,7 +145,7 @@ class TestClusterSpec:
             )
 
     def test_with_degraded_device_replaces_existing_override(self):
-        spec = ClusterSpec(n_devices=4).with_degraded_device(2, 1.2)
+        spec = FleetSpec(n_devices=4).with_degraded_device(2, 1.2)
         spec = spec.with_degraded_device(2, 1.5)
         assert len(spec.overrides) == 1
         assert spec.overrides[0].extra_duration_scale == 1.5
@@ -151,13 +157,16 @@ class TestClusterSpec:
 
     def test_lifted_cluster_is_one_rack(self):
         """A cluster is one ring at any size, never the hierarchical tree."""
-        spec = ClusterSpec(n_devices=24, seed=0)
-        fleet = FleetSpec.from_cluster(spec)
+        fleet = FleetSpec(
+            name="ring-cluster",
+            n_devices=24,
+            topology=FleetTopology(devices_per_rack=24),
+        )
         assert fleet.topology.rack_sizes(24) == (24,)
         cost = fleet.topology.breakdown(
-            spec.gradient_bytes, fleet.topology.rack_sizes(24)
+            fleet.gradient_bytes, fleet.topology.rack_sizes(24)
         )
-        assert cost.chosen_us == spec.allreduce_us
+        assert cost.chosen_us == cluster_spec_of(fleet).allreduce_us
 
 
 class TestCollective:
@@ -214,6 +223,26 @@ class TestBarrierSemantics:
         result = fresh_step(small_fleet)
         assert (result.idle_soc_energy_j > 0.0).all()
         assert (result.total_soc_energy_j > result.soc_energy_j).all()
+
+    def test_engine_matches_the_reference_loop(self):
+        """A 4-device looped step, engine on vs ``reference_only()``.
+
+        The same step at the same size the simulator bench's former
+        cluster section timed: fleet aggregates within 1e-9 relative,
+        and the same straggler.
+        """
+        trace = generate("gpt3", scale=0.02)
+        fast = SimulatedCluster(ClusterSpec(n_devices=4)).run_step(trace)
+        with reference_only():
+            ref = SimulatedCluster(ClusterSpec(n_devices=4)).run_step(trace)
+        for field in (
+            "step_us",
+            "fleet_soc_energy_j",
+            "fleet_aicore_energy_j",
+        ):
+            got, want = getattr(fast, field), getattr(ref, field)
+            assert abs(got - want) / max(abs(got), abs(want)) <= 1e-9
+        assert fast.straggler_id == ref.straggler_id
 
     def test_strategy_count_mismatch_rejected(
         self, small_cluster, tiny_trace, small_tables
@@ -302,7 +331,7 @@ class TestDeterminismAndCaching:
     def test_degraded_device_changes_only_its_fingerprint(
         self, small_spec, tiny_trace
     ):
-        spec = FleetSpec.from_cluster(small_spec)
+        spec = fleet_spec_of(small_spec)
         degraded = spec.with_degraded_device(1, 1.3)
         active = tuple(range(spec.n_devices))
 
@@ -321,9 +350,44 @@ class TestDeterminismAndCaching:
             assert healthy[device_id] == after[device_id]
 
 
+    #: ``fleet_device_fingerprint`` digests, recorded before the cluster
+    #: description folded into ``FleetSpec``: sha256 over the
+    #: concatenated per-device fingerprints of every active device.
+    PINNED_FINGERPRINTS = {
+        "8 devices, seed 0": (
+            "a525c20e38ff5ffb2e648785b8f90e230cb149d677db072f096976802ffb4026"
+        ),
+        "4 devices, seed 7, device 1 degraded": (
+            "0055042ddc07cd39806f47c524c319c5f2470c406b5fba09e423339b08f87a4e"
+        ),
+        "6 devices, seed 3, 2 spares": (
+            "ae7329577c1a8a12e42fd863fe249835d828e63b5cc4d3537fa9053f9e4c8a5a"
+        ),
+    }
+
+    def test_fingerprints_pinned(self, tiny_trace):
+        specs = {
+            "8 devices, seed 0": FleetSpec(n_devices=8, seed=0),
+            "4 devices, seed 7, device 1 degraded": FleetSpec(
+                n_devices=4, seed=7
+            ).with_degraded_device(1, 1.3),
+            "6 devices, seed 3, 2 spares": FleetSpec(
+                n_devices=6, seed=3, churn=ChurnConfig(max_joins=2)
+            ),
+        }
+        for label, spec in specs.items():
+            active = tuple(range(spec.n_devices))
+            joined = "".join(
+                fleet_device_fingerprint(tiny_trace, spec, active, i)
+                for i in active
+            )
+            digest = hashlib.sha256(joined.encode()).hexdigest()
+            assert digest == self.PINNED_FINGERPRINTS[label], label
+
+
 class TestFaultStory:
     def test_degradation_retargets_and_logs(self, small_spec, tiny_trace):
-        spec = FleetSpec.from_cluster(small_spec)
+        spec = fleet_spec_of(small_spec)
         sim = FleetSimulator(spec, tiny_trace)
         plan = reclaim_fleet_slack(sim)
         baseline = sim.step()
@@ -381,7 +445,7 @@ class TestWiring:
         trace = generate("gpt3", scale=0.005)
         spec = ClusterSpec(n_devices=24, seed=0)
         assert compare_with_cluster(
-            FleetSpec.from_cluster(spec), trace, steps=1
+            fleet_spec_of(spec), trace, steps=1
         ).ok()
 
         def ms(result):
@@ -403,7 +467,7 @@ class TestWiring:
             ]
 
         ga_plan, _, _ = search_cluster_frequencies(
-            FleetSimulator(FleetSpec.from_cluster(spec), trace),
+            FleetSimulator(fleet_spec_of(spec), trace),
             config=GaConfig(
                 population_size=40, iterations=10, seed=0, patience=30
             ),
@@ -418,33 +482,25 @@ class TestWiring:
 
 
 class TestReferenceIsolation:
-    #: The modules allowed to import the looped reference.
-    REFERENCE_USERS = {
-        "repro.fleet.reference",
-        "repro.cluster.simulator",
-        "repro.cluster.device",
-    }
-    REFERENCE_MODULES = {"repro.cluster.simulator", "repro.cluster.device"}
-
     def test_production_does_not_import_the_reference(self):
+        """No module under ``src/repro`` imports the ``tests`` package.
+
+        The looped reference and every other oracle live under
+        ``tests/``; production must run without them.
+        """
         root = Path(repro.__file__).parent
         offenders = []
         for path in sorted(root.rglob("*.py")):
-            parts = path.relative_to(root.parent).with_suffix("").parts
-            if parts[-1] == "__init__":
-                parts = parts[:-1]
-            module = ".".join(parts)
-            if module in self.REFERENCE_USERS:
-                continue
+            module = ".".join(
+                path.relative_to(root.parent).with_suffix("").parts
+            )
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.ImportFrom) and node.module:
-                    names = {node.module} | {
-                        f"{node.module}.{alias.name}" for alias in node.names
-                    }
+                    names = [node.module]
                 elif isinstance(node, ast.Import):
-                    names = {alias.name for alias in node.names}
+                    names = [alias.name for alias in node.names]
                 else:
                     continue
-                if names & self.REFERENCE_MODULES:
+                if any(n.split(".")[0] == "tests" for n in names):
                     offenders.append(f"{module}:{node.lineno}")
         assert offenders == []

@@ -202,7 +202,7 @@ class TestRunIdle:
         nominal evaluator behind the duration-scaling wrapper."""
         from dataclasses import replace
 
-        from repro.cluster.device import VariedEvaluator
+        from tests.reference.device import VariedEvaluator
         from repro.npu import NpuDevice
         from repro.npu.execution import GroundTruthEvaluator
         from tests.oracles import stepwise_run_idle

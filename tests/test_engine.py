@@ -24,7 +24,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.device import VariedEvaluator
 from repro.errors import FrequencyError
 from repro.npu import (
     FrequencySwitch,
@@ -56,6 +55,7 @@ from repro.workloads.trace import Trace, TraceEntry
 
 from tests.conftest import make_compute_op
 from tests.oracles import scalar_column
+from tests.reference.device import VariedEvaluator
 
 GRID = tuple(1000.0 + 100.0 * i for i in range(9))
 

@@ -19,12 +19,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import InterconnectSpec
 from repro.cluster.serve import fleet_cached_reclaim, fleet_config_hash
-from repro.cluster.simulator import (
-    SimulatedCluster,
-    build_frequency_tables,
-    reclaim_slack,
-)
-from repro.cluster.spec import ClusterSpec
+from repro.cluster.spec import DeviceOverride, DeviceVariation
 from repro.errors import ConfigurationError
 from repro.fleet import (
     ChurnConfig,
@@ -39,11 +34,17 @@ from repro.fleet import (
     straggler_summary,
 )
 from repro.fleet.cli import main as fleet_main
-from repro.fleet.reference import compare_with_cluster
 from repro.fleet.simulator import MEMBERSHIP_KINDS
 from repro.serve.store import StrategyStore
 from repro.workloads import generate
 from tests.oracles import EAGER_STEP_PAIRS, eager_step_arrays
+from tests.reference.compare import compare_with_cluster
+from tests.reference.simulator import (
+    SimulatedCluster,
+    build_frequency_tables,
+    reclaim_slack,
+)
+from tests.reference.spec import ClusterSpec, cluster_spec_of, fleet_spec_of
 
 
 @pytest.fixture(scope="module")
@@ -166,10 +167,36 @@ class TestFleetSpec:
         cluster = ClusterSpec(n_devices=8, seed=5)
         assert fleet.device_profiles()[:8] == cluster.device_profiles()
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"seed": 11, "churn": ChurnConfig(max_joins=5)},
+            {
+                "variation": DeviceVariation(
+                    speed_sigma=0.2, max_speed_spread=0.05
+                )
+            },
+            {"variation": DeviceVariation.none()},
+            {
+                "seed": 2,
+                "overrides": (
+                    DeviceOverride(3, 1.4, "slow"),
+                    DeviceOverride(0, 0.9, "fast"),
+                ),
+            },
+        ],
+    )
+    def test_profiles_match_the_draw_oracle(self, overrides):
+        """Two draws per board, in order: the reference spec's loop."""
+        fleet = FleetSpec(n_devices=12, **overrides)
+        oracle = cluster_spec_of(fleet, fleet.capacity)
+        assert fleet.device_profiles() == oracle.device_profiles()
+
     def test_from_cluster_round_trip(self):
         cluster = ClusterSpec(n_devices=4, seed=7)
-        fleet = FleetSpec.from_cluster(cluster)
-        assert fleet.cluster_spec() == cluster
+        fleet = fleet_spec_of(cluster)
+        assert cluster_spec_of(fleet) == cluster
 
     def test_rejects_min_active_beyond_fleet(self):
         with pytest.raises(ConfigurationError):
@@ -186,7 +213,7 @@ class TestDurationTable:
         spec = FleetSpec(n_devices=4, seed=0)
         sim = FleetSimulator(spec, tiny_trace)
         table = sim.duration_table()
-        cluster = SimulatedCluster(spec.cluster_spec())
+        cluster = SimulatedCluster(cluster_spec_of(spec))
         tables = build_frequency_tables(cluster, tiny_trace)
         for i, device in enumerate(tables):
             for j in range(len(device.freqs_mhz)):
@@ -345,7 +372,7 @@ class TestChurn:
 class TestReclaim:
     def test_matches_the_looped_cluster_plan(self, small_fleet, tiny_trace):
         spec = small_fleet.spec
-        cluster = SimulatedCluster(spec.cluster_spec())
+        cluster = SimulatedCluster(cluster_spec_of(spec))
         tables = build_frequency_tables(cluster, tiny_trace)
         reference = reclaim_slack(
             tables, tiny_trace.name, allreduce_us=cluster.spec.allreduce_us
@@ -839,11 +866,8 @@ class TestCli:
                 "2",
                 "--rounds",
                 "1",
-                "--reference-devices",
-                "2",
                 "--output",
                 str(output),
-                "--assert-equivalence",
             ]
         )
         assert exit_code == 0
@@ -851,7 +875,7 @@ class TestCli:
         assert payload["meta"]["devices"] == 32
         assert payload["benchmarks"]["baseline_steps_per_s"] > 0
         assert payload["benchmarks"]["replan_ms"] > 0
-        assert payload["equivalence"]["ok"] is True
+        assert "equivalence" not in payload
 
     def test_bench_floor_violation_fails(self, capsys, tmp_path):
         exit_code = fleet_main(
@@ -866,8 +890,6 @@ class TestCli:
                 "1",
                 "--rounds",
                 "1",
-                "--reference-devices",
-                "2",
                 "--assert-steps-per-sec",
                 "1e12",
             ]

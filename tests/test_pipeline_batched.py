@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import batching
 from repro.core.config import OptimizerConfig
 from repro.core.optimizer import EnergyOptimizer
 from repro.core.report import MeasuredMetrics
@@ -41,6 +40,7 @@ from tests.oracles import (
     PerStageScorer,
     four_gather_evaluate,
     row_crossover_search,
+    sequential_sweep,
 )
 
 GRID3 = (1000.0, 1400.0, 1800.0)
@@ -69,6 +69,13 @@ def pipeline():
     models = optimizer.build_models(bundle)
     candidates = optimizer.preprocess(bundle)
     return trace, config, bundle, models, candidates
+
+
+@pytest.fixture(scope="module")
+def sequential_bundle(pipeline):
+    """The pipeline's workload profiled one frequency at a time."""
+    trace, config, _, _, _ = pipeline
+    return sequential_sweep(EnergyOptimizer(config)).profile(trace)
 
 
 def _scorer(pipeline_parts, scorer_cls=StrategyScorer):
@@ -177,12 +184,10 @@ class TestOnePassProfiling:
     def test_reports_and_readings_match_sequential(self):
         trace = generate("bert", scale=0.02)
 
-        def profile():
-            return EnergyOptimizer(OptimizerConfig()).profile(trace)
-
-        batched = profile()
-        with batching.reference_cold_path():
-            reference = profile()
+        batched = EnergyOptimizer(OptimizerConfig()).profile(trace)
+        reference = sequential_sweep(
+            EnergyOptimizer(OptimizerConfig())
+        ).profile(trace)
         assert batched.grid is not None
         assert reference.grid is None
         assert len(batched.reports) == len(reference.reports)
@@ -263,9 +268,9 @@ class TestOnePassProfiling:
                 assert got.fit.params == want.fit.params
 
 
-def _scalar_model(pipeline_parts):
-    """The per-row (scalar-built) model over the pipeline's reports."""
-    _, config, bundle, _, _ = pipeline_parts
+def _scalar_model(pipeline_parts, bundle):
+    """The per-row (scalar-built) model over ``bundle``'s reports."""
+    _, config, _, _, _ = pipeline_parts
     return build_performance_model(
         list(bundle.reports),
         function=config.fit_function,
@@ -274,26 +279,30 @@ def _scalar_model(pipeline_parts):
 
 
 class TestDurationMatrix:
-    def test_stacked_matches_per_row_bitwise(self, pipeline):
+    def test_stacked_matches_per_row_bitwise(
+        self, pipeline, sequential_bundle
+    ):
         _, config, _, models, _ = pipeline
         stacked = models.performance
         names = list(stacked.operators)
         grid = config.npu.frequencies.points
-        with batching.reference_cold_path():
-            per_row = _scalar_model(pipeline).duration_matrix(names, grid)
+        per_row = _scalar_model(pipeline, sequential_bundle).duration_matrix(
+            names, grid
+        )
         assert np.array_equal(stacked.duration_matrix(names, grid), per_row)
 
-    def test_per_row_rejects_non_positive_frequency(self, pipeline):
-        with batching.reference_cold_path():
-            scalar = _scalar_model(pipeline)
-            constant_names = [
-                name
-                for name, model in scalar.operators.items()
-                if model.fit is None
-            ]
-            assert constant_names
-            with pytest.raises(FittingError, match="must be positive"):
-                scalar.duration_matrix(constant_names, [0.0, 1000.0])
+    def test_per_row_rejects_non_positive_frequency(
+        self, pipeline, sequential_bundle
+    ):
+        scalar = _scalar_model(pipeline, sequential_bundle)
+        constant_names = [
+            name
+            for name, model in scalar.operators.items()
+            if model.fit is None
+        ]
+        assert constant_names
+        with pytest.raises(FittingError, match="must be positive"):
+            scalar.duration_matrix(constant_names, [0.0, 1000.0])
 
 
 class TestGroupedScorer:
@@ -466,16 +475,12 @@ class TestEndToEndByteIdentity:
     def test_optimize_batched_vs_reference(self, seed):
         trace = generate("gpt3", scale=0.02)
 
-        def run():
-            config = OptimizerConfig(
-                ga=GaConfig(population_size=48, iterations=16, seed=seed),
-                seed=seed,
-            )
-            return EnergyOptimizer(config).optimize(trace)
-
-        batched = run()
-        with batching.reference_cold_path():
-            reference = run()
+        config = OptimizerConfig(
+            ga=GaConfig(population_size=48, iterations=16, seed=seed),
+            seed=seed,
+        )
+        batched = EnergyOptimizer(config).optimize(trace)
+        reference = sequential_sweep(EnergyOptimizer(config)).optimize(trace)
         assert (
             batched.search.best_genes.tobytes()
             == reference.search.best_genes.tobytes()
@@ -483,6 +488,39 @@ class TestEndToEndByteIdentity:
         assert batched.search.best_score == reference.search.best_score
         assert batched.predicted == reference.predicted
         assert batched.under_dvfs == reference.under_dvfs
+
+
+class TestColdPathBenchGate:
+    """The cold-path pipeline bench's config, batched vs sequential.
+
+    gpt3 at scale 0.1 under GA 64 x 16 with one shared calibration, as
+    ``benchmarks/perf/run_benchmarks.py --only pipeline --scale 0.1``
+    runs it: the grid pass must reproduce the sequential sweep's
+    ``best_genes`` byte for byte.
+    """
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        return generate("gpt3", scale=0.1)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_best_genes_bitwise(self, trace, constants, seed):
+        config = OptimizerConfig(
+            ga=GaConfig(population_size=64, iterations=16, seed=seed),
+            seed=seed,
+        )
+
+        def search(optimizer):
+            optimizer.use_calibration(constants)
+            bundle = optimizer.profile(trace)
+            models = optimizer.build_models(bundle)
+            candidates = optimizer.preprocess(bundle)
+            return bundle, optimizer.search(trace, models, candidates)[2]
+
+        grid_bundle, batched = search(EnergyOptimizer(config))
+        swept, sequential = search(sequential_sweep(EnergyOptimizer(config)))
+        assert grid_bundle.grid is not None and swept.grid is None
+        assert batched.best_genes.tobytes() == sequential.best_genes.tobytes()
 
 
 class TestPaperScaleGate:

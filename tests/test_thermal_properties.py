@@ -22,11 +22,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.device import ClusterDevice
-from repro.cluster.spec import ClusterSpec
 from repro.errors import ConfigurationError
 from repro.npu.spec import default_npu_spec
 from repro.npu.thermal import ThermalSpec, ThermalState
+from tests.reference.device import ClusterDevice
+from tests.reference.spec import ClusterSpec
 
 specs = st.builds(
     ThermalSpec,
