@@ -27,8 +27,9 @@ they are read, so a run of steps retains one ``(devices,)`` array per
 step.  10k devices step in well under a millisecond and 100k in a
 few (see ``BENCH_fleet.json``).  Neither a new epoch nor a replan
 recomputes anything priced per frequency: the duration table and the
-per-frequency coefficients are built once per simulator, and both are
-index gathers from there.
+per-frequency coefficients are built at most once per simulator (the
+coefficients one board row at a time, when a step first places that
+board on that frequency), and both are index gathers from there.
 
 Semantics are the looped reference's, element for element: durations
 are bitwise identical to the looped reference (same scale multiply,
@@ -384,12 +385,15 @@ class FleetSimulator:
     grid frequency is built once and reused across every subsequent
     step, reclaim, churn event and :meth:`reset` (spares included, so
     churn never recompiles anything): the ``(capacity, F)`` duration
-    table on the first :meth:`duration_table` call, and each grid
-    point's :class:`~repro.npu.engine.ConstAffineBatch` lazily, on the
-    first :meth:`solution` or step that needs it, as one
-    ``(7, capacity)`` block of an ``(F, 7, capacity)`` coefficient
-    stack.  An epoch rebuild gathers every active device's coefficients
-    from that stack by grid index.
+    table on the first :meth:`duration_table` call, and the
+    :class:`~repro.npu.engine.ConstAffineBatch` coefficients lazily,
+    per (grid point, board), into an ``(F, 7, capacity)`` coefficient
+    stack.  An epoch rebuild solves only the boards it places on each
+    grid point that are not filled yet (a reclaimed fleet spreads its
+    boards over a few points, so it solves about one row per board,
+    not one per board and point), then gathers every active device's
+    coefficients from the stack by grid index; :meth:`solution` fills
+    a whole grid point.
 
     Steps are cached by epoch: the key is the membership epoch (bumped
     by any join, leave or fail, and by :meth:`reset`), the plan object
@@ -424,7 +428,8 @@ class FleetSimulator:
             (len(grid), len(_DEVICE_COEFFICIENTS), spec.capacity)
         )
         self._idle = np.empty((len(_IDLE_COEFFICIENTS), len(grid)))
-        self._solved = np.zeros(len(grid), dtype=bool)
+        # (grid point, board): which rows of the stack are filled.
+        self._solved = np.zeros((len(grid), spec.capacity), dtype=bool)
         self._table: np.ndarray | None = None
         self._events: list[FleetEvent] = []
         self._overrun_total = 0
@@ -491,7 +496,8 @@ class FleetSimulator:
         """The capacity-wide affine batch at one grid frequency.
 
         Its arrays are read-only views of the simulator's coefficient
-        stack, which is filled on the first request for ``freq_mhz``.
+        stack; the first request for ``freq_mhz`` solves every board
+        row a step has not already filled there.
 
         Raises:
             ConfigurationError: when ``freq_mhz`` is not a grid point.
@@ -503,7 +509,7 @@ class FleetSimulator:
                 f"{grid.max_mhz:g} MHz grid"
             )
         j = int(round((freq_mhz - grid.min_mhz) / grid.step_mhz))
-        self._solve(j)
+        self._solve(j, np.arange(self._spec.capacity))
         coef = self._coef[j]
         return ConstAffineBatch(
             freq_mhz=float(self._grid[j]),
@@ -517,23 +523,28 @@ class FleetSimulator:
             },
         )
 
-    def _solve(self, j: int) -> None:
-        """Fill grid point ``j``'s block of the coefficient stack once."""
-        if self._solved[j]:
+    def _solve(self, j: int, rows: np.ndarray) -> None:
+        """Fill grid point ``j``'s stack entries for boards ``rows``.
+
+        Only the rows not yet filled are solved.  Rows are independent,
+        so any subset is bitwise the same rows of a capacity-wide solve.
+        """
+        todo = rows[~self._solved[j, rows]]
+        if todo.size == 0:
             return
         thermal = self._spec.npu.thermal
         batch = batched_const_solutions(
             self._compiled,
             float(self._grid[j]),
-            self._scales,
+            self._scales[todo],
             thermal.celsius_per_watt,
             thermal.time_constant_us,
         )
         for row, name in enumerate(_DEVICE_COEFFICIENTS):
-            self._coef[j, row] = getattr(batch, name)
+            self._coef[j, row, todo] = getattr(batch, name)
         for row, name in enumerate(_IDLE_COEFFICIENTS):
             self._idle[row, j] = getattr(batch, name)
-        self._solved[j] = True
+        self._solved[j, todo] = True
 
     def duration_table(self) -> np.ndarray:
         """Per-board durations over the full grid, ``(capacity, F)``.
@@ -696,8 +707,13 @@ class FleetSimulator:
             index = np.full(n, top)
         else:
             index = np.where(plan.covered[act], plan.freq_index[act], top)
-        for j in np.flatnonzero(np.bincount(index, minlength=self._grid.size)):
-            self._solve(int(j))
+        # Solve only the boards each used grid point needs; a warm
+        # replan finds every one filled with a single gather.
+        if not self._solved[index, act].all():
+            for j in np.flatnonzero(
+                np.bincount(index, minlength=self._grid.size)
+            ):
+                self._solve(int(j), act[index == j])
         freqs = self._grid[index]
         # One flat gather into C-ordered (7, n) rows: coefficient r of
         # device i sits at (index[i] * 7 + r) * capacity + act[i].

@@ -19,6 +19,7 @@ order, so profile ``i`` depends only on ``(seed, i)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from repro.analysis.rng import RngFactory
 from repro.cluster.spec import (
@@ -92,7 +93,16 @@ class FleetSpec:
         return self.n_devices + self.churn.max_joins
 
     def device_profiles(self) -> tuple[DeviceProfile, ...]:
-        """Seeded draws for every provisioned board (spares included)."""
+        """Seeded draws for every provisioned board (spares included).
+
+        Drawn on the first call and returned from then on: the spec is
+        immutable, so the simulator, the store keys and the fleet
+        fingerprints all share one draw.
+        """
+        return self._profiles
+
+    @cached_property
+    def _profiles(self) -> tuple[DeviceProfile, ...]:
         rng = RngFactory(self.seed).generator(VARIATION_STREAM)
         by_id = {override.device_id: override for override in self.overrides}
         variation = self.variation

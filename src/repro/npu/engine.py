@@ -506,12 +506,42 @@ class ConstAffineBatch:
         return self.duration_us.size
 
 
-def _batched_block(
+def _block_geometry(
     compiled: "CompiledTrace",
     col: _FreqColumn,
     scales: np.ndarray,
+    d: np.ndarray,
+    start: np.ndarray,
+) -> None:
+    """Write one block's operator durations and start times in place.
+
+    ``d`` and ``start`` are ``(rows, n_ops)`` outputs: ``d`` is every
+    operator's duration scaled per row, and ``start`` follows the
+    gap/host-pacing rule of :func:`_chunk_geometry` as a per-row
+    ``cumsum``.  Both match the per-device engine geometry bit for bit.
+    """
+    np.multiply(col.dur, scales[:, None], out=d)
+    start[:, 0] = 0.0
+    start[:, 1:] = d[:, :-1]
+    np.add(start, compiled.gap, out=start)
+    np.maximum(start, compiled.host, out=start)
+    np.cumsum(start, axis=1, out=start)
+
+
+def _block_rows(total: int, cells_per_row: int) -> tuple[int, int]:
+    """``(rows per block, rows to allocate)`` under the cell budget."""
+    block = max(1, _BATCH_CELL_BUDGET // max(1, cells_per_row))
+    return block, min(block, total)
+
+
+def _batched_block(
+    compiled: "CompiledTrace",
+    col: _FreqColumn,
+    chunk_coef: tuple[np.ndarray, ...],
+    scales: np.ndarray,
     k: float,
     tau: float,
+    buffers: tuple[np.ndarray, ...],
 ) -> tuple[np.ndarray, ...]:
     """One block of the batched constant-frequency reduction.
 
@@ -521,53 +551,49 @@ def _batched_block(
     an exact identity of both the affine thermal scan (``a = 1``,
     ``b = 0``) and the energy sum (``dt = 0``), so the rectangular
     layout reproduces the per-device compressed layout bit for bit.
+
+    Every block-sized temporary lives in ``buffers`` (four
+    ``(rows, 2n)`` arrays and one ``(rows, n)``; longer is fine, only
+    the leading ``scales.size`` rows are used).  The ops are the ones
+    the per-device path runs, element for element, so the result does
+    not depend on the block a row falls in.
     """
-    n = compiled.n_ops
-    d = col.dur[None, :] * scales[:, None]
+    ca0, cga, cs0, cgs, kgs, kcs0 = chunk_coef
     rows = scales.size
-    prev_d = np.concatenate([np.zeros((rows, 1)), d[:, :-1]], axis=1)
-    start = np.cumsum(
-        np.maximum(prev_d + compiled.gap[None, :], compiled.host[None, :]),
-        axis=1,
-    )
-    end = start + d
-    duration = end[:, -1].copy()
-    prev_end = np.concatenate([np.zeros((rows, 1)), end[:, :-1]], axis=1)
-    idle_dt = start - prev_end
+    cdt, x, y, z, start = (buf[:rows] for buf in buffers)
+    d = cdt[:, 1::2]
+    _block_geometry(compiled, col, scales, d, start)
+    duration = start[:, -1] + d[:, -1]
+    # Idle chunk i is the wait start[i] - end[i-1] (end[-1] = 0).
+    idle = cdt[:, 0::2]
+    idle[:, 0] = 0.0
+    np.add(start[:, :-1], d[:, :-1], out=idle[:, 1:])
+    np.subtract(start, idle, out=idle)
 
-    cdt = np.empty((rows, 2 * n))
-    cdt[:, 0::2] = idle_dt
-    cdt[:, 1::2] = d
-    ca0 = np.empty(2 * n)
-    cga = np.empty(2 * n)
-    cs0 = np.empty(2 * n)
-    cgs = np.empty(2 * n)
-    ca0[0::2] = col.idle_a0
-    cga[0::2] = col.idle_ga
-    cs0[0::2] = col.idle_s0
-    cgs[0::2] = col.idle_gs
-    ca0[1::2] = col.a0
-    cga[1::2] = col.ga
-    cs0[1::2] = col.s0
-    cgs[1::2] = col.gs
-
-    e = np.exp(-cdt / tau)
-    one_m = 1.0 - e
-    a = e + (k * cgs[None, :]) * one_m
-    b = (k * cs0[None, :]) * one_m
+    # x = e = exp(-dt/tau); y = 1 - e, then b; z = a, then its cumprod.
+    np.divide(cdt, -tau, out=x)
+    np.exp(x, out=x)
+    np.subtract(1.0, x, out=y)
+    np.multiply(kgs, y, out=z)
+    np.add(x, z, out=z)
+    np.multiply(kcs0, y, out=y)
+    a_min = np.min(z, axis=1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        c = np.cumprod(a, axis=1)
-        tail = c[:, -1]
-        bad = (
-            ~np.isfinite(tail)
-            | (tail <= _SCAN_UNDERFLOW)
-            | (np.min(a, axis=1) <= 0.0)
-        )
-        acc = np.cumsum(b / c, axis=1)
-    th_b = np.concatenate([np.ones((rows, 1)), c[:, :-1]], axis=1)
-    th_a = th_b * np.concatenate([np.zeros((rows, 1)), acc[:, :-1]], axis=1)
-    end_a = tail * acc[:, -1]
-    end_b = tail.copy()
+        np.cumprod(z, axis=1, out=z)
+        tail = z[:, -1].copy()
+        bad = ~np.isfinite(tail) | (tail <= _SCAN_UNDERFLOW) | (a_min <= 0.0)
+        np.divide(y, z, out=y)
+        np.cumsum(y, axis=1, out=y)
+        end_a = tail * y[:, -1]
+        end_b = tail
+        # th_b = [1, c[:-1]] into x; th_a = th_b * [0, acc[:-1]] into
+        # z.  Non-finite values only occur on the bad rows replaced below.
+        x[:, 0] = 1.0
+        x[:, 1:] = z[:, :-1]
+        z[:, 0] = 0.0
+        z[:, 1:] = y[:, :-1]
+        np.multiply(x, z, out=z)
+    th_a, th_b = z, x
     for i in np.flatnonzero(bad):
         # Pathological decay on this row: same sequential fallback as
         # the per-device path (see _affine_parts).
@@ -575,12 +601,16 @@ def _batched_block(
             cdt[i], cs0, cgs, k, tau
         )
 
-    per_dt = cdt / US_PER_S
-    e0_aicore = ((ca0[None, :] + cga[None, :] * th_a) * per_dt).sum(axis=1)
-    e1_aicore = ((cga[None, :] * th_b) * per_dt).sum(axis=1)
-    e0_soc = ((cs0[None, :] + cgs[None, :] * th_a) * per_dt).sum(axis=1)
-    e1_soc = ((cgs[None, :] * th_b) * per_dt).sum(axis=1)
-    return duration, e0_aicore, e1_aicore, e0_soc, e1_soc, end_a, end_b
+    per_dt = np.divide(cdt, US_PER_S, out=cdt)
+    sums = []
+    for base, gain, th in ((ca0, cga, th_a), (None, cga, th_b),
+                           (cs0, cgs, th_a), (None, cgs, th_b)):
+        np.multiply(gain, th, out=y)
+        if base is not None:
+            np.add(base, y, out=y)
+        np.multiply(y, per_dt, out=y)
+        sums.append(y.sum(axis=1))
+    return (duration, *sums, end_a, end_b)
 
 
 def batched_const_durations(
@@ -593,25 +623,23 @@ def batched_const_durations(
     Bitwise identical to running each device through the engine: the
     per-device path multiplies each operator's duration by the device's
     scale and the chunk geometry is a per-row ``cumsum``, both of which
-    the 2D broadcast reproduces element for element.
+    :func:`_block_geometry` reproduces element for element.
     """
     scales = np.ascontiguousarray(duration_scales, dtype=float)
-    if compiled.n_ops == 0:
+    n = compiled.n_ops
+    if n == 0:
         return np.zeros(scales.size)
     col = compiled.column(freq_mhz)
     out = np.empty(scales.size)
-    block = max(1, _BATCH_CELL_BUDGET // max(1, compiled.n_ops))
+    block, size = _block_rows(scales.size, n)
+    d_buf = np.empty((size, n))
+    start_buf = np.empty((size, n))
     for lo in range(0, scales.size, block):
-        s = scales[lo : lo + block, None]
-        d = col.dur[None, :] * s
-        prev_d = np.concatenate([np.zeros((s.size, 1)), d[:, :-1]], axis=1)
-        start = np.cumsum(
-            np.maximum(
-                prev_d + compiled.gap[None, :], compiled.host[None, :]
-            ),
-            axis=1,
-        )
-        out[lo : lo + block] = start[:, -1] + d[:, -1]
+        s = scales[lo : lo + block]
+        d = d_buf[: s.size]
+        start = start_buf[: s.size]
+        _block_geometry(compiled, col, s, d, start)
+        np.add(start[:, -1], d[:, -1], out=out[lo : lo + s.size])
     return out
 
 
@@ -652,11 +680,24 @@ def batched_const_solutions(
             idle_soc_w0=col.idle_s0,
             idle_soc_gain=col.idle_gs,
         )
+    n = compiled.n_ops
+    chunk_coef = []
+    for idle, op in ((col.idle_a0, col.a0), (col.idle_ga, col.ga),
+                     (col.idle_s0, col.s0), (col.idle_gs, col.gs)):
+        coef = np.empty(2 * n)
+        coef[0::2] = idle
+        coef[1::2] = op
+        chunk_coef.append(coef)
+    chunk_coef += [k * chunk_coef[3], k * chunk_coef[2]]
+    block, size = _block_rows(rows, 2 * n)
+    buffers = tuple(np.empty((size, 2 * n)) for _ in range(4)) + (
+        np.empty((size, n)),
+    )
     parts = [np.empty(rows) for _ in range(7)]
-    block = max(1, _BATCH_CELL_BUDGET // (2 * compiled.n_ops))
     for lo in range(0, rows, block):
         chunk = _batched_block(
-            compiled, col, scales[lo : lo + block], k, tau
+            compiled, col, tuple(chunk_coef), scales[lo : lo + block],
+            k, tau, buffers,
         )
         for dest, src in zip(parts, chunk):
             dest[lo : lo + src.size] = src

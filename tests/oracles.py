@@ -25,6 +25,11 @@ so the equivalence tests can compare the array form bit for bit:
 * :func:`eager_step_arrays` — ``FleetSimulator.step`` building a step's
   four energy arrays and its end temperatures as it runs (a step result
   now keeps only ``delta0`` and computes them on access);
+* :func:`allocating_block`, :func:`allocating_const_solutions` and
+  :func:`allocating_const_durations` — the fleet's batched
+  constant-frequency kernels with a fresh array per block-sized
+  temporary (the engine now writes them into a few reused buffers
+  through one shared block geometry);
 * :class:`SequentialProfiler` / :func:`sequential_sweep` — the optimizer
   profiling one frequency at a time (it now profiles the whole sweep in
   one grid pass whenever its instruments are the plain pair).
@@ -43,9 +48,11 @@ import numpy as np
 from repro.dvfs.ga import GaConfig, GaResult, _roulette_pick, initial_population
 from repro.dvfs.scoring import PopulationEvaluation, StrategyScorer
 from repro.npu.device import IDLE_INDEX, PowerChunk
+from repro.npu.engine import _BATCH_CELL_BUDGET, _SCAN_UNDERFLOW, _affine_parts
 from repro.npu.profiler import CannStyleProfiler
 from repro.npu.telemetry import PowerSample
 from repro.npu.thermal import ThermalState
+from repro.units import US_PER_S
 
 
 @dataclass(frozen=True)
@@ -317,6 +324,129 @@ def eager_step_arrays(epoch, delta0: np.ndarray) -> dict[str, np.ndarray]:
         out += getattr(epoch, p_name)
         arrays[name] = out
     return arrays
+
+
+def allocating_block(
+    compiled,
+    col,
+    scales: np.ndarray,
+    k: float,
+    tau: float,
+) -> tuple[np.ndarray, ...]:
+    """One block of the batched constant-frequency reduction.
+
+    Lays every device row out as the rectangular chunk interleave
+    ``[idle_0, op_0, idle_1, op_1, ...]``: rows without a wait before
+    operator ``i`` simply get a zero-length idle chunk there, which is
+    an exact identity of both the affine thermal scan (``a = 1``,
+    ``b = 0``) and the energy sum (``dt = 0``), so the rectangular
+    layout reproduces the per-device compressed layout bit for bit.
+    """
+    n = compiled.n_ops
+    d = col.dur[None, :] * scales[:, None]
+    rows = scales.size
+    prev_d = np.concatenate([np.zeros((rows, 1)), d[:, :-1]], axis=1)
+    start = np.cumsum(
+        np.maximum(prev_d + compiled.gap[None, :], compiled.host[None, :]),
+        axis=1,
+    )
+    end = start + d
+    duration = end[:, -1].copy()
+    prev_end = np.concatenate([np.zeros((rows, 1)), end[:, :-1]], axis=1)
+    idle_dt = start - prev_end
+
+    cdt = np.empty((rows, 2 * n))
+    cdt[:, 0::2] = idle_dt
+    cdt[:, 1::2] = d
+    ca0 = np.empty(2 * n)
+    cga = np.empty(2 * n)
+    cs0 = np.empty(2 * n)
+    cgs = np.empty(2 * n)
+    ca0[0::2] = col.idle_a0
+    cga[0::2] = col.idle_ga
+    cs0[0::2] = col.idle_s0
+    cgs[0::2] = col.idle_gs
+    ca0[1::2] = col.a0
+    cga[1::2] = col.ga
+    cs0[1::2] = col.s0
+    cgs[1::2] = col.gs
+
+    e = np.exp(-cdt / tau)
+    one_m = 1.0 - e
+    a = e + (k * cgs[None, :]) * one_m
+    b = (k * cs0[None, :]) * one_m
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        c = np.cumprod(a, axis=1)
+        tail = c[:, -1]
+        bad = (
+            ~np.isfinite(tail)
+            | (tail <= _SCAN_UNDERFLOW)
+            | (np.min(a, axis=1) <= 0.0)
+        )
+        acc = np.cumsum(b / c, axis=1)
+    th_b = np.concatenate([np.ones((rows, 1)), c[:, :-1]], axis=1)
+    th_a = th_b * np.concatenate([np.zeros((rows, 1)), acc[:, :-1]], axis=1)
+    end_a = tail * acc[:, -1]
+    end_b = tail.copy()
+    for i in np.flatnonzero(bad):
+        # Pathological decay on this row: same sequential fallback as
+        # the per-device path (see _affine_parts).
+        th_a[i], th_b[i], end_a[i], end_b[i] = _affine_parts(
+            cdt[i], cs0, cgs, k, tau
+        )
+
+    per_dt = cdt / US_PER_S
+    e0_aicore = ((ca0[None, :] + cga[None, :] * th_a) * per_dt).sum(axis=1)
+    e1_aicore = ((cga[None, :] * th_b) * per_dt).sum(axis=1)
+    e0_soc = ((cs0[None, :] + cgs[None, :] * th_a) * per_dt).sum(axis=1)
+    e1_soc = ((cgs[None, :] * th_b) * per_dt).sum(axis=1)
+    return duration, e0_aicore, e1_aicore, e0_soc, e1_soc, end_a, end_b
+
+
+def allocating_const_solutions(
+    compiled, freq_mhz: float, scales: np.ndarray, k: float, tau: float
+) -> tuple[np.ndarray, ...]:
+    """The seven ``ConstAffineBatch`` arrays, one allocating block at a time.
+
+    In ``ConstAffineBatch`` field order: duration, the four energy
+    coefficients, ``end_a``, ``end_b``.
+    """
+    scales = np.ascontiguousarray(scales, dtype=float)
+    rows = scales.size
+    col = compiled.column(freq_mhz)
+    parts = [np.empty(rows) for _ in range(7)]
+    block = max(1, _BATCH_CELL_BUDGET // (2 * compiled.n_ops))
+    for lo in range(0, rows, block):
+        chunk = allocating_block(
+            compiled, col, scales[lo : lo + block], k, tau
+        )
+        for dest, src in zip(parts, chunk):
+            dest[lo : lo + src.size] = src
+    return tuple(parts)
+
+
+def allocating_const_durations(
+    compiled, freq_mhz: float, scales: np.ndarray
+) -> np.ndarray:
+    """Per-device constant-frequency durations, one allocating block at a time."""
+    scales = np.ascontiguousarray(scales, dtype=float)
+    if compiled.n_ops == 0:
+        return np.zeros(scales.size)
+    col = compiled.column(freq_mhz)
+    out = np.empty(scales.size)
+    block = max(1, _BATCH_CELL_BUDGET // max(1, compiled.n_ops))
+    for lo in range(0, scales.size, block):
+        s = scales[lo : lo + block, None]
+        d = col.dur[None, :] * s
+        prev_d = np.concatenate([np.zeros((s.size, 1)), d[:, :-1]], axis=1)
+        start = np.cumsum(
+            np.maximum(
+                prev_d + compiled.gap[None, :], compiled.host[None, :]
+            ),
+            axis=1,
+        )
+        out[lo : lo + block] = start[:, -1] + d[:, -1]
+    return out
 
 
 class SequentialProfiler(CannStyleProfiler):

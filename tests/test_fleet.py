@@ -18,7 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import InterconnectSpec
-from repro.cluster.serve import fleet_cached_reclaim, fleet_config_hash
+from repro.cluster.serve import (
+    fleet_cached_reclaim,
+    fleet_config_hash,
+    fleet_device_fingerprint,
+)
 from repro.cluster.spec import DeviceOverride, DeviceVariation
 from repro.errors import ConfigurationError
 from repro.fleet import (
@@ -192,6 +196,32 @@ class TestFleetSpec:
         fleet = FleetSpec(n_devices=12, **overrides)
         oracle = cluster_spec_of(fleet, fleet.capacity)
         assert fleet.device_profiles() == oracle.device_profiles()
+
+    def test_profiles_are_drawn_once_per_spec(self, monkeypatch, tiny_trace):
+        """The simulator, the store and the fingerprints share one draw."""
+        import repro.fleet.spec as spec_module
+
+        draws = []
+        factory = spec_module.RngFactory
+
+        def counting(seed):
+            draws.append(seed)
+            return factory(seed)
+
+        monkeypatch.setattr(spec_module, "RngFactory", counting)
+        spec = FleetSpec(n_devices=8, seed=4)
+        first = spec.device_profiles()
+        assert spec.device_profiles() is first
+        for device in range(spec.n_devices):
+            fleet_device_fingerprint(tiny_trace, spec, (0, 1), device)
+        FleetSimulator(spec, tiny_trace)
+        assert draws == [4]
+        # The cache is not a field: equal specs stay equal, and a
+        # replaced spec draws its own profiles.
+        assert spec == FleetSpec(n_devices=8, seed=4)
+        other = dataclasses.replace(spec, seed=5)
+        assert other.device_profiles() != first
+        assert draws == [4, 5]
 
     def test_from_cluster_round_trip(self):
         cluster = ClusterSpec(n_devices=4, seed=7)
