@@ -23,6 +23,7 @@ from repro.fleet import (
     FleetSimulator,
     FleetSpec,
     FleetTopology,
+    degrade_and_retarget,
     reclaim_fleet_slack,
 )
 from repro.workloads import generate
@@ -66,14 +67,13 @@ def main() -> None:
 
     print("\nDegrading one device 1.3x and replaying the stale plan...")
     victim = (baseline.straggler_id + 1) % spec.n_devices
-    degraded = FleetSimulator(
-        spec.with_degraded_device(victim, 1.3, reason="demo degradation"),
-        trace,
+    degraded = degrade_and_retarget(
+        sim, plan, victim, 1.3, reason="demo degradation"
     )
-    stale = degraded.step(plan, target_compute_us=plan.target_compute_us)
+    stale = degraded.stale
     print(f"  {stale.overrun_count} barrier overrun(s), latest first: "
           f"devices {list(stale.overrun_device_ids)}")
-    new_plan = reclaim_fleet_slack(degraded)
+    new_plan = degraded.plan
     healthy_mhz = sorted(
         {float(f) for f in new_plan.freq_mhz[new_plan.covered]}
     )

@@ -118,8 +118,8 @@ class ClusterResult:
     """Fleet-level outcome of a cluster DVFS policy versus its baseline.
 
     Produced by :meth:`repro.fleet.simulator.FleetStepResult.report`;
-    kept here (plain data, no cluster imports) so every layer that
-    renders reports can do so without pulling the cluster package in.
+    kept here (plain data, no fleet imports) so every layer that
+    renders reports can do so without pulling the fleet package in.
     """
 
     cluster_name: str

@@ -36,11 +36,15 @@ import shutil
 import tempfile
 from pathlib import Path
 
-from repro.cluster.dvfs import search_cluster_frequencies
-from repro.cluster.serve import fleet_cached_reclaim
 from repro.dvfs.ga import GaConfig
 from repro.experiments.base import ExperimentResult, percent
-from repro.fleet.dvfs import plan_strategy_json, reclaim_fleet_slack
+from repro.fleet.dvfs import (
+    degrade_and_retarget,
+    plan_strategy_json,
+    reclaim_fleet_slack,
+    search_cluster_frequencies,
+)
+from repro.fleet.serve import fleet_cached_reclaim
 from repro.fleet.simulator import FleetSimulator
 from repro.fleet.spec import FleetSpec
 from repro.fleet.topology import FleetTopology
@@ -114,21 +118,11 @@ def run(
 
         # Degraded phase: one non-straggler device slowed.
         victim = (baseline.straggler_id + 1) % devices
-        degraded = FleetSimulator(
-            spec.with_degraded_device(
-                victim, slowdown, reason="injected silicon degradation"
-            ),
-            trace,
+        degraded = degrade_and_retarget(
+            sim, plan, victim, slowdown, reason="injected silicon degradation"
         )
-        stale = degraded.step(plan, target_compute_us=plan.target_compute_us)
-        new_plan = reclaim_fleet_slack(degraded)
-        degraded.reset()
-        degraded_baseline = degraded.step()
-        degraded.reset()
-        retargeted = degraded.step(
-            new_plan, target_compute_us=new_plan.target_compute_us
-        )
-        retarget_report = retargeted.report(degraded_baseline)
+        stale = degraded.stale
+        retarget_report = degraded.report()
 
         def phase_row(phase: str, report) -> dict:
             return {
@@ -179,7 +173,7 @@ def run(
                 "degraded_device": victim,
                 "barrier_overruns": stale.overrun_count,
                 "overrun_names_victim": victim in stale.overrun_device_ids,
-                "retargeted_straggler": new_plan.straggler_id,
+                "retargeted_straggler": degraded.plan.straggler_id,
                 "retargeted_soc_energy_savings": (
                     retarget_report.soc_energy_savings
                 ),

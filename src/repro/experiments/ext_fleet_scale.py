@@ -18,7 +18,7 @@ is checked by ``tests/test_fleet_equivalence.py``):
 * **elastic membership** — seeded join/leave/fail churn with
   re-targeted reclamation; replaying the same seed reproduces the
   identical event history and energies;
-* **store round-trip** — :func:`repro.cluster.serve.fleet_cached_reclaim`
+* **store round-trip** — :func:`repro.fleet.serve.fleet_cached_reclaim`
   reassembles the byte-identical plan from the persistent store;
 * **scaling** — warm barrier steps per second at increasing fleet
   sizes (the checked-in ``BENCH_fleet.json`` carries the 10k point).
@@ -31,7 +31,6 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.cluster.serve import fleet_cached_reclaim
 from repro.experiments.base import ExperimentResult, percent
 from repro.fleet.churn import ChurnConfig
 from repro.fleet.dvfs import (
@@ -39,6 +38,7 @@ from repro.fleet.dvfs import (
     plan_strategy_json,
     reclaim_fleet_slack,
 )
+from repro.fleet.serve import fleet_cached_reclaim
 from repro.fleet.simulator import FleetSimulator
 from repro.fleet.spec import FleetSpec
 from repro.fleet.topology import FleetTopology

@@ -1,43 +1,58 @@
-"""Vectorized 10k-device fleet simulation with elastic membership.
+"""Synchronous data-parallel fleets with per-device DVFS (Sect. 8.1).
 
-This package holds the repository's one production barrier-step
-engine; a :mod:`repro.cluster` ring runs on it as a one-rack fleet.
-Its reference, the looped ``SimulatedCluster`` under ``tests/reference``,
-steps Python device objects through the engine — exact, but O(N)
-interpreter work per step.  Here the same physics runs at fleet scale: every device's compiled
-constant-frequency affine solution (``E = E0 + E1 * delta0``) is
-stacked into ``(devices,)`` NumPy arrays, so the barrier step, the
-idle-priced waits, slack reclamation and delta0 re-targeting are single
-vectorized passes.
+The paper optimises one NPU at a time; its deployment story (Sect. 8.1)
+is synchronous data-parallel fleets, where per-device DVFS interacts
+with the all-reduce barrier: slowing the critical device stalls every
+peer, while slowing a non-critical device is free.  This package holds
+the repository's one production barrier-step engine and the policies
+that run on it.  Its reference, the looped ``SimulatedCluster`` under
+``tests/reference``, steps Python device objects through the engine —
+exact, but O(N) interpreter work per step.  Here the same physics runs
+at fleet scale: every device's compiled constant-frequency affine
+solution (``E = E0 + E1 * delta0``) is stacked into ``(devices,)``
+NumPy arrays, so the barrier step, the idle-priced waits, slack
+reclamation and delta0 re-targeting are single vectorized passes.
 
-* :mod:`repro.fleet.spec` — the fleet description: the cluster's
-  per-device variation, drawn per board, with rack structure and churn;
-* :mod:`repro.fleet.topology` — hierarchical collectives: intra-rack
-  ring + inter-rack tree, with flat-ring algorithm selection;
+* :mod:`repro.fleet.spec` — the fleet description: seeded per-device
+  variation (silicon speed bins, rack thermal gradients) plus explicit
+  degradation overrides, drawn per board, with rack structure and churn;
+* :mod:`repro.fleet.topology` — the ring all-reduce law and hierarchical
+  collectives: intra-rack ring + inter-rack tree, with flat-ring
+  algorithm selection;
 * :mod:`repro.fleet.churn` — seeded join/leave/fail dynamics with
   replay-identical histories and deterministic re-sharding;
 * :mod:`repro.fleet.simulator` — the vectorized barrier step,
   equivalence-tested (<= 1e-9) against the looped reference at small N
   (``tests/test_fleet_equivalence.py``);
 * :mod:`repro.fleet.dvfs` — array-pass slack reclamation producing
-  byte-identical per-device constant strategies.
+  byte-identical per-device constant strategies, the degrade-and-
+  re-target flow, and the fleet ``energy x step-time`` GA over the
+  existing :mod:`repro.dvfs.ga`;
+* :mod:`repro.fleet.serve` — per-device strategy fingerprints and
+  store-backed slack reclamation through :mod:`repro.serve`.
 
 One process steps 100k devices: the simulator caches everything a step
 needs per membership/plan/target epoch, so a warm step is a few affine
 passes over the thermal state.
 
-Run ``python -m repro.fleet run`` for a demo and
+Run ``python -m repro.fleet run`` for a demo (``--ga`` adds the fleet
+GA, ``--degrade DEVICE`` the re-targeted reclamation) and
 ``python -m repro.fleet bench`` for the scaling benchmark
 (``BENCH_fleet.json``).
 """
 
 from repro.fleet.churn import ChurnConfig, FleetEvent, draw_churn
 from repro.fleet.dvfs import (
+    ClusterScoreBreakdown,
+    ClusterScorer,
     auto_retarget,
+    degrade_and_retarget,
     plan_strategies,
     plan_strategy_json,
     reclaim_fleet_slack,
+    search_cluster_frequencies,
 )
+from repro.fleet.serve import fleet_cached_reclaim, fleet_device_fingerprints
 from repro.fleet.simulator import (
     FleetPlan,
     FleetSimulator,
@@ -46,24 +61,43 @@ from repro.fleet.simulator import (
     make_fleet_simulator,
     straggler_summary,
 )
-from repro.fleet.spec import FleetSpec
-from repro.fleet.topology import CollectiveCost, FleetTopology
+from repro.fleet.spec import (
+    DeviceOverride,
+    DeviceProfile,
+    DeviceVariation,
+    FleetSpec,
+)
+from repro.fleet.topology import (
+    CollectiveCost,
+    FleetTopology,
+    InterconnectSpec,
+)
 
 __all__ = [
     "ChurnConfig",
+    "ClusterScoreBreakdown",
+    "ClusterScorer",
     "CollectiveCost",
+    "DeviceOverride",
+    "DeviceProfile",
+    "DeviceVariation",
     "FleetEvent",
     "FleetPlan",
     "FleetSimulator",
     "FleetSpec",
     "FleetStepResult",
     "FleetTopology",
+    "InterconnectSpec",
     "auto_retarget",
+    "degrade_and_retarget",
     "descending_top_k",
     "draw_churn",
+    "fleet_cached_reclaim",
+    "fleet_device_fingerprints",
     "make_fleet_simulator",
     "plan_strategies",
     "plan_strategy_json",
     "reclaim_fleet_slack",
+    "search_cluster_frequencies",
     "straggler_summary",
 ]

@@ -3,8 +3,8 @@
 Real fleets are elastic: preemptible capacity joins mid-run, nodes are
 drained for maintenance, and boards fail outright.  The fleet simulator
 models all three as seeded events between steps, with the same
-determinism discipline as :mod:`repro.npu.faults` and the cluster's
-variation draws:
+determinism discipline as :mod:`repro.npu.faults` and the per-device
+variation draws of :mod:`repro.fleet.spec`:
 
 * every step draws from its **own** named stream
   (``fleet-churn-<step>``), so the events of step ``s`` depend only on

@@ -4,7 +4,11 @@ Two subcommands:
 
 ``run``
     Simulate a fleet — baseline, reclaimed, optionally churned — and
-    print the straggler top-k table plus the fleet summary.
+    print the straggler top-k table plus the fleet summary.  ``--ga``
+    adds the fleet GA's plan; ``--degrade DEVICE`` replays the reclaimed
+    plan on a fleet with that board slowed, shows the barrier overruns
+    and the re-targeted reclamation.  These phases and the first
+    reclaimed step start from the boards' ambient temperatures.
 
 ``bench``
     The scaling benchmark behind ``BENCH_fleet.json``: warm
@@ -15,6 +19,8 @@ Examples::
 
     python -m repro.fleet run gpt3 --scale 0.02 --devices 64
     python -m repro.fleet run gpt3 --devices 256 --leave-rate 0.5
+    python -m repro.fleet run gpt3 --devices 24 --devices-per-rack 24 \
+        --ga --degrade 3
     python -m repro.fleet bench --devices 10000 --output BENCH_fleet.json
     python -m repro.fleet bench --devices 10000 --scale-devices 100000
 """
@@ -34,10 +40,20 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.report import format_table
+from repro.dvfs.ga import GaConfig
 from repro.errors import ReproError
 from repro.fleet.churn import ChurnConfig
-from repro.fleet.dvfs import auto_retarget, reclaim_fleet_slack
-from repro.fleet.simulator import FleetSimulator, straggler_summary
+from repro.fleet.dvfs import (
+    auto_retarget,
+    degrade_and_retarget,
+    reclaim_fleet_slack,
+    search_cluster_frequencies,
+)
+from repro.fleet.simulator import (
+    FleetSimulator,
+    FleetStepResult,
+    straggler_summary,
+)
 from repro.fleet.spec import FleetSpec
 from repro.fleet.topology import FleetTopology
 from repro.workloads import generate, workload_names
@@ -141,6 +157,30 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="simulate a fleet and print the straggler summary"
     )
     _add_fleet_arguments(run)
+    run.add_argument(
+        "--ga",
+        action="store_true",
+        help="also run the fleet GA objective after reclamation",
+    )
+    run.add_argument(
+        "--iterations", type=int, default=80, help="GA iterations"
+    )
+    run.add_argument(
+        "--population", type=int, default=40, help="GA population size"
+    )
+    run.add_argument(
+        "--degrade",
+        type=int,
+        default=None,
+        metavar="DEVICE",
+        help="degrade one device and show the re-targeted reclamation",
+    )
+    run.add_argument(
+        "--slowdown",
+        type=float,
+        default=1.3,
+        help="duration multiplier of the degraded device",
+    )
 
     bench = commands.add_parser(
         "bench", help="measure barrier steps/s and write BENCH_fleet.json"
@@ -185,6 +225,24 @@ def _print_step(title: str, body: str) -> None:
     print()
 
 
+def _overrun_rows(result: FleetStepResult, target_us: float) -> list[dict]:
+    """One row per reported barrier overrun, latest arrival first."""
+    positions = result.device_ids.searchsorted(result.overrun_device_ids)
+    rows = []
+    for device, pos in zip(result.overrun_device_ids, positions):
+        arrival = float(result.arrival_us[pos])
+        rows.append(
+            {
+                "kind": "barrier_overrun",
+                "device": device,
+                "arrival_us": round(arrival, 1),
+                "late": f"{(arrival - target_us) / target_us:.1%}",
+                "target_us": round(target_us, 1),
+            }
+        )
+    return rows
+
+
 def _run(args: argparse.Namespace) -> int:
     trace = generate(args.workload, scale=args.scale, seed=args.seed)
     spec = _spec_from_args(args)
@@ -200,6 +258,10 @@ def _run(args: argparse.Namespace) -> int:
         replan=replan,
     )
 
+    _print_step(
+        f"slack reclamation, step 1 ({spec.n_devices} devices)",
+        reclaimed[0].report(baseline[0]).summary(),
+    )
     last = reclaimed[-1]
     _print_step(
         f"reclaimed step {args.steps} ({last.n_devices} devices, "
@@ -228,6 +290,44 @@ def _run(args: argparse.Namespace) -> int:
         print(f"churn ({len(events)} events):")
         print(format_table([e.to_row() for e in events]))
     print(f"summary: {json.dumps(summary)}")
+    if args.ga:
+        sim.reset()
+        ga_plan, ga_result, breakdown = search_cluster_frequencies(
+            sim,
+            config=GaConfig(
+                population_size=args.population,
+                iterations=args.iterations,
+                seed=args.seed,
+                patience=30,
+            ),
+        )
+        ga_step = sim.step(
+            ga_plan, target_compute_us=ga_plan.target_compute_us
+        )
+        _print_step(
+            f"fleet GA ({ga_result.generations} generations, "
+            f"predicted step {breakdown.step_us / 1000.0:.2f} ms)",
+            ga_step.report(baseline[0]).render(),
+        )
+    if args.degrade is not None:
+        degraded = degrade_and_retarget(
+            sim,
+            plan,
+            args.degrade,
+            args.slowdown,
+            reason="cli --degrade",
+            slack_margin=args.slack_margin,
+        )
+        rows = _overrun_rows(degraded.stale, plan.target_compute_us)
+        _print_step(
+            f"stale plan on degraded device {args.degrade}",
+            format_table(rows) if rows else "(no overruns)",
+        )
+        _print_step(
+            f"re-targeted reclamation (straggler now device "
+            f"{degraded.plan.straggler_id})",
+            degraded.report().render(),
+        )
     return 0
 
 

@@ -1,7 +1,7 @@
 """Vectorized barrier-step execution over an elastic device fleet.
 
-This is the one production barrier-step engine: the cluster and fleet
-CLIs and experiments all step through it.  Its reference, the looped
+This is the one production barrier-step engine: the fleet CLI and the
+experiments all step through it.  Its reference, the looped
 ``SimulatedCluster`` kept under ``tests/reference``, steps Python device
 objects through the engine one by one — exact, but O(N) Python work per
 step.  The paper's constant-frequency

@@ -6,9 +6,8 @@ all-reduce then runs as the standard hierarchical schedule real training
 fleets (and NCCL's tree algorithms) use:
 
 1. **intra-rack ring all-reduce** — every rack reduces its own replicas
-   with the exact ring law of
-   :class:`repro.cluster.collective.InterconnectSpec`, leaving each rack
-   holding the rack-local sum;
+   with the exact ring law of :class:`InterconnectSpec`, leaving each
+   rack holding the rack-local sum;
 2. **inter-rack tree all-reduce** — one representative per rack
    exchanges the rack sums over the inter-rack links in a binomial
    tree: ``ceil(log2(R))`` reduce hops up plus the same number of
@@ -34,9 +33,64 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.cluster.collective import InterconnectSpec
 from repro.errors import ConfigurationError
 from repro.units import gbps_to_bytes_per_us
+
+
+@dataclass(frozen=True)
+class InterconnectSpec:
+    """Per-link characteristics of the device interconnect.
+
+    :meth:`allreduce_us` is the ring all-reduce law (reduce-scatter then
+    all-gather): each of ``N`` devices moves ``2 * (N - 1) / N`` of the
+    payload over its link in ``2 * (N - 1)`` pipelined phases, so
+
+        t = 2 * (N - 1) / N * payload / bandwidth  +  2 * (N - 1) * latency
+
+    Attributes:
+        link_bandwidth_gbps: sustained point-to-point bandwidth of one
+            ring link, in GB/s (HCCS-class links sustain tens of GB/s).
+        link_latency_us: per-phase software + wire latency of one ring
+            hop, in microseconds.
+    """
+
+    link_bandwidth_gbps: float = 50.0
+    link_latency_us: float = 12.0
+
+    def __post_init__(self) -> None:
+        if self.link_bandwidth_gbps <= 0:
+            raise ConfigurationError(
+                f"link_bandwidth_gbps must be positive: "
+                f"{self.link_bandwidth_gbps}"
+            )
+        if self.link_latency_us < 0:
+            raise ConfigurationError(
+                f"link_latency_us must be non-negative: {self.link_latency_us}"
+            )
+
+    def allreduce_us(self, payload_bytes: float, n_devices: int) -> float:
+        """Ring all-reduce wall time for one gradient exchange.
+
+        A single device has nothing to exchange; the collective is free.
+
+        Raises:
+            ConfigurationError: on a non-positive device count or a
+                negative payload.
+        """
+        if n_devices < 1:
+            raise ConfigurationError(
+                f"n_devices must be >= 1: {n_devices}"
+            )
+        if payload_bytes < 0:
+            raise ConfigurationError(
+                f"payload_bytes must be non-negative: {payload_bytes}"
+            )
+        if n_devices == 1:
+            return 0.0
+        phases = 2 * (n_devices - 1)
+        transferred = payload_bytes * phases / n_devices
+        bandwidth = gbps_to_bytes_per_us(self.link_bandwidth_gbps)
+        return transferred / bandwidth + phases * self.link_latency_us
 
 
 def default_inter_rack_links() -> InterconnectSpec:

@@ -962,8 +962,9 @@ class TraceEngine:
 
         ``None`` (never share) unless the evaluator is a plain
         :class:`GroundTruthEvaluator` — wrapped evaluators (e.g. the
-        cluster's per-device duration scaling) change the lowering
-        output, and their state is not captured by any value key.  The
+        test reference's duration-scaling ``VariedEvaluator``) change
+        the lowering output, and their state is not captured by any
+        value key.  The
         key covers both the engine spec (thermal constants baked into
         cached const solutions) and the evaluator spec (which columns
         and grids are computed from) so equal keys imply bit-identical

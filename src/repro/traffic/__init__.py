@@ -20,7 +20,6 @@ deployment would: tail latency, hit rate, shed rate, queue depth.
 Run it from the shell::
 
     python -m repro.serve bench-traffic --requests 1000000
-    python -m repro.traffic --requests 20000        # same entry point
 """
 
 from repro.traffic.driver import (

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.cluster.spec import DeviceProfile
 from repro.dvfs.executor import DvfsExecutor
 from repro.dvfs.strategy import DvfsStrategy
+from repro.fleet.spec import DeviceProfile
 from repro.npu.device import ExecutionResult, NpuDevice
 from repro.npu.execution import (
     GroundTruthEvaluator,
@@ -85,6 +85,20 @@ class VariedEvaluator:
         return self._inner.idle_soc_power(freq_mhz, delta_celsius)
 
 
+def npu_for(profile: DeviceProfile, base: NpuSpec) -> NpuSpec:
+    """The per-device hardware spec: base with the board's ambient."""
+    if profile.ambient_offset_celsius == 0.0:
+        return base
+    return replace(
+        base,
+        thermal=replace(
+            base.thermal,
+            ambient_celsius=base.thermal.ambient_celsius
+            + profile.ambient_offset_celsius,
+        ),
+    )
+
+
 class ClusterDevice:
     """One ring member: profile + NPU + DVFS executor."""
 
@@ -95,7 +109,7 @@ class ClusterDevice:
         base_evaluator: GroundTruthEvaluator | None = None,
     ) -> None:
         self._profile = profile
-        npu = profile.npu_for(base_npu)
+        npu = npu_for(profile, base_npu)
         inner = base_evaluator or GroundTruthEvaluator(base_npu)
         scale = profile.total_duration_scale
         evaluator = VariedEvaluator(inner, scale) if scale != 1.0 else inner

@@ -36,12 +36,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.cluster.spec import DeviceProfile
 from repro.core.report import ClusterResult
 from repro.dvfs.guard import Incident, IncidentLog
 from repro.dvfs.strategy import DvfsStrategy, constant_strategy
 from repro.errors import ConfigurationError, StrategyError
 from repro.fleet.simulator import BARRIER_OVERRUN_TOLERANCE
+from repro.fleet.spec import DeviceProfile
 from repro.npu.device import ExecutionResult
 from repro.npu.execution import GroundTruthEvaluator
 from repro.units import US_PER_S

@@ -4,7 +4,7 @@
 :class:`~tests.reference.simulator.SimulatedCluster` is built from.  Its
 :meth:`~ClusterSpec.device_profiles` is kept as the draw oracle for
 :meth:`repro.fleet.spec.FleetSpec.device_profiles`: two standard-normal
-draws per device from :data:`~repro.cluster.spec.VARIATION_STREAM`, in
+draws per device from :data:`~repro.fleet.spec.VARIATION_STREAM`, in
 device order, so profile ``i`` depends only on ``(seed, i)``.
 
 :func:`cluster_spec_of` and :func:`fleet_spec_of` map between the two
@@ -17,16 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.analysis.rng import RngFactory
-from repro.cluster.collective import InterconnectSpec
-from repro.cluster.spec import (
+from repro.errors import ConfigurationError
+from repro.fleet.spec import (
     VARIATION_STREAM,
     DeviceOverride,
     DeviceProfile,
     DeviceVariation,
+    FleetSpec,
 )
-from repro.errors import ConfigurationError
-from repro.fleet.spec import FleetSpec
-from repro.fleet.topology import FleetTopology
+from repro.fleet.topology import FleetTopology, InterconnectSpec
 from repro.npu.spec import NpuSpec, default_npu_spec
 
 

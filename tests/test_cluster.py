@@ -1,7 +1,7 @@
-"""Tests for the multi-device cluster layer (repro.cluster).
+"""Tests for the fleet's device model and policies at cluster size.
 
-Production cluster steps run on a one-rack
-:class:`~repro.fleet.simulator.FleetSimulator`; the looped
+A cluster is a one-rack :class:`~repro.fleet.simulator.FleetSimulator`
+(a single ring); the looped
 :class:`~tests.reference.simulator.SimulatedCluster` is only its
 reference, so the tests that pin reference behaviour construct it
 directly.
@@ -17,26 +17,24 @@ import numpy as np
 import pytest
 
 import repro
-from repro.cluster import (
-    ClusterScorer,
-    InterconnectSpec,
-    fleet_cached_reclaim,
-    fleet_device_fingerprint,
-    search_cluster_frequencies,
-)
-from repro.cluster.cli import main as cluster_main
-from repro.cluster.spec import DeviceOverride, DeviceVariation
+import repro.fleet
 from repro.dvfs.ga import GaConfig
 from repro.errors import ConfigurationError, StrategyError
+from repro.fleet import serve as fleet_serve
 from repro.fleet.churn import ChurnConfig
+from repro.fleet.cli import main as fleet_main
 from repro.fleet.dvfs import (
+    ClusterScorer,
+    degrade_and_retarget,
     plan_strategies,
     plan_strategy_json,
     reclaim_fleet_slack,
+    search_cluster_frequencies,
 )
+from repro.fleet.serve import fleet_cached_reclaim, fleet_device_fingerprints
 from repro.fleet.simulator import FleetSimulator
-from repro.fleet.spec import FleetSpec
-from repro.fleet.topology import FleetTopology
+from repro.fleet.spec import DeviceOverride, DeviceVariation, FleetSpec
+from repro.fleet.topology import FleetTopology, InterconnectSpec
 from repro.npu.engine import reference_only
 from repro.npu.execution import GroundTruthEvaluator
 from repro.serve.store import StrategyStore
@@ -336,10 +334,9 @@ class TestDeterminismAndCaching:
         active = tuple(range(spec.n_devices))
 
         def fingerprints(fleet_spec):
-            return [
-                fleet_device_fingerprint(tiny_trace, fleet_spec, active, i)
-                for i in active
-            ]
+            return fleet_device_fingerprints(
+                tiny_trace, fleet_spec, active
+            ).fingerprints
 
         healthy = fingerprints(spec)
         after = fingerprints(degraded)
@@ -349,8 +346,30 @@ class TestDeterminismAndCaching:
             # the degraded device's own profile hash moves.
             assert healthy[device_id] == after[device_id]
 
+    def test_keying_a_fleet_hashes_its_config_once(
+        self, monkeypatch, tiny_trace
+    ):
+        """Every active device's key shares one fleet config hash."""
+        calls = []
+        config_hash = fleet_serve.fleet_config_hash
 
-    #: ``fleet_device_fingerprint`` digests, recorded before the cluster
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return config_hash(*args, **kwargs)
+
+        monkeypatch.setattr(fleet_serve, "fleet_config_hash", counting)
+        spec = FleetSpec(n_devices=64, seed=0)
+        active = tuple(range(spec.n_devices))
+        keys = fleet_device_fingerprints(tiny_trace, spec, active)
+        assert len(calls) == 1
+        assert len(set(keys.fingerprints)) == spec.n_devices
+        assert set(keys.spec_hashes) == set(
+            fleet_serve.device_spec_hash(spec, profile)
+            for profile in spec.device_profiles()
+        )
+        assert keys.config_hash == config_hash(spec, active)
+
+    #: Per-device fleet fingerprint digests, recorded before the cluster
     #: description folded into ``FleetSpec``: sha256 over the
     #: concatenated per-device fingerprints of every active device.
     PINNED_FINGERPRINTS = {
@@ -377,10 +396,8 @@ class TestDeterminismAndCaching:
         }
         for label, spec in specs.items():
             active = tuple(range(spec.n_devices))
-            joined = "".join(
-                fleet_device_fingerprint(tiny_trace, spec, active, i)
-                for i in active
-            )
+            keys = fleet_device_fingerprints(tiny_trace, spec, active)
+            joined = "".join(keys.fingerprints)
             digest = hashlib.sha256(joined.encode()).hexdigest()
             assert digest == self.PINNED_FINGERPRINTS[label], label
 
@@ -390,20 +407,16 @@ class TestFaultStory:
         spec = fleet_spec_of(small_spec)
         sim = FleetSimulator(spec, tiny_trace)
         plan = reclaim_fleet_slack(sim)
-        baseline = sim.step()
-        victim = (baseline.straggler_id + 1) % spec.n_devices
-        degraded = FleetSimulator(
-            spec.with_degraded_device(victim, 1.4, reason="test"),
-            tiny_trace,
-        )
-        stale = degraded.step(plan, target_compute_us=plan.target_compute_us)
-        assert stale.overrun_count >= 1
-        assert victim in stale.overrun_device_ids
-        assert degraded.overrun_total == stale.overrun_count
-        new_plan = reclaim_fleet_slack(degraded)
-        assert new_plan.straggler_id == victim
-        retargeted = fresh_step(degraded, new_plan)
-        assert retargeted.overrun_count == 0
+        victim = (plan.straggler_id + 1) % spec.n_devices
+        degraded = degrade_and_retarget(sim, plan, victim, 1.4, reason="test")
+        assert degraded.stale.overrun_count >= 1
+        assert victim in degraded.stale.overrun_device_ids
+        assert degraded.plan.straggler_id == victim
+        assert degraded.baseline.straggler_id == victim
+        assert degraded.retargeted.overrun_count == 0
+        report = degraded.report()
+        assert report.step_time_regression <= 1e-12
+        assert report.soc_energy_savings > 0.0
 
 
 class TestWiring:
@@ -417,27 +430,37 @@ class TestWiring:
         assert math.isclose(report.step_time_regression, 0.0, abs_tol=1e-9)
 
     def test_cli_smoke(self, capsys):
-        exit_code = cluster_main(
-            ["gpt3", "--scale", "0.005", "--devices", "2"]
+        exit_code = fleet_main(
+            ["run", "gpt3", "--scale", "0.005", "--devices", "2"]
         )
         out = capsys.readouterr().out
         assert exit_code == 0
         assert "slack reclamation" in out
 
     def test_cli_unknown_workload_fails_cleanly(self, capsys):
-        exit_code = cluster_main(["nonsense", "--devices", "2"])
+        exit_code = fleet_main(["run", "nonsense", "--devices", "2"])
         assert exit_code == 1
         assert "error:" in capsys.readouterr().err
 
     def test_cli_24_devices_steps_the_reference_ring(self, capsys):
-        """More devices than a default rack still step as one ring.
+        """A 24-device one-rack fleet steps as the reference ring.
 
-        Every printed step time is the looped reference's, which only
-        holds if the CLI's fleet is a single rack whose collective is
-        the cluster's ring all-reduce.
+        Every printed per-phase step time (first reclaimed step, fleet
+        GA, re-targeted reclamation) is the looped reference's, which
+        only holds if the fleet is a single rack whose collective is the
+        cluster's ring all-reduce.
         """
-        args = ["gpt3", "--scale", "0.005", "--devices", "24"]
-        exit_code = cluster_main(
+        args = [
+            "run",
+            "gpt3",
+            "--scale",
+            "0.005",
+            "--devices",
+            "24",
+            "--devices-per-rack",
+            "24",
+        ]
+        exit_code = fleet_main(
             args + ["--ga", "--iterations", "10", "--degrade", "3"]
         )
         out = capsys.readouterr().out
@@ -482,6 +505,26 @@ class TestWiring:
 
 
 class TestReferenceIsolation:
+    def test_fleet_imports_only_at_module_level(self):
+        """No module under ``src/repro/fleet`` imports inside a function.
+
+        Deferred imports are how an import cycle hides; with every
+        import at module level, a cycle fails at import time.
+        """
+        root = Path(repro.fleet.__file__).parent
+        offenders = []
+        for path in sorted(root.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            for node in ast.walk(tree):
+                if not isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef)
+                ):
+                    continue
+                for inner in ast.walk(node):
+                    if isinstance(inner, (ast.Import, ast.ImportFrom)):
+                        offenders.append(f"{path.name}:{inner.lineno}")
+        assert offenders == []
+
     def test_production_does_not_import_the_reference(self):
         """No module under ``src/repro`` imports the ``tests`` package.
 

@@ -17,19 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import InterconnectSpec
-from repro.cluster.serve import (
-    fleet_cached_reclaim,
-    fleet_config_hash,
-    fleet_device_fingerprint,
-)
-from repro.cluster.spec import DeviceOverride, DeviceVariation
 from repro.errors import ConfigurationError
 from repro.fleet import (
     ChurnConfig,
+    DeviceOverride,
+    DeviceVariation,
     FleetSimulator,
     FleetSpec,
     FleetTopology,
+    InterconnectSpec,
     auto_retarget,
     descending_top_k,
     draw_churn,
@@ -38,6 +34,11 @@ from repro.fleet import (
     straggler_summary,
 )
 from repro.fleet.cli import main as fleet_main
+from repro.fleet.serve import (
+    fleet_cached_reclaim,
+    fleet_config_hash,
+    fleet_device_fingerprints,
+)
 from repro.fleet.simulator import MEMBERSHIP_KINDS
 from repro.serve.store import StrategyStore
 from repro.workloads import generate
@@ -212,8 +213,9 @@ class TestFleetSpec:
         spec = FleetSpec(n_devices=8, seed=4)
         first = spec.device_profiles()
         assert spec.device_profiles() is first
-        for device in range(spec.n_devices):
-            fleet_device_fingerprint(tiny_trace, spec, (0, 1), device)
+        fleet_device_fingerprints(
+            tiny_trace, spec, tuple(range(spec.n_devices))
+        )
         FleetSimulator(spec, tiny_trace)
         assert draws == [4]
         # The cache is not a field: equal specs stay equal, and a

@@ -14,7 +14,6 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.cluster.spec import DeviceVariation
 from repro.fleet import (
     ChurnConfig,
     FleetSimulator,
@@ -23,6 +22,7 @@ from repro.fleet import (
     reclaim_fleet_slack,
 )
 from repro.fleet.simulator import _DEVICE_COEFFICIENTS
+from repro.fleet.spec import DeviceVariation
 from repro.npu import engine
 from repro.npu.engine import (
     CompiledTrace,
