@@ -244,8 +244,11 @@ def _overrun_rows(result: FleetStepResult, target_us: float) -> list[dict]:
 
 
 def _run(args: argparse.Namespace) -> int:
-    trace = generate(args.workload, scale=args.scale, seed=args.seed)
     spec = _spec_from_args(args)
+    if args.degrade is not None:
+        # Fail on a bad --degrade before any simulation is printed.
+        spec.with_degraded_device(args.degrade, args.slowdown)
+    trace = generate(args.workload, scale=args.scale, seed=args.seed)
     sim = FleetSimulator(spec, trace)
     baseline = sim.run_steps(None, steps=args.steps)
     sim.reset()

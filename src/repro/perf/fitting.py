@@ -13,6 +13,11 @@ measured time at a few frequencies:
 * **Func. 3** — ``T(f) = (a b^f + c) / f``: exponential; prone to overflow,
   so (like the paper) ``b`` is constrained to ``[0, 10]``, which compromises
   its accuracy — it is included to reproduce that negative result.
+
+Only the scalar Func. 1 / Func. 3 fitters import ``scipy.optimize``, on
+their first call: the deployed path (Func. 2 and :data:`BATCH_FITTERS`)
+is NumPy only, so optimizing, serving and fleet processes never load
+scipy.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import OptimizeWarning, curve_fit
 
 from repro.errors import FittingError
 
@@ -133,6 +137,8 @@ def fit_func1(
     freqs_mhz: Sequence[float], times_us: Sequence[float]
 ) -> PerformanceFit:
     """Fit Func. 1 with ``scipy.optimize.curve_fit`` (as in the paper)."""
+    from scipy.optimize import OptimizeWarning, curve_fit
+
     f, t = _validate_samples(freqs_mhz, times_us, needed=3)
 
     def model(freq, a, b, c):
@@ -152,6 +158,8 @@ def fit_func3(
     freqs_mhz: Sequence[float], times_us: Sequence[float]
 ) -> PerformanceFit:
     """Fit Func. 3 with ``b`` bounded to ``[0, 10]`` (Sect. 7.2's caveat)."""
+    from scipy.optimize import OptimizeWarning, curve_fit
+
     f, t = _validate_samples(freqs_mhz, times_us, needed=3)
 
     def model(freq, a, b, c):
@@ -285,8 +293,8 @@ _FITTERS = {
     FitFunction.EXPONENTIAL: fit_func3,
 }
 
-#: Stacked fitters for the batched cold path (Func. 3 keeps scipy — it
-#: reproduces a negative result and is off the hot path).
+#: Stacked fitters for the batched cold path, NumPy only.  Func. 3 has
+#: none: it reproduces a negative result with the scalar scipy fitter.
 BATCH_FITTERS = {
     FitFunction.QUADRATIC: fit_func1_batch,
     FitFunction.QUADRATIC_NO_LINEAR: fit_func2_batch,

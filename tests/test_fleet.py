@@ -929,6 +929,20 @@ class TestCli:
         assert exit_code == 1
         assert "FAIL" in capsys.readouterr().err
 
+    def test_bad_degrade_fails_before_simulating(self, capsys):
+        argv = ["run", "gpt3", "--scale", "0.005", "--devices", "4"]
+        assert fleet_main(argv + ["--degrade", "9"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: override targets device 9, but the fleet has 4 "
+            "devices\n"
+        )
+        assert fleet_main(argv + ["--degrade", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: device_id must be >= 0: -1\n"
+
     def test_unknown_workload_fails_cleanly(self, capsys):
         exit_code = fleet_main(["run", "nonsense", "--devices", "2"])
         assert exit_code == 1
