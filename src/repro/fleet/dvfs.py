@@ -1,19 +1,25 @@
 """Vectorized slack reclamation and delta0 re-targeting for the fleet.
 
 The looped reference's ``reclaim_slack`` (``tests/reference``) walks
-per-device Python tables; here the same policy is three array
-passes over the ``(capacity, F)`` duration table of
-:meth:`repro.fleet.simulator.FleetSimulator.duration_table`.  The
-simulator builds that table once and keeps it (it depends only on the
-trace, the board scales and the grid), so a reclaim gathers from it and
-recomputes nothing:
+per-device Python tables; here the same policy is a few contiguous row
+passes over the frequency-major duration table,
+``duration_table().T`` of
+:meth:`repro.fleet.simulator.FleetSimulator.duration_table` (one
+``(capacity,)`` row per grid point).  The simulator builds that table
+once and keeps it (it depends only on the trace, the board scales and
+the grid), so a reclaim reads from it and recomputes nothing:
 
 1. the barrier target is the straggler's maximum-frequency arrival
-   (optionally stretched by ``slack_margin``);
+   (optionally stretched by ``slack_margin``), read from the table's
+   last row;
 2. each active device takes the *lowest* grid frequency whose arrival
-   meets the target — a boolean ``argmax`` along the frequency axis;
+   meets the target: one comparison over the table, a prefix OR down
+   the grid (row ``j`` marks the boards that some point ``<= j``
+   serves), and a count of the reached rows — ``F`` minus that count
+   is the lowest point;
 3. the result is a :class:`~repro.fleet.simulator.FleetPlan` of
-   ``(capacity,)`` arrays the simulator gathers from directly.
+   ``(capacity,)`` arrays the simulator gathers from directly, its
+   predicted arrivals one flat gather from the table.
 
 Because the duration table is bitwise identical to probing each device
 through the engine, the chosen frequencies, predicted arrivals and the
@@ -23,7 +29,7 @@ barrier target all match the looped reference exactly — and
 plan carries, which is what the store-backed serve path persists.
 
 Re-targeting after churn or degradation is just running the same pass
-on the current membership — an ``O(N·F)`` gather from the cached table.
+on the current membership — ``O(N·F)`` row passes over the cached table.
 :func:`auto_retarget` packages that as the ``replan`` callback of
 :meth:`~repro.fleet.simulator.FleetSimulator.run_steps`, and
 :func:`degrade_and_retarget` runs the degradation story once: a stale
@@ -73,7 +79,7 @@ def barrier_target(
     act = sim.active_ids
     if act.size == 0:
         raise ConfigurationError("reclaim needs at least one active device")
-    arrivals = sim.duration_table()[act, -1]
+    arrivals = sim.duration_table().T[-1][act]
     straggler_id = int(act[int(np.argmax(arrivals))])
     return float(arrivals.max()) * (1.0 + slack_margin), straggler_id
 
@@ -83,9 +89,10 @@ def reclaim_fleet_slack(
 ) -> FleetPlan:
     """Downclock every non-critical active device to just-in-time arrival.
 
-    One vectorized pass over the simulator's cached duration table;
-    semantics (and bytes) of the looped reference's ``reclaim_slack`` at
-    any fleet size.  The returned plan's arrays are read-only.
+    A few contiguous row passes over the simulator's cached duration
+    table; semantics (and bytes) of the looped reference's
+    ``reclaim_slack`` at any fleet size.  The returned plan's arrays
+    are read-only.
 
     Raises:
         ConfigurationError: on a negative ``slack_margin``.
@@ -100,27 +107,38 @@ def reclaim_fleet_slack(
         )
     target, straggler_id = barrier_target(sim, slack_margin)
     freqs = sim.spec.npu.frequencies.points
-    table = sim.duration_table()
+    n_freqs = len(freqs)
+    by_freq = sim.duration_table().T  # (F, capacity), C-contiguous
     act = sim.active_ids
 
-    meets = table[act] <= target
-    feasible = meets.any(axis=1)
+    # reached[j]: some grid point <= j meets the target.  Every board is
+    # compared (inactive ones are masked below), so each pass is a
+    # contiguous row.
+    reached = by_freq <= target
+    for j in range(1, n_freqs):
+        np.logical_or(reached[j - 1], reached[j], out=reached[j])
+    feasible = reached[-1][act]
     if not feasible.all():
         device = int(act[int(np.argmax(~feasible))])
         raise StrategyError(
             f"device {device} cannot reach the barrier at "
             f"{target:.0f} us even at {freqs[-1]:.0f} MHz"
         )
-    chosen = np.argmax(meets, axis=1)
+    # The lowest point meeting the target is F minus the reached rows;
+    # the count runs in the narrowest unsigned type that holds F, so it
+    # is exact on any grid.
+    counts = reached.view(np.uint8).sum(
+        axis=0, dtype=np.min_scalar_type(n_freqs)
+    )
 
     capacity = sim.spec.capacity
-    freq_index = np.full(capacity, len(freqs) - 1, dtype=np.intp)
-    freq_index[act] = chosen
-    grid = np.asarray(freqs, dtype=float)
-    freq_mhz = grid[freq_index]
-    predicted = table[np.arange(capacity), freq_index]
     covered = np.zeros(capacity, dtype=bool)
     covered[act] = True
+    freq_index = np.subtract(n_freqs, counts, dtype=np.intp)
+    freq_index[~covered] = n_freqs - 1
+    grid = np.asarray(freqs, dtype=float)
+    freq_mhz = grid[freq_index]
+    predicted = np.take(by_freq, freq_index * capacity + np.arange(capacity))
     return FleetPlan(
         workload=sim.trace.name,
         target_compute_us=target,

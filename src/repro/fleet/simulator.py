@@ -19,13 +19,16 @@ thermal state: arrivals, the gathered energy coefficients, the barrier
 wait, the collective and the overruns.  Even the 8-substep barrier-wait
 idle integration is affine in the step's initial temperature rise
 ``delta0``, so it collapses to per-device ``(p, q)`` pairs.  The engine
-builds all of this once per epoch; a warm step gathers ``delta0``, makes
-one affine pass for the end temperatures and scatters them into the
-thermal state.  Its result keeps only ``delta0`` and a reference to the
-epoch; the energies and end temperatures are affine passes taken when
-they are read, so a run of steps retains one ``(devices,)`` array per
-step.  10k devices step in well under a millisecond and 100k in a
-few (see ``BENCH_fleet.json``).  Neither a new epoch nor a replan
+builds all of this once per epoch, together with a dense copy of the
+active boards' temperatures that stays resident for the epoch; a warm
+step is then two contiguous passes over that copy — ``delta0``, and the
+affine update to the end temperatures written back in place — with no
+gather or scatter into the capacity-wide thermal state.  Its result
+keeps only ``delta0`` and a reference to the epoch; the energies and
+end temperatures are affine passes taken when they are read, so a run
+of steps retains one ``(devices,)`` array per step.  10k devices step
+in well under a millisecond and 100k in a few (see
+``BENCH_fleet.json``).  Neither a new epoch nor a replan
 recomputes anything priced per frequency: the duration table and the
 per-frequency coefficients are built at most once per simulator (the
 coefficients one board row at a time, when a step first places that
@@ -400,6 +403,11 @@ class FleetSimulator:
     (compared with ``is``) and the barrier target.  Pass the same plan
     object to keep the cache warm; an equal but distinct plan rebuilds
     it.  Plans are treated as immutable.
+
+    The active boards' temperatures live in a dense per-epoch array
+    while the epoch is warm; the capacity-wide thermal state is brought
+    up to date from it on the next epoch miss and on every
+    :attr:`celsius` read, and :meth:`reset` discards it.
     """
 
     def __init__(self, spec: FleetSpec, trace: Trace) -> None:
@@ -436,6 +444,9 @@ class FleetSimulator:
         self._membership_epoch = 0
         self._epoch_key: tuple | None = None
         self._epoch: _Epoch | None = None
+        # The epoch's active temperatures, in device_ids order; the
+        # truth for those boards while it is not None.
+        self._live: np.ndarray | None = None
 
     @property
     def spec(self) -> FleetSpec:
@@ -470,6 +481,7 @@ class FleetSimulator:
     @property
     def celsius(self) -> np.ndarray:
         """Current board temperatures over the capacity (a copy)."""
+        self._write_back()
         return self._celsius.copy()
 
     @property
@@ -487,9 +499,13 @@ class FleetSimulator:
         return self._spec.topology.rack_sizes(self.n_active)
 
     def collective_cost(self) -> CollectiveCost:
-        """Priced gradient exchange on the current membership."""
-        return self._spec.topology.breakdown(
-            self._spec.gradient_bytes, self.rack_sizes()
+        """Priced gradient exchange on the current membership.
+
+        Priced from the active count alone (no per-rack tuple), bitwise
+        ``topology.breakdown(gradient_bytes, rack_sizes())``.
+        """
+        return self._spec.topology.breakdown_for(
+            self._spec.gradient_bytes, self.n_active
         )
 
     def solution(self, freq_mhz: float) -> ConstAffineBatch:
@@ -549,20 +565,24 @@ class FleetSimulator:
     def duration_table(self) -> np.ndarray:
         """Per-board durations over the full grid, ``(capacity, F)``.
 
-        Built on the first call and returned (read-only) from then on:
-        it depends only on the compiled trace, the board scales and the
-        grid, none of which churn or :meth:`reset` change.  Bitwise
+        Built on the first call and returned (read-only, the same
+        object) from then on: it depends only on the compiled trace, the
+        board scales and the grid, none of which churn or :meth:`reset`
+        change.  The storage is frequency-major — an ``(F, capacity)``
+        C-contiguous array, one row per grid point — and this is its
+        transposed view, so ``duration_table().T`` is the contiguous
+        layout the reclaim makes its row passes over.  Bitwise
         identical to probing every device at every grid point through
         the engine (the reclaim pass depends on this: plans computed
         from the table match the looped reference byte for byte).
         """
         if self._table is None:
-            table = np.empty((self._spec.capacity, self._grid.size))
+            by_freq = np.empty((self._grid.size, self._spec.capacity))
             for j, freq in enumerate(self._grid):
-                table[:, j] = batched_const_durations(
+                by_freq[j] = batched_const_durations(
                     self._compiled, float(freq), self._scales
                 )
-            self._table = _read_only(table)
+            self._table = _read_only(by_freq).T
         return self._table
 
     def reset(self) -> None:
@@ -571,6 +591,7 @@ class FleetSimulator:
         self._active[: self._spec.n_devices] = True
         self._next_spare = self._spec.n_devices
         self._celsius[:] = self._ambient
+        self._live = None
         self._events.clear()
         self._overrun_total = 0
         self._membership_epoch += 1
@@ -583,10 +604,11 @@ class FleetSimulator:
         """Apply the seeded churn draw for ``step``; returns its events.
 
         Joins activate pre-provisioned spares in id order (fresh boards
-        start at their own ambient); leaves and fails deactivate seeded
-        victims, never dropping below ``min_active``.  Rack assignment
-        is implicit — active ids in order, chunked by rack size — so
-        re-sharding after any event is deterministic.
+        start at their own ambient; a spare is never in the live epoch
+        array, so it is written directly); leaves and fails deactivate
+        seeded victims, never dropping below ``min_active``.  Rack
+        assignment is implicit — active ids in order, chunked by rack
+        size — so re-sharding after any event is deterministic.
         """
         config = self._spec.churn
         draw = draw_churn(config, self._spec.seed, step)
@@ -657,10 +679,11 @@ class FleetSimulator:
                 only; :meth:`run_steps` passes the step's own events).
         """
         ep = self._epoch_for(plan, target_compute_us)
-        delta0 = _read_only(self._celsius[ep.device_ids] - ep.ambient)
-        self._celsius[ep.device_ids] = _affine(
-            ep.celsius_p, ep.celsius_q, delta0
-        )
+        live = self._live
+        delta0 = _read_only(live - ep.ambient)
+        # _affine's operation order, written into the live array.
+        np.multiply(ep.celsius_q, delta0, out=live)
+        live += ep.celsius_p
         self._overrun_total += ep.overrun_count
         return FleetStepResult(
             fleet_name=self._spec.name,
@@ -682,7 +705,11 @@ class FleetSimulator:
     def _epoch_for(
         self, plan: FleetPlan | None, target_compute_us: float | None
     ) -> _Epoch:
-        """The cached epoch for (membership, plan, target), built on a miss."""
+        """The cached epoch for (membership, plan, target), built on a miss.
+
+        A miss writes the old epoch's live temperatures back, then
+        gathers the new membership's once.
+        """
         key = self._epoch_key
         if (
             key is not None
@@ -691,9 +718,19 @@ class FleetSimulator:
             and key[2] == target_compute_us
         ):
             return self._epoch
+        self._write_back()
         self._epoch = self._build_epoch(plan, target_compute_us)
         self._epoch_key = (self._membership_epoch, plan, target_compute_us)
+        self._live = self._celsius[self._epoch.device_ids]
         return self._epoch
+
+    def _write_back(self) -> None:
+        """Bring the capacity-wide thermal state up to date.
+
+        Idempotent: the live array stays the epoch's truth afterwards.
+        """
+        if self._live is not None:
+            self._celsius[self._epoch.device_ids] = self._live
 
     def _build_epoch(
         self, plan: FleetPlan | None, target_compute_us: float | None

@@ -161,25 +161,64 @@ class FleetTopology:
         ``rack_sizes`` is the live occupancy per rack (elastic churn
         leaves partially-filled racks); empty racks are ignored.
         """
+        sizes = [int(s) for s in rack_sizes if s > 0]
+        return self._price(
+            payload_bytes,
+            sum(sizes),
+            len(sizes),
+            max(sizes, default=0),
+            min(sizes, default=0),
+        )
+
+    def breakdown_for(
+        self, payload_bytes: float, n_devices: int
+    ) -> CollectiveCost:
+        """:meth:`breakdown` of ``rack_sizes(n_devices)``, in O(1).
+
+        Racks fill in id order, so every rack but a partial last one is
+        full: the rack count and the largest and smallest occupancy
+        follow from one ``divmod``.  Bitwise equal to
+        ``breakdown(payload_bytes, rack_sizes(n_devices))``.
+        """
+        if n_devices < 0:
+            raise ConfigurationError(
+                f"n_devices must be non-negative: {n_devices}"
+            )
+        full, rest = divmod(n_devices, self.devices_per_rack)
+        return self._price(
+            payload_bytes,
+            n_devices,
+            full + (1 if rest else 0),
+            self.devices_per_rack if full else rest,
+            rest if rest else self.devices_per_rack,
+        )
+
+    def _price(
+        self,
+        payload_bytes: float,
+        n: int,
+        racks: int,
+        largest: int,
+        smallest: int,
+    ) -> CollectiveCost:
+        """Both schedules for ``n`` devices over ``racks`` occupied racks."""
         if payload_bytes < 0:
             raise ConfigurationError(
                 f"payload_bytes must be non-negative: {payload_bytes}"
             )
-        sizes = [int(s) for s in rack_sizes if s > 0]
-        n = sum(sizes)
         if n <= 1:
             return CollectiveCost(hierarchical_us=0.0, flat_ring_us=0.0)
-        if len(sizes) == 1:
+        if racks == 1:
             # Single rack: exactly the ring law, no tree phase — the
             # degenerate case the property test pins down bitwise.
             ring = self.intra.allreduce_us(payload_bytes, n)
             return CollectiveCost(hierarchical_us=ring, flat_ring_us=ring)
-        intra_us = self.intra.allreduce_us(payload_bytes, max(sizes))
-        hops = math.ceil(math.log2(len(sizes)))
+        intra_us = self.intra.allreduce_us(payload_bytes, largest)
+        hops = math.ceil(math.log2(racks))
         # Each tree hop moves the full rack-sum payload across a rack
         # boundary, striped over the concurrently-transmitting links of
         # the smallest participating rack.
-        shard = payload_bytes / min(sizes)
+        shard = payload_bytes / smallest
         per_hop = shard / gbps_to_bytes_per_us(
             self.inter.link_bandwidth_gbps
         ) + self.inter.link_latency_us

@@ -30,6 +30,16 @@ so the equivalence tests can compare the array form bit for bit:
   constant-frequency kernels with a fresh array per block-sized
   temporary (the engine now writes them into a few reused buffers
   through one shared block geometry);
+* :func:`argmax_barrier_target` / :func:`argmax_reclaim` — the fleet
+  reclaim as a gather of the active rows of the ``(capacity, F)``
+  duration table, a boolean ``argmax`` along each row, an
+  ``any(axis=1)`` feasibility check and a 2-D ``table[arange, index]``
+  gather (the reclaim now makes row passes over the frequency-major
+  table: a prefix OR down the grid and a count of the reached rows);
+* :func:`gather_scatter_step` — ``FleetSimulator.step`` gathering
+  ``delta0`` from the capacity-wide thermal state and scattering the end
+  temperatures back on every step (the simulator now keeps the active
+  temperatures in a dense array for the whole epoch);
 * :class:`SequentialProfiler` / :func:`sequential_sweep` — the optimizer
   profiling one frequency at a time (it now profiles the whole sweep in
   one grid pass whenever its instruments are the plain pair).
@@ -47,6 +57,8 @@ import numpy as np
 
 from repro.dvfs.ga import GaConfig, GaResult, _roulette_pick, initial_population
 from repro.dvfs.scoring import PopulationEvaluation, StrategyScorer
+from repro.errors import StrategyError
+from repro.fleet.simulator import FleetPlan, FleetStepResult, _affine, _read_only
 from repro.npu.device import IDLE_INDEX, PowerChunk
 from repro.npu.engine import _BATCH_CELL_BUDGET, _SCAN_UNDERFLOW, _affine_parts
 from repro.npu.profiler import CannStyleProfiler
@@ -468,3 +480,86 @@ def sequential_sweep(optimizer):
         optimizer.config.npu, optimizer.profiler.rng
     )
     return optimizer
+
+
+def argmax_barrier_target(sim, slack_margin: float = 0.0) -> tuple[float, int]:
+    """``barrier_target`` as a gather of the table's last column."""
+    act = sim.active_ids
+    arrivals = sim.duration_table()[act, -1]
+    straggler_id = int(act[int(np.argmax(arrivals))])
+    return float(arrivals.max()) * (1.0 + slack_margin), straggler_id
+
+
+def argmax_reclaim(sim, target: float, straggler_id: int) -> FleetPlan:
+    """``reclaim_fleet_slack`` at a given barrier, the row-wise way.
+
+    Gathers the active rows of the ``(capacity, F)`` table, takes each
+    row's first grid point meeting ``target`` with a boolean ``argmax``,
+    checks feasibility with ``any(axis=1)`` and gathers the predicted
+    arrivals with ``table[arange, freq_index]``.
+    """
+    freqs = sim.spec.npu.frequencies.points
+    table = sim.duration_table()
+    act = sim.active_ids
+
+    meets = table[act] <= target
+    feasible = meets.any(axis=1)
+    if not feasible.all():
+        device = int(act[int(np.argmax(~feasible))])
+        raise StrategyError(
+            f"device {device} cannot reach the barrier at "
+            f"{target:.0f} us even at {freqs[-1]:.0f} MHz"
+        )
+    chosen = np.argmax(meets, axis=1)
+
+    capacity = sim.spec.capacity
+    freq_index = np.full(capacity, len(freqs) - 1, dtype=np.intp)
+    freq_index[act] = chosen
+    grid = np.asarray(freqs, dtype=float)
+    freq_mhz = grid[freq_index]
+    predicted = table[np.arange(capacity), freq_index]
+    covered = np.zeros(capacity, dtype=bool)
+    covered[act] = True
+    return FleetPlan(
+        workload=sim.trace.name,
+        target_compute_us=target,
+        straggler_id=straggler_id,
+        freqs_mhz=tuple(float(f) for f in freqs),
+        freq_index=freq_index,
+        freq_mhz=freq_mhz,
+        predicted_us=predicted,
+        covered=covered,
+    )
+
+
+def gather_scatter_step(
+    sim, plan=None, target_compute_us=None, events=()
+) -> FleetStepResult:
+    """``FleetSimulator.step`` on the capacity-wide thermal state.
+
+    Every step gathers ``delta0`` from ``sim._celsius`` by device id and
+    scatters the end temperatures back.  The simulator's live epoch
+    array is dropped, so ``sim`` must only ever be stepped through this
+    oracle.
+    """
+    ep = sim._epoch_for(plan, target_compute_us)
+    sim._live = None
+    delta0 = _read_only(sim._celsius[ep.device_ids] - ep.ambient)
+    sim._celsius[ep.device_ids] = _affine(ep.celsius_p, ep.celsius_q, delta0)
+    sim._overrun_total += ep.overrun_count
+    return FleetStepResult(
+        fleet_name=sim.spec.name,
+        workload=sim.trace.name,
+        compute_us=ep.compute_us,
+        collective=ep.collective,
+        straggler_id=ep.straggler_id,
+        device_ids=ep.device_ids,
+        arrival_us=ep.arrival_us,
+        wait_us=ep.wait_us,
+        freq_mhz=ep.freq_mhz,
+        delta0=delta0,
+        epoch=ep,
+        overrun_count=ep.overrun_count,
+        overrun_device_ids=ep.overrun_device_ids,
+        events=events,
+    )

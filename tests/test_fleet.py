@@ -40,6 +40,7 @@ from repro.fleet.serve import (
     fleet_device_fingerprints,
 )
 from repro.fleet.simulator import MEMBERSHIP_KINDS
+from repro.npu.engine import batched_const_durations
 from repro.serve.store import StrategyStore
 from repro.workloads import generate
 from tests.oracles import EAGER_STEP_PAIRS, eager_step_arrays
@@ -153,6 +154,62 @@ class TestTopology:
         steps = [tree[i + 1] - tree[i] for i in range(len(tree) - 1)]
         assert all(math.isclose(s, steps[0]) for s in steps)
 
+    @pytest.mark.parametrize("per_rack", [1, 4, 16, 24])
+    def test_breakdown_for_is_the_rack_tuple_price(self, per_rack):
+        """The O(1) price is bitwise the per-rack tuple's, at every edge."""
+        topology = FleetTopology(devices_per_rack=per_rack)
+        payload = 64 * 2**20
+        edges = (0, 1, per_rack - 1, per_rack, per_rack + 1, 2 * per_rack)
+        for n in edges + (10_000,):
+            assert_costs_bitwise(
+                topology.breakdown_for(payload, n),
+                topology.breakdown(payload, topology.rack_sizes(n)),
+            )
+        with pytest.raises(ConfigurationError):
+            topology.breakdown_for(payload, -1)
+        with pytest.raises(ConfigurationError):
+            topology.breakdown_for(-1.0, 4)
+
+    @pytest.mark.parametrize("n_devices", [1, 3, 4, 5, 8, 10_000])
+    def test_collective_cost_prices_the_active_count(
+        self, tiny_trace, n_devices
+    ):
+        spec = FleetSpec(
+            n_devices=n_devices, topology=FleetTopology(devices_per_rack=4)
+        )
+        sim = FleetSimulator(spec, tiny_trace)
+        assert_costs_bitwise(
+            sim.collective_cost(),
+            spec.topology.breakdown(
+                spec.gradient_bytes, spec.topology.rack_sizes(n_devices)
+            ),
+        )
+
+    def test_collective_cost_after_churn(self, tiny_trace):
+        spec = dataclasses.replace(
+            churned_spec(21, 3), topology=FleetTopology(devices_per_rack=4)
+        )
+        sim = FleetSimulator(spec, tiny_trace)
+        sizes = set()
+        for step in range(1, 30):
+            sim.advance_churn(step)
+            sizes.add(sim.n_active)
+            assert_costs_bitwise(
+                sim.collective_cost(),
+                spec.topology.breakdown(
+                    spec.gradient_bytes, sim.rack_sizes()
+                ),
+            )
+        assert len(sizes) > 3
+
+
+def assert_costs_bitwise(got, ref):
+    for name in ("hierarchical_us", "flat_ring_us"):
+        assert (
+            np.float64(getattr(got, name)).tobytes()
+            == np.float64(getattr(ref, name)).tobytes()
+        ), name
+
 
 class TestFleetSpec:
     def test_capacity_includes_spares(self):
@@ -264,6 +321,33 @@ class TestDurationTable:
         assert sim.duration_table() is table
         sim.reset()
         assert sim.duration_table() is table
+
+    def test_capacity_by_frequency_view(self, tiny_trace):
+        """Callers see ``(capacity, F)``, read-only, one object."""
+        sim = FleetSimulator(churned_spec(32, 3), tiny_trace)
+        table = sim.duration_table()
+        grid = sim.spec.npu.frequencies.points
+        assert table.shape == (sim.spec.capacity, len(grid))
+        assert not table.flags.writeable
+        assert sim.duration_table() is table
+
+    def test_transpose_is_c_contiguous(self, tiny_trace):
+        """Storage is frequency-major: one contiguous row per grid point."""
+        sim = FleetSimulator(churned_spec(32, 3), tiny_trace)
+        by_freq = sim.duration_table().T
+        assert by_freq.flags.c_contiguous
+        assert not by_freq.flags.writeable
+
+    def test_equals_a_per_column_build(self, tiny_trace):
+        sim = FleetSimulator(churned_spec(32, 3), tiny_trace)
+        table = sim.duration_table()
+        grid = sim.spec.npu.frequencies.points
+        ref = np.empty((sim.spec.capacity, len(grid)))
+        for j, freq in enumerate(grid):
+            ref[:, j] = batched_const_durations(
+                sim.compiled, freq, sim.duration_scales
+            )
+        assert np.ascontiguousarray(table).tobytes() == ref.tobytes()
 
     def test_columns_equal_the_solutions(self, tiny_trace):
         sim = FleetSimulator(FleetSpec(n_devices=16, seed=2), tiny_trace)
