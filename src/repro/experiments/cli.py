@@ -73,7 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 #: Experiments that accept GA-size keyword arguments.
 _GA_EXPERIMENTS = {
-    "ext_cluster",
     "ext_fault_tolerance",
     "ext_fleet",
     "ext_granularity",

@@ -16,9 +16,10 @@ the boards' ambient temperatures):
   just-in-time, the plan is asserted byte-identical on a fresh
   simulator, and the per-device strategies round-trip through the
   persistent strategy store;
-* **fleet GA** — the existing genetic algorithm re-targeted at the
-  fleet ``energy x step-time`` objective, as a search-based cross-check
-  of the deterministic reclamation;
+* **fleet optimum** — the exact optimum of the fleet ``energy x
+  step-time`` objective, the cross-check of the deterministic
+  reclamation: both plans are scored, so the gap between them is
+  measured;
 * **degraded** — one device is slowed (silicon degradation).  The stale
   reclaimed plan now overruns the planned barrier — the step's overrun
   watchdog names the device — and re-running reclamation re-targets
@@ -36,13 +37,13 @@ import shutil
 import tempfile
 from pathlib import Path
 
-from repro.dvfs.ga import GaConfig
 from repro.experiments.base import ExperimentResult, percent
 from repro.fleet.dvfs import (
     degrade_and_retarget,
+    fleet_plan_score,
+    optimal_fleet_plan,
     plan_strategy_json,
     reclaim_fleet_slack,
-    search_cluster_frequencies,
 )
 from repro.fleet.serve import fleet_cached_reclaim
 from repro.fleet.simulator import FleetSimulator
@@ -55,8 +56,6 @@ from repro.workloads import generate
 def run(
     scale: float = 0.02,
     seed: int = 0,
-    iterations: int = 60,
-    population: int = 40,
     devices: int = 8,
     gradient_mb: float = 64.0,
     slowdown: float = 1.3,
@@ -100,21 +99,13 @@ def run(
         reclaimed = sim.step(plan, target_compute_us=plan.target_compute_us)
         reclaim_report = reclaimed.report(baseline)
 
-        # Search-based cross-check: the fleet GA objective.
-        ga_plan, ga_search, ga_predicted = search_cluster_frequencies(
-            sim,
-            config=GaConfig(
-                population_size=population,
-                iterations=iterations,
-                seed=seed,
-                patience=30,
-            ),
-        )
+        # Cross-check: the fleet objective's exact optimum.
+        best = optimal_fleet_plan(sim)
+        best_score, best_feasible = fleet_plan_score(sim, best)
+        reclaim_score, _ = fleet_plan_score(sim, plan)
         sim.reset()
-        ga_step = sim.step(
-            ga_plan, target_compute_us=ga_plan.target_compute_us
-        )
-        ga_report = ga_step.report(baseline)
+        best_step = sim.step(best, target_compute_us=best.target_compute_us)
+        best_report = best_step.report(baseline)
 
         # Degraded phase: one non-straggler device slowed.
         victim = (baseline.straggler_id + 1) % devices
@@ -136,7 +127,7 @@ def run(
 
         rows = [
             phase_row("reclaimed", reclaim_report),
-            phase_row("fleet_ga", ga_report),
+            phase_row("fleet_optimum", best_report),
             phase_row("retargeted_degraded", retarget_report),
         ]
         return ExperimentResult(
@@ -162,10 +153,13 @@ def run(
                     reclaim_report.aicore_energy_savings
                 ),
                 "step_time_regression": reclaim_report.step_time_regression,
-                "ga_soc_energy_savings": ga_report.soc_energy_savings,
-                "ga_step_time_regression": ga_report.step_time_regression,
-                "ga_feasible": ga_predicted.feasible,
-                "ga_generations": ga_search.generations,
+                "optimum_soc_energy_savings": best_report.soc_energy_savings,
+                "optimum_step_time_regression": (
+                    best_report.step_time_regression
+                ),
+                "optimum_feasible": best_feasible,
+                "optimum_score": best_score,
+                "reclaim_score": reclaim_score,
                 "identical_across_runs": identical_repeat,
                 "identical_through_store": identical_store,
                 "store_cold_hits": cold.hit_count,

@@ -26,8 +26,8 @@ reclamation and delta0 re-targeting are single vectorized passes.
   (``tests/test_fleet_equivalence.py``);
 * :mod:`repro.fleet.dvfs` — array-pass slack reclamation producing
   byte-identical per-device constant strategies, the degrade-and-
-  re-target flow, and the fleet ``energy x step-time`` GA over the
-  existing :mod:`repro.dvfs.ga`;
+  re-target flow, and the exact optimum of the fleet ``energy x
+  step-time`` objective that cross-checks the reclamation;
 * :mod:`repro.fleet.serve` — per-device strategy fingerprints and
   store-backed slack reclamation through :mod:`repro.serve`.
 
@@ -35,22 +35,21 @@ One process steps 100k devices: the simulator caches everything a step
 needs per membership/plan/target epoch, so a warm step is a few affine
 passes over the thermal state.
 
-Run ``python -m repro.fleet run`` for a demo (``--ga`` adds the fleet
-GA, ``--degrade DEVICE`` the re-targeted reclamation) and
+Run ``python -m repro.fleet run`` for a demo (``--optimum`` adds the
+objective's optimum, ``--degrade DEVICE`` the re-targeted reclamation) and
 ``python -m repro.fleet bench`` for the scaling benchmark
 (``BENCH_fleet.json``).
 """
 
 from repro.fleet.churn import ChurnConfig, FleetEvent, draw_churn
 from repro.fleet.dvfs import (
-    ClusterScoreBreakdown,
-    ClusterScorer,
     auto_retarget,
     degrade_and_retarget,
+    fleet_plan_score,
+    optimal_fleet_plan,
     plan_strategies,
     plan_strategy_json,
     reclaim_fleet_slack,
-    search_cluster_frequencies,
 )
 from repro.fleet.serve import fleet_cached_reclaim, fleet_device_fingerprints
 from repro.fleet.simulator import (
@@ -75,8 +74,6 @@ from repro.fleet.topology import (
 
 __all__ = [
     "ChurnConfig",
-    "ClusterScoreBreakdown",
-    "ClusterScorer",
     "CollectiveCost",
     "DeviceOverride",
     "DeviceProfile",
@@ -94,10 +91,11 @@ __all__ = [
     "draw_churn",
     "fleet_cached_reclaim",
     "fleet_device_fingerprints",
+    "fleet_plan_score",
     "make_fleet_simulator",
+    "optimal_fleet_plan",
     "plan_strategies",
     "plan_strategy_json",
     "reclaim_fleet_slack",
-    "search_cluster_frequencies",
     "straggler_summary",
 ]

@@ -4,11 +4,13 @@ Two subcommands:
 
 ``run``
     Simulate a fleet — baseline, reclaimed, optionally churned — and
-    print the straggler top-k table plus the fleet summary.  ``--ga``
-    adds the fleet GA's plan; ``--degrade DEVICE`` replays the reclaimed
-    plan on a fleet with that board slowed, shows the barrier overruns
-    and the re-targeted reclamation.  These phases and the first
-    reclaimed step start from the boards' ambient temperatures.
+    print the straggler top-k table plus the fleet summary.
+    ``--optimum`` adds the exact optimum of the fleet ``energy x
+    step-time`` objective, scored against reclamation's plan;
+    ``--degrade DEVICE`` replays the reclaimed plan on a fleet with
+    that board slowed, shows the barrier overruns and the re-targeted
+    reclamation.  These phases and the first reclaimed step start from
+    the boards' ambient temperatures.
 
 ``bench``
     The scaling benchmark behind ``BENCH_fleet.json``: warm
@@ -20,7 +22,7 @@ Examples::
     python -m repro.fleet run gpt3 --scale 0.02 --devices 64
     python -m repro.fleet run gpt3 --devices 256 --leave-rate 0.5
     python -m repro.fleet run gpt3 --devices 24 --devices-per-rack 24 \
-        --ga --degrade 3
+        --optimum --degrade 3
     python -m repro.fleet bench --devices 10000 --output BENCH_fleet.json
     python -m repro.fleet bench --devices 10000 --scale-devices 100000
 """
@@ -40,14 +42,14 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.report import format_table
-from repro.dvfs.ga import GaConfig
 from repro.errors import ReproError
 from repro.fleet.churn import ChurnConfig
 from repro.fleet.dvfs import (
     auto_retarget,
     degrade_and_retarget,
+    fleet_plan_score,
+    optimal_fleet_plan,
     reclaim_fleet_slack,
-    search_cluster_frequencies,
 )
 from repro.fleet.simulator import (
     FleetSimulator,
@@ -158,15 +160,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_fleet_arguments(run)
     run.add_argument(
-        "--ga",
+        "--optimum",
         action="store_true",
-        help="also run the fleet GA objective after reclamation",
-    )
-    run.add_argument(
-        "--iterations", type=int, default=80, help="GA iterations"
-    )
-    run.add_argument(
-        "--population", type=int, default=40, help="GA population size"
+        help="also step the fleet objective's exact optimum after "
+        "reclamation",
     )
     run.add_argument(
         "--degrade",
@@ -293,24 +290,17 @@ def _run(args: argparse.Namespace) -> int:
         print(f"churn ({len(events)} events):")
         print(format_table([e.to_row() for e in events]))
     print(f"summary: {json.dumps(summary)}")
-    if args.ga:
+    if args.optimum:
         sim.reset()
-        ga_plan, ga_result, breakdown = search_cluster_frequencies(
-            sim,
-            config=GaConfig(
-                population_size=args.population,
-                iterations=args.iterations,
-                seed=args.seed,
-                patience=30,
-            ),
-        )
-        ga_step = sim.step(
-            ga_plan, target_compute_us=ga_plan.target_compute_us
-        )
+        best = optimal_fleet_plan(sim)
+        best_score, _ = fleet_plan_score(sim, best)
+        reclaim_score, _ = fleet_plan_score(sim, plan)
+        best_step = sim.step(best, target_compute_us=best.target_compute_us)
         _print_step(
-            f"fleet GA ({ga_result.generations} generations, "
-            f"predicted step {breakdown.step_us / 1000.0:.2f} ms)",
-            ga_step.report(baseline[0]).render(),
+            f"fleet optimum (score {best_score:.5f} vs reclaim "
+            f"{reclaim_score:.5f}, predicted barrier "
+            f"{best.target_compute_us / 1000.0:.2f} ms)",
+            best_step.report(baseline[0]).render(),
         )
     if args.degrade is not None:
         degraded = degrade_and_retarget(

@@ -36,16 +36,16 @@ on the current membership — ``O(N·F)`` row passes over the cached table.
 plan overruns its barrier on a slowed board, and re-reclamation moves
 the barrier to the new straggler.
 
-:func:`search_cluster_frequencies` is the search-based cross-check of
-the deterministic reclamation: the existing genetic algorithm of
-:mod:`repro.dvfs.ga`, re-targeted with one gene per *device* instead of
-per stage and scored by fleet ``energy x step-time`` (the fleet analogue
-of the paper's Eq. 17 objective, with the same 2x feasibility bonus for
-plans within the step-time budget).  :class:`ClusterScorer` reads its
-inputs from the simulator: arrivals from the duration table,
-compute-phase SoC energy from each grid point's affine solution at
-``delta0 = 0`` (a run that starts at the board's ambient), and the idle
-power that prices the barrier wait from the same solution.
+:func:`optimal_fleet_plan` is the exact optimum of the fleet
+``energy x step-time`` objective (the fleet analogue of the paper's
+Eq. 17, with the same 2x bonus for plans within the step-time budget),
+the cross-check of the reclamation.  Given a compute barrier ``T`` the
+objective is separable: each device independently takes the grid point
+minimising its compute energy plus the idle energy of its wait, among
+those arriving by ``T``.  Enumerating the barriers the duration table
+can produce is therefore exact, and reclaim is not always that optimum:
+a cheaper point that arrives earlier, or a slightly stretched barrier,
+can score higher.
 """
 
 from __future__ import annotations
@@ -56,8 +56,6 @@ from typing import Callable
 import numpy as np
 
 from repro.core.report import ClusterResult
-from repro.dvfs.ga import GaConfig, GaResult, run_search
-from repro.dvfs.preprocessing import Stage, StageKind
 from repro.dvfs.strategy import DvfsStrategy, constant_strategy
 from repro.errors import ConfigurationError, StrategyError
 from repro.fleet.simulator import FleetPlan, FleetSimulator, FleetStepResult
@@ -246,179 +244,150 @@ def degrade_and_retarget(
     )
 
 
-@dataclass(frozen=True)
-class ClusterScoreBreakdown:
-    """Predicted fleet metrics of one gene assignment."""
-
-    step_us: float
-    fleet_soc_energy_j: float
-    feasible: bool
-    frequencies_mhz: tuple[float, ...]
+#: Candidate barriers x devices x grid points :func:`optimal_fleet_plan`
+#: scores per pass (bounds its working set at fleet size).
+_BARRIER_BLOCK = 2**18
 
 
-class ClusterScorer:
-    """Fleet ``energy x step-time`` objective over per-device genes.
+class _Objective:
+    """The fleet ``energy x step-time`` objective over the active devices.
 
-    Satisfies the scorer protocol of :func:`repro.dvfs.ga.run_search`
-    (``score`` / ``stage_count`` / ``frequency_count``): an individual
-    assigns one grid frequency per active device (in id order), and its
-    score is the baseline's energy-time product over the individual's,
-    doubled when the step time stays within the loss target — the direct
-    fleet analogue of the paper's Eq. 17.
+    Arrivals come from the duration table; compute-phase SoC energy and
+    the idle power that prices the barrier wait from each grid point's
+    affine solution at ``delta0 = 0`` (a step that starts at ambient).
     """
 
-    def __init__(
-        self, sim: FleetSimulator, step_loss_target: float = 0.005
-    ) -> None:
+    def __init__(self, sim: FleetSimulator, step_loss_target: float) -> None:
         if not 0 <= step_loss_target < 1:
             raise ConfigurationError(
                 f"step_loss_target must be in [0, 1): {step_loss_target}"
             )
         act = sim.active_ids
         if act.size == 0:
-            raise ConfigurationError("ClusterScorer needs an active device")
-        self._device_ids = act
-        self._freqs = tuple(float(f) for f in sim.spec.npu.frequencies.points)
-        self._allreduce_us = sim.collective_cost().chosen_us
-        self._loss_target = float(step_loss_target)
-        solutions = [sim.solution(f) for f in self._freqs]
-        self._durations = sim.duration_table()[act]  # (devices, freqs)
-        self._soc_energy = np.stack(
-            [solution.e0_soc_j[act] for solution in solutions], axis=1
-        )
-        self._idle_soc_w = np.array(
-            [solution.idle_soc_w0 for solution in solutions]
-        )  # (freqs,)
-        baseline = np.full(act.size, len(self._freqs) - 1, dtype=int)
-        self._baseline_step_us, self._baseline_energy_j = self._evaluate(
-            baseline[None, :]
-        )
-        self._step_limit_us = float(self._baseline_step_us[0]) * (
-            1.0 + self._loss_target
+            raise ConfigurationError("the fleet objective needs a device")
+        freqs = sim.spec.npu.frequencies.points
+        solutions = [sim.solution(f) for f in freqs]
+        self.durations = sim.duration_table()[act]  # (devices, F)
+        self.soc_energy_j = np.stack([s.e0_soc_j[act] for s in solutions], 1)
+        self.idle_soc_w = np.array([s.idle_soc_w0 for s in solutions])
+        self.allreduce_us = sim.collective_cost().chosen_us
+        step, energy = self.evaluate(np.full((1, act.size), len(freqs) - 1))
+        #: The all-max baseline's energy x step time.
+        self.product = float(energy[0] * step[0])
+        self.step_limit_us = (
+            float(step[0]) * (1.0 + step_loss_target) * (1.0 + 1e-12)
         )
 
-    @property
-    def stage_count(self) -> int:
-        """One gene per active device."""
-        return self._durations.shape[0]
+    def evaluate(self, genes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Step time and fleet SoC energy of each row of grid indices.
 
-    @property
-    def frequency_count(self) -> int:
-        """Size of the shared frequency grid."""
-        return len(self._freqs)
-
-    @property
-    def freqs_mhz(self) -> tuple[float, ...]:
-        """The shared grid, ascending."""
-        return self._freqs
-
-    @property
-    def device_ids(self) -> np.ndarray:
-        """The active device each gene belongs to."""
-        return self._device_ids
-
-    @property
-    def baseline_step_us(self) -> float:
-        """Step time with every device at maximum frequency."""
-        return float(self._baseline_step_us[0])
-
-    @property
-    def baseline_energy_j(self) -> float:
-        """Fleet SoC energy with every device at maximum frequency."""
-        return float(self._baseline_energy_j[0])
-
-    def _evaluate(
-        self, population: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Step time and fleet SoC energy for each individual."""
-        devices = np.arange(self._durations.shape[0])
-        arrivals = self._durations[devices[None, :], population]  # (P, D)
-        compute = arrivals.max(axis=1)  # (P,)
-        step = compute + self._allreduce_us
-        active = self._soc_energy[devices[None, :], population]
-        idle_w = self._idle_soc_w[population]
-        idle_us = compute[:, None] - arrivals + self._allreduce_us
-        energy = (active + idle_w * idle_us / US_PER_S).sum(axis=1)
-        return step, energy
-
-    def score(self, population: np.ndarray) -> np.ndarray:
-        """Eq. 17-style score: normalised E*t product, 2x when feasible."""
-        population = np.asarray(population, dtype=int)
-        step, energy = self._evaluate(population)
-        baseline_product = self.baseline_energy_j * self.baseline_step_us
-        norm = baseline_product / (energy * step)
-        feasible = step <= self._step_limit_us * (1.0 + 1e-12)
-        return norm * np.where(feasible, 2.0, 1.0)
-
-    def breakdown(self, genes: np.ndarray) -> ClusterScoreBreakdown:
-        """Predicted fleet metrics of one individual."""
-        genes = np.asarray(genes, dtype=int)
-        step, energy = self._evaluate(genes[None, :])
-        return ClusterScoreBreakdown(
-            step_us=float(step[0]),
-            fleet_soc_energy_j=float(energy[0]),
-            feasible=bool(step[0] <= self._step_limit_us * (1.0 + 1e-12)),
-            frequencies_mhz=tuple(self._freqs[g] for g in genes),
-        )
-
-    def synthetic_stages(self) -> tuple[Stage, ...]:
-        """One pseudo-stage per device, for the GA's prior seeding.
-
-        Devices are HFC-like (the barrier makes every device latency-
-        relevant until reclamation proves otherwise), so the GA's prior
-        individuals start the fleet near the maximum frequency.
+        The barrier is the latest chosen arrival; every device idles
+        from its arrival until the all-reduce completes.
         """
-        stages: list[Stage] = []
-        clock = 0.0
-        for index in range(self.stage_count):
-            duration = float(self._durations[index, -1])
-            stages.append(
-                Stage(
-                    index=index,
-                    kind=StageKind.HFC,
-                    start_us=clock,
-                    duration_us=duration,
-                    op_indices=(index,),
-                    sensitive_time_us=duration,
-                )
-            )
-            clock += duration
-        return tuple(stages)
+        devices = np.arange(self.durations.shape[0])
+        arrivals = self.durations[devices, genes]  # (rows, devices)
+        compute = arrivals.max(axis=1)
+        idle_us = compute[:, None] - arrivals + self.allreduce_us
+        energy = self.soc_energy_j[devices, genes] + self.idle_soc_w[
+            genes
+        ] * (idle_us / US_PER_S)
+        return compute + self.allreduce_us, energy.sum(axis=1)
+
+    def score(self, genes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Eq. 17-style scores of rows of grid indices, and feasibility.
+
+        The baseline's product over each row's, doubled when the step
+        stays within the limit.
+        """
+        step, energy = self.evaluate(genes)
+        feasible = step <= self.step_limit_us
+        bonus = np.where(feasible, 2.0, 1.0)
+        return self.product / (energy * step) * bonus, feasible
+
+    def best(self, barriers: np.ndarray) -> tuple[np.ndarray, float]:
+        """The best per-barrier energy argmin; the lowest barrier on ties."""
+        best, best_score = None, -np.inf
+        block = max(1, _BARRIER_BLOCK // self.durations.size)
+        for start in range(0, barriers.size, block):
+            barrier = barriers[start : start + block, None, None]
+            wait_us = barrier - self.durations + self.allreduce_us
+            cost = self.soc_energy_j + self.idle_soc_w * (wait_us / US_PER_S)
+            cost[self.durations > barrier] = np.inf
+            genes = cost.argmin(axis=2)  # lowest grid index on ties
+            scores, _ = self.score(genes)
+            k = int(np.argmax(scores))
+            if scores[k] > best_score:
+                best, best_score = genes[k], float(scores[k])
+        return best, best_score
 
 
-def search_cluster_frequencies(
-    sim: FleetSimulator,
-    step_loss_target: float = 0.005,
-    config: GaConfig | None = None,
-) -> tuple[FleetPlan, GaResult, ClusterScoreBreakdown]:
-    """GA search over per-device frequencies with the fleet objective.
+def optimal_fleet_plan(
+    sim: FleetSimulator, step_loss_target: float = 0.005
+) -> FleetPlan:
+    """The exact optimum of the fleet ``energy x step-time`` score.
 
-    Reuses :func:`repro.dvfs.ga.run_search` unchanged — the scorer swaps
-    stages for devices.  The all-max individual is always seeded (it is
-    the GA's baseline individual) and always feasible, so the result is
-    never worse than uniform maximum frequency.  The plan covers the
-    active devices; its barrier target is the slowest predicted arrival.
+    Given a compute barrier ``T``, each active device takes the grid
+    point minimising ``e[i, f] + idle_w[f] * (T - d[i, f] + allreduce)``
+    among those arriving by ``T`` (the lowest point on ties), and the
+    assignment is scored with its own barrier, the latest chosen
+    arrival.  An optimum's barrier is a table duration no earlier than
+    the earliest barrier every device can meet, so scoring those
+    candidates is exact.  Candidates past the step limit lose the 2x
+    bonus; they are scored only when the bound ``product /
+    (sum_i min_f e[i, f] * (T + allreduce))`` at the first of them
+    could beat the best feasible plan.  The plan covers the active
+    devices; its barrier target is the slowest predicted arrival.
+
+    Raises:
+        ConfigurationError: on a loss target outside ``[0, 1)`` or a
+            fleet with no active device.
     """
-    scorer = ClusterScorer(sim, step_loss_target)
-    result = run_search(
-        scorer, scorer.synthetic_stages(), scorer.freqs_mhz, config
-    )
-    act = scorer.device_ids
+    objective = _Objective(sim, step_loss_target)
+    durations, allreduce_us = objective.durations, objective.allreduce_us
+    barriers = np.unique(durations)
+    barriers = barriers[barriers >= durations.min(axis=1).max()]
+    within = barriers + allreduce_us <= objective.step_limit_us
+    genes, score = objective.best(barriers[within])
+    late = barriers[~within]
+    least_energy = objective.soc_energy_j.min(axis=1).sum()
+    if late.size and objective.product > (
+        score * least_energy * (late[0] + allreduce_us)
+    ):
+        late_genes, late_score = objective.best(late)
+        if late_score > score:
+            genes = late_genes
+
+    act = sim.active_ids
+    freqs = sim.spec.npu.frequencies.points
     capacity = sim.spec.capacity
-    freq_index = np.full(capacity, len(scorer.freqs_mhz) - 1, dtype=np.intp)
-    freq_index[act] = result.best_genes
-    predicted = sim.duration_table()[np.arange(capacity), freq_index]
+    freq_index = np.full(capacity, len(freqs) - 1, dtype=np.intp)
+    freq_index[act] = genes
     covered = np.zeros(capacity, dtype=bool)
     covered[act] = True
+    predicted = sim.duration_table()[np.arange(capacity), freq_index]
     arrivals = predicted[act]
-    plan = FleetPlan(
+    return FleetPlan(
         workload=sim.trace.name,
         target_compute_us=float(arrivals.max()),
         straggler_id=int(act[int(np.argmax(arrivals))]),
-        freqs_mhz=scorer.freqs_mhz,
+        freqs_mhz=tuple(float(f) for f in freqs),
         freq_index=freq_index,
-        freq_mhz=np.asarray(scorer.freqs_mhz)[freq_index],
+        freq_mhz=np.asarray(freqs, dtype=float)[freq_index],
         predicted_us=predicted,
         covered=covered,
     )
-    return plan, result, scorer.breakdown(result.best_genes)
+
+
+def fleet_plan_score(
+    sim: FleetSimulator, plan: FleetPlan, step_loss_target: float = 0.005
+) -> tuple[float, bool]:
+    """A plan's fleet score on the active devices, and its feasibility.
+
+    The objective :func:`optimal_fleet_plan` maximises: the all-max
+    baseline's predicted ``energy x step-time`` over the plan's, doubled
+    when the plan's step is within ``step_loss_target`` of the
+    baseline's, so uniform maximum frequency scores 2.
+    """
+    genes = plan.freq_index[sim.active_ids][None, :]
+    scores, feasible = _Objective(sim, step_loss_target).score(genes)
+    return float(scores[0]), bool(feasible[0])

@@ -299,13 +299,11 @@ class CompiledTrace:
         function of (specs, grid), and repeated cold passes over the same
         sweep (the serving miss path) ask for the same grid every time.
         """
-        from repro.npu.vectoreval import evaluate_unique_grid
-
         grid_key = tuple(float(f) for f in freqs_mhz)
         cached = self._grids.get(grid_key)
         if cached is not None:
             return cached
-        grid = evaluate_unique_grid(self._evaluator, self._uniq_specs, freqs_mhz)
+        grid = self._evaluator.unique_grid(self._uniq_specs, freqs_mhz)
         idx = self._uniq_idx
         for j, freq in enumerate(grid.freqs_mhz):
             if freq in self._columns:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 from repro.errors import ConfigurationError
 from repro.npu.pipelines import Pipe
@@ -29,6 +29,7 @@ from repro.npu.timeline import (
     closed_form_cycles,
 )
 from repro.npu.operators import OperatorKind, OperatorSpec
+from repro.npu.vectoreval import UniqueSpecGrid, evaluate_unique_grid
 
 #: Uncore bandwidth utilisation attributed to non-compute operators:
 #: communication moves tensors through HBM/links, AICPU barely touches it.
@@ -212,6 +213,16 @@ class GroundTruthEvaluator:
             bandwidth_utilisation=cached.bandwidth_utilisation,
             alpha_effective=cached.alpha_effective,
         )
+
+    def unique_grid(
+        self, specs: Sequence[OperatorSpec], freqs_mhz: Sequence[float]
+    ) -> UniqueSpecGrid:
+        """Every spec at every grid frequency, in one vectorised pass.
+
+        :func:`~repro.npu.vectoreval.evaluate_unique_grid` against this
+        evaluator's NPU; it bypasses the memo.
+        """
+        return evaluate_unique_grid(self, specs, freqs_mhz)
 
     def duration_us(self, spec: OperatorSpec, freq_mhz: float) -> float:
         """Wall time of ``spec`` at ``freq_mhz``."""

@@ -33,7 +33,7 @@ oracle (``tests/oracles.py``) bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -149,20 +149,7 @@ def evaluate_unique_grid(
     specs: Sequence[OperatorSpec],
     freqs_mhz: Sequence[float],
 ) -> UniqueSpecGrid:
-    """Evaluate every spec at every frequency in one vectorised pass.
-
-    ``evaluator`` is a :class:`GroundTruthEvaluator` or a duration-scaling
-    wrapper around one (the looped fleet reference's ``VariedEvaluator``
-    in ``tests/reference``, which exposes ``inner`` and
-    ``duration_scale``).  A wrapper scales
-    only ``duration_us``, after the inner evaluation, so its grid is the
-    inner grid with ``dur`` multiplied by the same factor.
-    """
-    inner = getattr(evaluator, "inner", None)
-    if inner is not None:
-        grid = evaluate_unique_grid(inner, specs, freqs_mhz)
-        return replace(grid, dur=grid.dur * evaluator.duration_scale)
-
+    """Evaluate every spec at every frequency in one vectorised pass."""
     from repro.npu.execution import _NONCOMPUTE_BANDWIDTH_UTILISATION
 
     npu = evaluator.npu

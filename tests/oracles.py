@@ -42,7 +42,14 @@ so the equivalence tests can compare the array form bit for bit:
   temperatures in a dense array for the whole epoch);
 * :class:`SequentialProfiler` / :func:`sequential_sweep` — the optimizer
   profiling one frequency at a time (it now profiles the whole sweep in
-  one grid pass whenever its instruments are the plain pair).
+  one grid pass whenever its instruments are the plain pair);
+* :class:`FleetObjectiveScorer` — the fleet ``energy x step-time``
+  objective as the former fleet GA's scorer evaluated it, one
+  individual (one grid index per active device) per row, with the
+  brute-force :meth:`~FleetObjectiveScorer.enumerated_best` over every
+  assignment and :meth:`~FleetObjectiveScorer.every_barrier_best`, the
+  naive barrier enumeration (``fleet.dvfs.optimal_fleet_plan`` now
+  prunes the barriers it scores).
 
 The looped multi-device reference is larger and lives in its own
 package, :mod:`tests.reference`.
@@ -563,3 +570,91 @@ def gather_scatter_step(
         overrun_device_ids=ep.overrun_device_ids,
         events=events,
     )
+
+
+class FleetObjectiveScorer:
+    """The fleet objective, scored the way the fleet GA scored it.
+
+    An individual assigns one grid index per active device (in id
+    order).  Its barrier is the latest arrival; every device pays its
+    compute-phase SoC energy at ``delta0 = 0`` plus idle power from its
+    arrival until the all-reduce completes.  The score is the all-max
+    baseline's energy-time product over the individual's, doubled when
+    the step stays within the loss target.
+    """
+
+    def __init__(self, sim, step_loss_target: float = 0.005) -> None:
+        act = sim.active_ids
+        freqs = tuple(float(f) for f in sim.spec.npu.frequencies.points)
+        solutions = [sim.solution(f) for f in freqs]
+        self.device_ids = act
+        self.allreduce_us = sim.collective_cost().chosen_us
+        self.durations = sim.duration_table()[act]  # (devices, freqs)
+        self.soc_energy = np.stack(
+            [solution.e0_soc_j[act] for solution in solutions], axis=1
+        )
+        self.idle_soc_w = np.array(
+            [solution.idle_soc_w0 for solution in solutions]
+        )
+        baseline = np.full((1, act.size), len(freqs) - 1, dtype=int)
+        step, energy = self.evaluate(baseline)
+        self.baseline_step_us = float(step[0])
+        self.baseline_energy_j = float(energy[0])
+        self.step_limit_us = self.baseline_step_us * (1.0 + step_loss_target)
+
+    def evaluate(self, population: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Step time and fleet SoC energy for each individual."""
+        devices = np.arange(self.durations.shape[0])
+        arrivals = self.durations[devices[None, :], population]  # (P, D)
+        compute = arrivals.max(axis=1)  # (P,)
+        step = compute + self.allreduce_us
+        active = self.soc_energy[devices[None, :], population]
+        idle_w = self.idle_soc_w[population]
+        idle_us = compute[:, None] - arrivals + self.allreduce_us
+        energy = (active + idle_w * idle_us / US_PER_S).sum(axis=1)
+        return step, energy
+
+    def feasible(self, population: np.ndarray) -> np.ndarray:
+        """Whether each individual's step is within the loss target."""
+        step, _ = self.evaluate(np.asarray(population, dtype=int))
+        return step <= self.step_limit_us * (1.0 + 1e-12)
+
+    def score(self, population: np.ndarray) -> np.ndarray:
+        """Eq. 17-style score: normalised E*t product, 2x when feasible."""
+        population = np.asarray(population, dtype=int)
+        step, energy = self.evaluate(population)
+        baseline_product = self.baseline_energy_j * self.baseline_step_us
+        norm = baseline_product / (energy * step)
+        feasible = step <= self.step_limit_us * (1.0 + 1e-12)
+        return norm * np.where(feasible, 2.0, 1.0)
+
+    def plan_genes(self, plan: FleetPlan) -> np.ndarray:
+        """A plan's individual: its grid index on every active device."""
+        return plan.freq_index[self.device_ids][None, :]
+
+    def enumerated_best(self) -> float:
+        """The best score over all ``F ** devices`` individuals."""
+        n_devices, n_freqs = self.durations.shape
+        population = np.indices((n_freqs,) * n_devices).reshape(
+            n_devices, -1
+        ).T
+        return float(self.score(population).max())
+
+    def every_barrier_best(self) -> float:
+        """The best per-device energy argmin over every table duration.
+
+        No pruning: each distinct duration of an active device is a
+        candidate barrier, and each device takes its cheapest grid point
+        arriving by it.
+        """
+        best = -np.inf
+        for barrier in np.unique(self.durations):
+            wait_us = barrier - self.durations + self.allreduce_us
+            cost = self.soc_energy + self.idle_soc_w * wait_us / US_PER_S
+            cost[self.durations > barrier] = np.inf
+            if np.isinf(cost.min(axis=1)).any():
+                continue
+            genes = cost.argmin(axis=1)[None, :]
+            best = max(best, float(self.score(genes)[0]))
+        return best
+

@@ -33,6 +33,7 @@ from repro.npu.execution import (
 )
 from repro.npu.spec import NpuSpec
 from repro.npu.thermal import ThermalState
+from repro.npu.vectoreval import UniqueSpecGrid
 from repro.units import US_PER_S
 from repro.workloads.trace import Trace
 
@@ -40,7 +41,8 @@ class VariedEvaluator:
     """Duration-scaling wrapper over a shared ground-truth evaluator.
 
     Implements the evaluator protocol :class:`~repro.npu.device.NpuDevice`
-    consumes (``evaluate`` plus the four power methods).  Only
+    and :class:`~repro.npu.engine.CompiledTrace` consume (``evaluate``,
+    ``unique_grid`` plus the four power methods).  Only
     ``duration_us`` is scaled — utilisation, alpha and therefore power
     stay those of the nominal die.
     """
@@ -68,6 +70,11 @@ class VariedEvaluator:
         return replace(
             evaluation, duration_us=evaluation.duration_us * self._scale
         )
+
+    def unique_grid(self, specs, freqs_mhz) -> UniqueSpecGrid:
+        """The inner grid with every duration scaled."""
+        grid = self._inner.unique_grid(specs, freqs_mhz)
+        return replace(grid, dur=grid.dur * self._scale)
 
     def aicore_power(self, evaluation, delta_celsius: float) -> float:
         return self._inner.aicore_power(evaluation, delta_celsius)

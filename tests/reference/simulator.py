@@ -339,7 +339,7 @@ class DeviceFrequencyTable:
     are non-increasing in frequency; ``soc_energy_j`` is the
     compute-phase energy; the idle power (measured at the device's own
     ambient) prices the barrier wait.  The last two are the reference
-    for the fleet GA's inputs.
+    for the inputs of the fleet objective's optimum.
     """
 
     device_id: int

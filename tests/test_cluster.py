@@ -11,6 +11,7 @@ import ast
 import hashlib
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,18 +19,18 @@ import pytest
 
 import repro
 import repro.fleet
-from repro.dvfs.ga import GaConfig
 from repro.errors import ConfigurationError, StrategyError
 from repro.fleet import serve as fleet_serve
 from repro.fleet.churn import ChurnConfig
 from repro.fleet.cli import main as fleet_main
+from repro.fleet import dvfs as fleet_dvfs
 from repro.fleet.dvfs import (
-    ClusterScorer,
     degrade_and_retarget,
+    fleet_plan_score,
+    optimal_fleet_plan,
     plan_strategies,
     plan_strategy_json,
     reclaim_fleet_slack,
-    search_cluster_frequencies,
 )
 from repro.fleet.serve import fleet_cached_reclaim, fleet_device_fingerprints
 from repro.fleet.simulator import FleetSimulator
@@ -40,6 +41,7 @@ from repro.npu.execution import GroundTruthEvaluator
 from repro.serve.store import StrategyStore
 from repro.units import gbps_to_bytes_per_us
 from repro.workloads import generate
+from tests.oracles import FleetObjectiveScorer
 from tests.reference.compare import compare_with_cluster
 from tests.reference.device import VariedEvaluator
 from tests.reference.simulator import (
@@ -277,35 +279,44 @@ class TestSlackReclamation:
             small_tables[0].lowest_index_meeting(1.0)
 
 
-class TestClusterScorer:
+class TestOptimalFleetPlan:
     def test_baseline_individual_scores_two(self, small_fleet):
-        scorer = ClusterScorer(small_fleet)
-        baseline = np.full(
-            (1, scorer.stage_count), scorer.frequency_count - 1
-        )
+        scorer = FleetObjectiveScorer(small_fleet)
+        n_freqs = len(small_fleet.spec.npu.frequencies.points)
+        baseline = np.full((1, small_fleet.n_active), n_freqs - 1)
         assert scorer.score(baseline)[0] == pytest.approx(2.0)
-
-    def test_ga_never_loses_to_uniform_max(self, small_fleet):
-        plan, result, breakdown = search_cluster_frequencies(
-            small_fleet,
-            config=GaConfig(population_size=16, iterations=20, seed=0),
+        reclaim = reclaim_fleet_slack(small_fleet)
+        all_max = replace(
+            reclaim, freq_index=np.full_like(reclaim.freq_index, n_freqs - 1)
         )
-        scorer = ClusterScorer(small_fleet)
-        assert breakdown.feasible
-        assert result.best_score >= 2.0
-        assert breakdown.fleet_soc_energy_j <= scorer.baseline_energy_j
+        assert fleet_plan_score(small_fleet, all_max) == (
+            pytest.approx(2.0),
+            True,
+        )
+
+    def test_optimum_never_loses_to_uniform_max(self, small_fleet):
+        plan = optimal_fleet_plan(small_fleet)
+        scorer = FleetObjectiveScorer(small_fleet)
+        genes = scorer.plan_genes(plan)
+        score, feasible = fleet_plan_score(small_fleet, plan)
+        assert feasible and scorer.feasible(genes)[0]
+        assert score >= 2.0
+        assert score == pytest.approx(scorer.score(genes)[0], rel=1e-12)
+        assert scorer.evaluate(genes)[1][0] <= scorer.baseline_energy_j
         assert plan.covered.all()
         assert plan.target_compute_us == plan.predicted_us.max()
-        assert tuple(plan.freq_index) == tuple(result.best_genes)
 
     def test_inputs_are_the_reference_tables(self, small_fleet, small_tables):
         """Durations and idle powers bitwise, compute energy to rounding."""
-        scorer = ClusterScorer(small_fleet)
+        objective = fleet_dvfs._Objective(small_fleet, 0.005)
         for i, table in enumerate(small_tables):
-            assert tuple(scorer._durations[i]) == table.duration_us
-            assert tuple(scorer._idle_soc_w) == table.idle_soc_watts
+            assert tuple(objective.durations[i]) == table.duration_us
+            assert tuple(objective.idle_soc_w) == table.idle_soc_watts
             assert np.allclose(
-                scorer._soc_energy[i], table.soc_energy_j, rtol=1e-12, atol=0
+                objective.soc_energy_j[i],
+                table.soc_energy_j,
+                rtol=1e-12,
+                atol=0,
             )
 
 
@@ -437,16 +448,11 @@ class TestWiring:
         assert exit_code == 0
         assert "slack reclamation" in out
 
-    def test_cli_unknown_workload_fails_cleanly(self, capsys):
-        exit_code = fleet_main(["run", "nonsense", "--devices", "2"])
-        assert exit_code == 1
-        assert "error:" in capsys.readouterr().err
-
     def test_cli_24_devices_steps_the_reference_ring(self, capsys):
         """A 24-device one-rack fleet steps as the reference ring.
 
         Every printed per-phase step time (first reclaimed step, fleet
-        GA, re-targeted reclamation) is the looped reference's, which
+        optimum, re-targeted reclamation) is the looped reference's, which
         only holds if the fleet is a single rack whose collective is the
         cluster's ring all-reduce.
         """
@@ -460,9 +466,7 @@ class TestWiring:
             "--devices-per-rack",
             "24",
         ]
-        exit_code = fleet_main(
-            args + ["--ga", "--iterations", "10", "--degrade", "3"]
-        )
+        exit_code = fleet_main(args + ["--optimum", "--degrade", "3"])
         out = capsys.readouterr().out
         assert exit_code == 0
         trace = generate("gpt3", scale=0.005)
@@ -489,15 +493,10 @@ class TestWiring:
                 for plan in plans
             ]
 
-        ga_plan, _, _ = search_cluster_frequencies(
-            FleetSimulator(fleet_spec_of(spec), trace),
-            config=GaConfig(
-                population_size=40, iterations=10, seed=0, patience=30
-            ),
-        )
+        best = optimal_fleet_plan(FleetSimulator(fleet_spec_of(spec), trace))
         printed = re.findall(r"step ([\d.]+) ms -> ([\d.]+) ms", out)
         assert printed == reference_steps(
-            spec, plan_strategies(ga_plan)
+            spec, plan_strategies(best)
         ) + reference_steps(spec.with_degraded_device(3, 1.3))
         assert f"all-reduce {spec.allreduce_us / 1000.0:.2f} ms" in out
         assert "straggler now device 3" in out
