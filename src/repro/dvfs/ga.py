@@ -6,7 +6,8 @@ and the *prior* individual (LFC stages at 1600 MHz, HFC at 1800 MHz —
 Sect. 6.3.1), filling the rest with uniform-random strategies.  Each
 generation keeps an elite, then fills the population by score-proportional
 (roulette) selection with tail-swap crossover and point mutation
-(Sect. 6.3.3).
+(Sect. 6.3.3).  Only the children whose genes differ from their first
+parent's are scored; the rest, like the elite, keep the score they had.
 """
 
 from __future__ import annotations
@@ -62,8 +63,11 @@ class GaConfig:
 class GaResult:
     """Outcome of one search run.
 
-    ``evaluations`` counts scorer evaluations; under elite score
-    carry-over unchanged elites are not re-counted.
+    ``evaluations`` counts the rows the scorer actually scored: the
+    initial population, then each generation's changed children.  Elites
+    and children that are copies of their parent A carry their score
+    over and are not counted, so it is at most ``population_size +
+    generations * (population_size - elite_count)``.
     """
 
     best_genes: np.ndarray
@@ -164,40 +168,55 @@ def run_search(
     """
     config = config or GaConfig()
     rng = np.random.default_rng(config.seed)
-    population = initial_population(scorer, stages, config, freqs_mhz, rng)
     n_stages = scorer.stage_count
     n_freqs = scorer.frequency_count
     pop_size = config.population_size
+    elite_count = config.elite_count
+    parent_count = pop_size - elite_count
+    # The RNG draws stay int64; the population holds them in the
+    # narrowest unsigned dtype that fits the grid (uint8 for 9 points).
+    gene_dtype = np.min_scalar_type(n_freqs - 1)
+    population = initial_population(
+        scorer, stages, config, freqs_mhz, rng
+    ).astype(gene_dtype)
+    # Double buffer: each generation is gathered into ``spare``, elites
+    # first, then the children (copies of their parent A until bred).
+    spare = np.empty_like(population)
+    parents_b = np.empty_like(population[elite_count:])
+    # Row ``c`` masks the last ``c`` genes; row 0 masks none, so a row
+    # that does not cross over gathers row 0.
+    tail_table = (
+        np.arange(n_stages)[None, :]
+        >= n_stages - np.arange(n_stages + 1)[:, None]
+    )
 
     start = time.perf_counter()
     scores = scorer.score(population)
     evaluations = pop_size
     history: list[float] = [float(scores.max())]
     stale_generations = 0
-    gene_positions = np.arange(n_stages)
 
     for _ in range(config.iterations):
         # ``[-k:]`` would return the whole array for ``elite_count == 0``
-        # and silently grow the population; slice from ``pop_size - k``.
-        elite_idx = np.argsort(scores)[pop_size - config.elite_count:]
-        elite = population[elite_idx].copy()
-        elite_scores = scores[elite_idx]
-
+        # and silently grow the population; slice from ``parent_count``.
+        elite_idx = np.argsort(scores)[parent_count:]
         cumulative = np.cumsum(np.maximum(scores, 1e-12))
-        parent_count = pop_size - config.elite_count
-        parents_a = population[_roulette_pick(rng, cumulative, parent_count)]
-        parents_b = population[_roulette_pick(rng, cumulative, parent_count)]
+        ia = _roulette_pick(rng, cumulative, parent_count)
+        ib = _roulette_pick(rng, cumulative, parent_count)
+        rows = np.concatenate([elite_idx, ia])
+        # ``mode="clip"`` keeps ``out=`` unbuffered.  It never clips:
+        # argsort indices are in range, and searchsorted maps every draw
+        # to an entry at or above it, at most the last.
+        population.take(rows, axis=0, out=spare, mode="clip")
+        population.take(ib, axis=0, out=parents_b, mode="clip")
+        children = spare[elite_count:]
 
-        # Fancy indexing copies, so the children own their genes.
-        children = parents_a
         # Tail-swap crossover: exchange the last k genes (Sect. 6.3.3).
         do_cross = rng.random(parent_count) < config.crossover_rate
         cut = rng.integers(1, n_stages + 1, size=parent_count)
-        # One masked copy over all rows: a gene comes from ``parents_b``
-        # iff its row crosses and it lies in that row's tail.  Gene
-        # copies are integer-exact, so this matches a per-row tail swap.
-        tail = gene_positions[None, :] >= (n_stages - cut)[:, None]
-        np.copyto(children, parents_b, where=tail & do_cross[:, None])
+        np.copyto(
+            children, parents_b, where=tail_table[np.where(do_cross, cut, 0)]
+        )
         # Point mutation: one random gene to one random frequency.
         do_mutate = rng.random(parent_count) < config.mutation_rate
         positions = rng.integers(0, n_stages, size=parent_count)
@@ -205,14 +224,15 @@ def run_search(
         mutate_rows = np.nonzero(do_mutate)[0]
         children[mutate_rows, positions[mutate_rows]] = values[mutate_rows]
 
-        population = np.vstack([elite, children])
-        # Elite score carry-over: elites are unchanged genes, and the
-        # scorer is row-independent (per-row gathers and reductions), so
-        # concatenating their previous scores with freshly scored children
-        # is bit-identical to re-scoring the stacked population — while
-        # charging only ``pop_size - elite_count`` scorer evaluations.
-        scores = np.concatenate([elite_scores, scorer.score(children)])
-        evaluations += pop_size - config.elite_count
+        # Score carry-over: the scorer is row-independent (per-row
+        # gathers and reductions), so an elite, or a child whose genes
+        # still equal its parent A's, keeps that score bit for bit; only
+        # the changed children are scored.
+        scored = np.flatnonzero((children != population[ia]).any(axis=1))
+        scores = scores[rows]
+        scores[elite_count:][scored] = scorer.score(children[scored])
+        evaluations += scored.size
+        population, spare = spare, population
         history.append(float(scores.max()))
         if history[-1] > history[-2] + 1e-12:
             stale_generations = 0
@@ -223,7 +243,7 @@ def run_search(
 
     best = int(np.argmax(scores))
     return GaResult(
-        best_genes=population[best].copy(),
+        best_genes=population[best].astype(np.intp),
         best_score=float(scores[best]),
         history=tuple(history),
         generations=len(history) - 1,

@@ -5,9 +5,10 @@ performance and power models predict the resulting iteration time and
 average power.  Everything is precomputed into per-stage lookup tables,
 stacked into one ``(4, stages * freqs)`` array, so a whole GA population is
 scored with one ``np.take`` and one row reduction.  At paper scale (gpt3 at
-scale 1.0: 777 stages, 198 children per generation) a generation's
-``evaluate`` takes 1.1-1.5 ms on a 2-vCPU x86 host, against 3.4-4.6 ms for
-four per-table gathers: about 7 µs per policy.  This speed is the paper's
+scale 1.0: 780 stages) an ``evaluate`` of 198 children takes ~1.6 ms on a
+2-vCPU x86 host in its slow state, against 4.6-4.8 ms for four per-table
+gathers: about 8 µs per policy.  The GA scores only the ~70% of children
+whose genes changed, in 1.1-1.2 ms a generation.  This speed is the paper's
 argument for model-based over model-free search (Sect. 8.1: ~milliseconds
 per policy, 20,000 strategies within 5 minutes).
 
@@ -253,13 +254,24 @@ class StrategyScorer:
         """Predict time/power for a population of gene vectors.
 
         Args:
-            population: int array of shape ``(individuals, stages)`` with
-                values in ``[0, frequency_count)``.
+            population: integer array (any signed or unsigned width) of
+                shape ``(individuals, stages)`` with values in
+                ``[0, frequency_count)``.
+
+        Raises:
+            StrategyError: on a wrong shape, a non-integer dtype (bool
+                and float included) or a gene outside the grid.
         """
         genes = np.asarray(population)
         if genes.ndim != 2 or genes.shape[1] != self.stage_count:
             raise StrategyError(
                 f"population must be (n, {self.stage_count}), got {genes.shape}"
+            )
+        # Bool genes would gather as indices 0/1 and float genes fail
+        # inside ``np.take``; only integer arrays index the grid.
+        if not np.issubdtype(genes.dtype, np.integer):
+            raise StrategyError(
+                f"genes must be an integer array, got dtype {genes.dtype}"
             )
         if genes.size and (
             genes.min() < 0 or genes.max() >= self.frequency_count

@@ -11,6 +11,12 @@ We measure both costs directly: the throughput of the vectorised
 model-based scorer, and the *simulated* wall time a model-free search
 would spend executing candidates on the device (plus its much smaller
 evaluated-strategy budget for equal time).
+
+The model-based "strategies" count is ``GaResult.evaluations``: the rows
+the scorer actually scored.  Elites and children whose genes equal their
+parent's carry their score over, so it is below ``population +
+generations * (population - elite)``, and the strategies-per-second rate
+divides it by the search's wall time.
 """
 
 from __future__ import annotations
@@ -80,7 +86,7 @@ def run(
 
     rows = [
         {
-            "approach": "model-based (vectorised scorer)",
+            "approach": "model-based (vectorised scorer, rows scored)",
             "strategies": search.evaluations,
             "cost": f"{search.wall_seconds:.2f}s wall",
             "best_score": round(search.best_score, 4),

@@ -127,3 +127,30 @@ def make_compute_op(
         fixed_overhead_us=overhead_us,
     )
     return OperatorSpec(name=name, op_type="Test", compute=character)
+
+
+class RowCountingScorer:
+    """A strategy scorer that counts the rows it is asked to score.
+
+    Delegates every attribute to the wrapped scorer, so ``run_search``
+    sees the same grid and scores; ``rows`` is the number of individuals
+    that reached ``score``.
+    """
+
+    def __init__(self, scorer) -> None:
+        self._scorer = scorer
+        self.rows = 0
+
+    def __getattr__(self, name):
+        return getattr(self._scorer, name)
+
+    def score(self, population):
+        self.rows += len(population)
+        return self._scorer.score(population)
+
+
+def evaluation_ceiling(config, generations: int) -> int:
+    """Rows a GA search scores if every child of every generation changed."""
+    return config.population_size + generations * (
+        config.population_size - config.elite_count
+    )

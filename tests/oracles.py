@@ -12,6 +12,10 @@ so the equivalence tests can compare the array form bit for bit:
 * :func:`four_gather_evaluate` — ``StrategyScorer.evaluate`` as four 2-D
   fancy gathers plus the ``volts[genes] * time`` product (the scorer now
   does one stacked ``np.take``);
+* :func:`full_rescore_search` — ``run_search`` scoring every child of
+  every generation on an int64 population stacked with ``vstack`` (the
+  GA now scores only the children whose genes differ from their parent
+  A, on a narrow double-buffered population);
 * :func:`row_crossover_search` — ``run_search`` with the crossover as a
   gather/mask/scatter over the crossing rows (the GA now does one masked
   ``np.copyto``);
@@ -166,6 +170,82 @@ def four_gather_evaluate(
         aicore_watts=aicore_watts,
         soc_watts=soc_watts,
         delta_celsius=delta,
+    )
+
+
+def full_rescore_search(
+    scorer: StrategyScorer,
+    stages,
+    freqs_mhz,
+    config: GaConfig,
+) -> GaResult:
+    """``run_search`` scoring every child of every generation."""
+    rng = np.random.default_rng(config.seed)
+    population = initial_population(scorer, stages, config, freqs_mhz, rng)
+    n_stages = scorer.stage_count
+    n_freqs = scorer.frequency_count
+    pop_size = config.population_size
+
+    start = time.perf_counter()
+    scores = scorer.score(population)
+    evaluations = pop_size
+    history: list[float] = [float(scores.max())]
+    stale_generations = 0
+    gene_positions = np.arange(n_stages)
+
+    for _ in range(config.iterations):
+        # ``[-k:]`` would return the whole array for ``elite_count == 0``
+        # and silently grow the population; slice from ``pop_size - k``.
+        elite_idx = np.argsort(scores)[pop_size - config.elite_count:]
+        elite = population[elite_idx].copy()
+        elite_scores = scores[elite_idx]
+
+        cumulative = np.cumsum(np.maximum(scores, 1e-12))
+        parent_count = pop_size - config.elite_count
+        parents_a = population[_roulette_pick(rng, cumulative, parent_count)]
+        parents_b = population[_roulette_pick(rng, cumulative, parent_count)]
+
+        # Fancy indexing copies, so the children own their genes.
+        children = parents_a
+        # Tail-swap crossover: exchange the last k genes (Sect. 6.3.3).
+        do_cross = rng.random(parent_count) < config.crossover_rate
+        cut = rng.integers(1, n_stages + 1, size=parent_count)
+        # One masked copy over all rows: a gene comes from ``parents_b``
+        # iff its row crosses and it lies in that row's tail.  Gene
+        # copies are integer-exact, so this matches a per-row tail swap.
+        tail = gene_positions[None, :] >= (n_stages - cut)[:, None]
+        np.copyto(children, parents_b, where=tail & do_cross[:, None])
+        # Point mutation: one random gene to one random frequency.
+        do_mutate = rng.random(parent_count) < config.mutation_rate
+        positions = rng.integers(0, n_stages, size=parent_count)
+        values = rng.integers(0, n_freqs, size=parent_count)
+        mutate_rows = np.nonzero(do_mutate)[0]
+        children[mutate_rows, positions[mutate_rows]] = values[mutate_rows]
+
+        population = np.vstack([elite, children])
+        # Elite score carry-over: elites are unchanged genes, and the
+        # scorer is row-independent (per-row gathers and reductions), so
+        # concatenating their previous scores with freshly scored children
+        # is bit-identical to re-scoring the stacked population — while
+        # charging only ``pop_size - elite_count`` scorer evaluations.
+        scores = np.concatenate([elite_scores, scorer.score(children)])
+        evaluations += pop_size - config.elite_count
+        history.append(float(scores.max()))
+        if history[-1] > history[-2] + 1e-12:
+            stale_generations = 0
+        else:
+            stale_generations += 1
+            if config.patience and stale_generations >= config.patience:
+                break
+
+    best = int(np.argmax(scores))
+    return GaResult(
+        best_genes=population[best].copy(),
+        best_score=float(scores[best]),
+        history=tuple(history),
+        generations=len(history) - 1,
+        evaluations=evaluations,
+        wall_seconds=time.perf_counter() - start,
     )
 
 

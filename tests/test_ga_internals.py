@@ -12,7 +12,11 @@ from repro.dvfs.scoring import StrategyScorer
 from repro.errors import StrategyError
 from repro.npu import NpuDevice, noise_free_spec
 from repro.workloads import build_trace, generate
-from tests.conftest import make_compute_op
+from tests.conftest import (
+    RowCountingScorer,
+    evaluation_ceiling,
+    make_compute_op,
+)
 
 FREQS = tuple(1000.0 + 100.0 * i for i in range(9))
 
@@ -174,29 +178,53 @@ def gpt3():
 
 
 class TestEvaluationAccounting:
-    """GaResult.evaluations counts oracle calls; carried elites are free."""
+    """GaResult.evaluations counts the rows the scorer scored.
 
-    def test_exact_formula(self, gpt3):
+    Carried elites and children that are copies of their parent A keep
+    their score and cost nothing.
+    """
+
+    def test_counts_scored_rows(self, gpt3):
         config, candidates, scorer = gpt3
         freqs = config.npu.frequencies.points
         for elite in (0, 2, 5):
             ga = GaConfig(
                 population_size=24, iterations=10, seed=0, elite_count=elite
             )
-            result = run_search(scorer, candidates.stages, freqs, ga)
+            counting = RowCountingScorer(scorer)
+            result = run_search(counting, candidates.stages, freqs, ga)
             assert result.generations == ga.iterations
-            assert result.evaluations == ga.population_size + (
-                result.generations * (ga.population_size - elite)
+            assert result.evaluations == counting.rows
+            assert result.evaluations < evaluation_ceiling(
+                ga, result.generations
             )
 
-    def test_exact_formula_under_patience(self, gpt3):
+    def test_counts_scored_rows_under_patience(self, gpt3):
         config, candidates, scorer = gpt3
         freqs = config.npu.frequencies.points
         ga = GaConfig(
             population_size=24, iterations=400, seed=0, patience=5
         )
-        result = run_search(scorer, candidates.stages, freqs, ga)
+        counting = RowCountingScorer(scorer)
+        result = run_search(counting, candidates.stages, freqs, ga)
         assert result.generations < ga.iterations  # patience actually fired
-        assert result.evaluations == ga.population_size + (
-            result.generations * (ga.population_size - ga.elite_count)
+        assert result.evaluations == counting.rows
+        assert result.evaluations <= evaluation_ceiling(
+            ga, result.generations
         )
+
+    def test_unbred_children_are_never_scored(self, gpt3):
+        config, candidates, scorer = gpt3
+        freqs = config.npu.frequencies.points
+        ga = GaConfig(
+            population_size=24,
+            iterations=10,
+            seed=0,
+            crossover_rate=0.0,
+            mutation_rate=0.0,
+        )
+        counting = RowCountingScorer(scorer)
+        result = run_search(counting, candidates.stages, freqs, ga)
+        # Every child is a copy of its parent A: only the initial
+        # population reaches the scorer.
+        assert result.evaluations == counting.rows == ga.population_size

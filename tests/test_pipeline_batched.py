@@ -36,9 +36,11 @@ from repro.perf.model import (
 )
 from repro.power.model import PowerObservation, solve_alpha, solve_alpha_batch
 from repro.workloads import generate
+from tests.conftest import RowCountingScorer, evaluation_ceiling
 from tests.oracles import (
     PerStageScorer,
     four_gather_evaluate,
+    full_rescore_search,
     row_crossover_search,
     sequential_sweep,
 )
@@ -388,6 +390,28 @@ class TestStackedScorer:
             four_gather_evaluate(scorer, population),
         )
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+    def test_unsigned_genes_bitwise(self, pipeline, dtype):
+        """The GA's narrow unsigned genes gather like int64 ones."""
+        scorer = _scorer(pipeline)
+        rng = np.random.default_rng(3)
+        population = rng.integers(
+            0, scorer.frequency_count, size=(16, scorer.stage_count)
+        )
+        _assert_evaluations_bitwise(
+            scorer.evaluate(population.astype(dtype)),
+            four_gather_evaluate(scorer, population),
+        )
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.bool_])
+    def test_non_integer_genes_raise(self, pipeline, dtype):
+        scorer = _scorer(pipeline)
+        population = np.ones((2, scorer.stage_count), dtype=dtype)
+        with pytest.raises(StrategyError, match="integer array"):
+            scorer.evaluate(population)
+        with pytest.raises(StrategyError, match="integer array"):
+            scorer.score(population)
+
     @pytest.mark.parametrize("bad", [-1, 9])
     def test_out_of_range_gene_raises(self, pipeline, bad):
         scorer = _scorer(pipeline)
@@ -397,46 +421,121 @@ class TestStackedScorer:
             scorer.evaluate(population)
 
 
+#: GA settings the search equivalence tests sweep, on a 32 x 30 search.
+GA_OVERRIDES = [
+    {},
+    {"elite_count": 0},
+    {"crossover_rate": 0.0},
+    {"crossover_rate": 1.0},
+    {"mutation_rate": 0.0},
+    {"mutation_rate": 1.0},
+    {"elite_count": 0, "crossover_rate": 1.0, "mutation_rate": 1.0},
+    {"patience": 3, "iterations": 200},
+]
+
+
+def _ga_config(seed: int, overrides: dict) -> GaConfig:
+    return GaConfig(
+        **{"population_size": 32, "iterations": 30, "seed": seed, **overrides}
+    )
+
+
+def _assert_same_search(got, want) -> None:
+    assert got.best_genes.dtype == np.intp
+    assert got.best_genes.tobytes() == want.best_genes.tobytes()
+    assert got.best_score == want.best_score
+    assert got.history == want.history
+    assert got.generations == want.generations
+
+
+def _assert_counted(got, counting, ga_config) -> None:
+    """``evaluations`` is the scorer's row count, under the full rescore's."""
+    assert got.evaluations == counting.rows
+    assert got.evaluations <= evaluation_ceiling(ga_config, got.generations)
+
+
 class TestMaskedCrossover:
     """One masked ``np.copyto`` equals the per-row tail-swap scatter."""
 
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            {},
-            {"elite_count": 0},
-            {"crossover_rate": 0.0},
-            {"crossover_rate": 1.0},
-            {"mutation_rate": 0.0},
-            {"mutation_rate": 1.0},
-            {"elite_count": 0, "crossover_rate": 1.0, "mutation_rate": 1.0},
-            {"patience": 3, "iterations": 200},
-        ],
-    )
+    @pytest.mark.parametrize("overrides", GA_OVERRIDES)
     def test_ga_result_bitwise(self, pipeline, overrides):
         _, config, _, _, candidates = pipeline
         scorer = _scorer(pipeline)
         freqs = config.npu.frequencies.points
         for seed in (0, 5):
-            ga_config = GaConfig(
-                **{
-                    "population_size": 32,
-                    "iterations": 30,
-                    "seed": seed,
-                    **overrides,
-                }
-            )
-            got = run_search(scorer, candidates.stages, freqs, ga_config)
+            ga_config = _ga_config(seed, overrides)
+            counting = RowCountingScorer(scorer)
+            got = run_search(counting, candidates.stages, freqs, ga_config)
             want = row_crossover_search(
                 scorer, candidates.stages, freqs, ga_config
             )
-            assert got.best_genes.tobytes() == want.best_genes.tobytes()
-            assert got.best_score == want.best_score
-            assert got.history == want.history
-            assert got.generations == want.generations
-            assert got.evaluations == want.evaluations
+            _assert_same_search(got, want)
+            _assert_counted(got, counting, ga_config)
         if "patience" in overrides:
             assert got.generations < ga_config.iterations
+
+
+#: Searches the changed-children equivalence runs on: gpt3 at two
+#: scales (17 and 154 stages), several more shapes, and a single-stage
+#: trace.
+SEARCH_MODELS = [
+    ("gpt3", 0.02),
+    ("gpt3", 0.2),
+    ("bert", 1.0),
+    ("resnet50", 1.0),
+    ("vgg19", 1.0),
+    ("llama2_inference", 1.0),
+]
+
+
+@pytest.fixture(
+    scope="module", params=SEARCH_MODELS, ids=lambda p: f"{p[0]}-{p[1]}"
+)
+def model_search(request):
+    """A scorer, its stages and the grid for one of ``SEARCH_MODELS``."""
+    model, scale = request.param
+    trace = generate(model, scale=scale)
+    config = OptimizerConfig()
+    optimizer = EnergyOptimizer(config)
+    bundle = optimizer.profile(trace)
+    candidates = optimizer.preprocess(bundle)
+    parts = (trace, config, bundle, optimizer.build_models(bundle), candidates)
+    return _scorer(parts), candidates.stages, config.npu.frequencies.points
+
+
+class TestChangedChildrenScoring:
+    """Scoring only the changed children equals rescoring every child."""
+
+    @pytest.mark.parametrize(
+        "overrides", [*GA_OVERRIDES, {"population_size": 4}]
+    )
+    def test_matches_full_rescore(self, model_search, overrides):
+        scorer, stages, freqs = model_search
+        for seed in (0, 5):
+            ga_config = _ga_config(seed, overrides)
+            counting = RowCountingScorer(scorer)
+            got = run_search(counting, stages, freqs, ga_config)
+            want = full_rescore_search(scorer, stages, freqs, ga_config)
+            _assert_same_search(got, want)
+            _assert_counted(got, counting, ga_config)
+            assert want.evaluations == evaluation_ceiling(
+                ga_config, want.generations
+            )
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_row_subsets_score_bitwise(self, model_search, dtype):
+        scorer, _, _ = model_search
+        rng = np.random.default_rng(17)
+        population = rng.integers(
+            0, scorer.frequency_count, size=(198, scorer.stage_count)
+        ).astype(dtype)
+        full = scorer.score(population)
+        for count in range(1, 199):
+            rows = np.sort(rng.choice(198, size=count, replace=False))
+            assert (
+                scorer.score(population[rows]).tobytes()
+                == full[rows].tobytes()
+            ), count
 
 
 class TestGaRegression:
