@@ -30,9 +30,9 @@ from repro.workloads.trace import Trace
 class ModelFreeScorer:
     """Eq. (17) scoring by actually executing each candidate strategy.
 
-    Drop-in compatible with the GA's use of :class:`StrategyScorer`
-    (``score``, ``stage_count``, ``frequency_count``), but every individual
-    costs one device execution.  ``evaluations`` and ``simulated_seconds``
+    Scores a population like :meth:`StrategyScorer.score` (with the same
+    ``stage_count`` and ``frequency_count``), but every individual costs
+    one device execution.  ``evaluations`` and ``simulated_seconds``
     track the price paid.
 
     Args:

@@ -2,15 +2,24 @@
 
 For a candidate strategy (one frequency per preprocessing stage), the
 performance and power models predict the resulting iteration time and
-average power.  Everything is precomputed into per-stage lookup tables,
-stacked into one ``(4, stages * freqs)`` array, so a whole GA population is
-scored with one ``np.take`` and one row reduction.  At paper scale (gpt3 at
-scale 1.0: 780 stages) an ``evaluate`` of 198 children takes ~1.6 ms on a
-2-vCPU x86 host in its slow state, against 4.6-4.8 ms for four per-table
-gathers: about 8 µs per policy.  The GA scores only the ~70% of children
-whose genes changed, in 1.1-1.2 ms a generation.  This speed is the paper's
-argument for model-based over model-free search (Sect. 8.1: ~milliseconds
-per policy, 20,000 strategies within 5 minutes).
+average power.  Everything is precomputed into per-stage lookup tables
+over the frequency grid: stage time, AICore energy, SoC energy and
+volts x time.  Each of the four is then quantised once onto its own
+power-of-two fixed-point scale, into one ``(stages * freqs, 4)`` int64
+table whose largest possible sums stay below 2**61.  A strategy's four
+sums are integer sums over that table, so they are exact and do not
+depend on the order of summation; each is converted to float once, by
+an exact power-of-two scaling, before the thermal closure (within ~1e-15
+relative of summing the float tables).
+
+Exactness is what lets the GA score a child as its parent's sums plus
+the table differences at the genes it changed, bit for bit as a rescore
+would (``StrategyScorer.score_sums``).  At paper scale (gpt3 at scale
+1.0: 780 stages) a generation's ~140 changed children differ from their
+parents in ~2,800 genes in all, against the ~110,000 cells a rescore of
+those children gathers.  This speed is the paper's argument for
+model-based over model-free search (Sect. 8.1: ~milliseconds per policy,
+20,000 strategies within 5 minutes).
 
 Scoring follows Eq. (17): individuals are rewarded with (normalised)
 ``2 * Per^2 / Power`` when they meet the performance lower bound and get
@@ -30,6 +39,10 @@ from repro.perf.model import WorkloadPerformanceModel
 from repro.power.optable import OperatorPowerTable
 from repro.units import US_PER_S
 from repro.workloads.trace import Trace
+
+#: Bits a quantity's largest possible stage sum may use.  A parent's sums
+#: plus a child's cell differences stay below 3 * 2**61 < 2**63.
+_SUM_BITS = 61
 
 
 @dataclass(frozen=True)
@@ -131,18 +144,36 @@ class StrategyScorer:
             all_names, perf_model, power_table, idle_ai, idle_soc
         )
 
-        # One (4, S*F) table for the per-generation gather: stage time,
-        # AICore energy, SoC energy and the volts-weighted time of each
-        # (stage, frequency) cell.  Gene ``g`` of stage ``s`` reads column
-        # ``s*F + g``.
-        self._stacked = np.stack(
+        # The four quantities of each (stage, frequency) cell: stage
+        # time, AICore energy, SoC energy and volts-weighted time.
+        quantities = np.stack(
             [
                 self._stage_time,
                 self._stage_aicore_energy,
                 self._stage_soc_energy,
                 self._volts[None, :] * self._stage_time,
-            ]
-        ).reshape(4, n_stages * n_freqs)
+            ],
+            axis=-1,
+        )
+        finite = np.isfinite(quantities).all(axis=(1, 2))
+        if not finite.all():
+            j = int(np.argmin(finite))
+            raise StrategyError(
+                f"stage {self._stages[j].index} has a non-finite predicted "
+                f"time or energy; check the performance and power models "
+                f"of its {len(self._stages[j].op_indices)} operators"
+            )
+        # Each quantity gets its own scale 2**k, the largest power of two
+        # with sum_s max_f |x[s, f]| * 2**k < 2**_SUM_BITS: no row sum, and
+        # no parent's sums plus a child's cell differences, leaves int64.
+        _, exponents = np.frexp(np.abs(quantities).max(axis=1).sum(axis=0))
+        scale = _SUM_BITS - exponents
+        # Gene ``g`` of stage ``s`` reads row ``s*F + g``.
+        self._cells = np.rint(np.ldexp(quantities, scale)).astype(
+            np.int64
+        ).reshape(n_stages * n_freqs, 4)
+        self._cells.flags.writeable = False
+        self._unscale = -scale
         self._offsets = np.arange(n_stages) * n_freqs
 
         # Baseline: everything at the maximum frequency.
@@ -250,13 +281,28 @@ class StrategyScorer:
         """Maximum admissible iteration time (Eq. 17's ``Per_lb``)."""
         return self._baseline_time * (1.0 + self._loss_target)
 
-    def evaluate(self, population: np.ndarray) -> "PopulationEvaluation":
-        """Predict time/power for a population of gene vectors.
+    @property
+    def cells(self) -> np.ndarray:
+        """The quantised tables, read-only ``(stages * freqs, 4)`` int64.
+
+        Row ``s * frequency_count + g`` holds stage ``s`` at grid point
+        ``g``: time, AICore energy, SoC energy and volts x time, each an
+        integer on its own power-of-two scale.  A strategy's
+        :meth:`stage_sums` are the column sums of its rows.
+        """
+        return self._cells
+
+    def stage_sums(self, population: np.ndarray) -> np.ndarray:
+        """Exact integer stage sums of a population of gene vectors.
 
         Args:
             population: integer array (any signed or unsigned width) of
                 shape ``(individuals, stages)`` with values in
                 ``[0, frequency_count)``.
+
+        Returns:
+            ``(individuals, 4)`` int64: the column sums of each
+            individual's :attr:`cells` rows.
 
         Raises:
             StrategyError: on a wrong shape, a non-integer dtype (bool
@@ -279,12 +325,16 @@ class StrategyScorer:
             raise StrategyError(
                 f"genes must lie in [0, {self.frequency_count})"
             )
-        # One gather for all four tables; each (individual, stage) row is
-        # reduced along the contiguous last axis, so the sums are bitwise
-        # those of four separate per-table gathers.
-        time_us, aicore_j, soc_j, volts_time = np.take(
-            self._stacked, genes + self._offsets, axis=1
-        ).sum(axis=2)
+        return np.take(self._cells, genes + self._offsets, axis=0).sum(
+            axis=1
+        )
+
+    def _evaluate_sums(self, sums: np.ndarray) -> "PopulationEvaluation":
+        """Predict time/power from :meth:`stage_sums` rows."""
+        # int64 -> float64 rounds once; the power-of-two scaling is exact.
+        time_us, aicore_j, soc_j, volts_time = np.ldexp(
+            sums, self._unscale
+        ).T
         # Chip-level thermal closure (Sect. 5.4.2): the base average powers
         # gain a leakage term at the equilibrium temperature rise.  With
         # AT = k * P_soc this solves in closed form per individual.
@@ -303,6 +353,13 @@ class StrategyScorer:
             delta_celsius=delta,
         )
 
+    def evaluate(self, population: np.ndarray) -> "PopulationEvaluation":
+        """Predict time/power for a population of gene vectors.
+
+        See :meth:`stage_sums` for the accepted populations and errors.
+        """
+        return self._evaluate_sums(self.stage_sums(population))
+
     def score_evaluation(
         self, evaluation: "PopulationEvaluation"
     ) -> np.ndarray:
@@ -318,22 +375,29 @@ class StrategyScorer:
         meets = evaluation.time_us <= self.time_lower_bound_us
         return np.where(meets, 2.0 * base_score, base_score)
 
+    def score_sums(self, sums: np.ndarray) -> np.ndarray:
+        """Eq. (17) scores from :meth:`stage_sums` rows.
+
+        Any ``(individuals, 4)`` int64 rows that equal some genes'
+        :meth:`stage_sums` score bit for bit as those genes do: the GA
+        passes a parent's sums plus a child's :attr:`cells` differences.
+        """
+        return self.score_evaluation(self._evaluate_sums(sums))
+
     def score(self, population: np.ndarray) -> np.ndarray:
         """Eq. (17) scores for a population (higher is better)."""
-        return self.score_evaluation(self.evaluate(population))
+        return self.score_sums(self.stage_sums(population))
 
     def breakdown(self, genes: Sequence[int]) -> ScoreBreakdown:
         """Full model-predicted outcome of a single strategy."""
-        population = np.asarray(genes, dtype=int)[None, :]
-        evaluation = self.evaluate(population)
-        score = float(self.score(population)[0])
+        evaluation = self.evaluate(np.asarray(genes, dtype=int)[None, :])
         time_us = float(evaluation.time_us[0])
         return ScoreBreakdown(
             time_us=time_us,
             aicore_watts=float(evaluation.aicore_watts[0]),
             soc_watts=float(evaluation.soc_watts[0]),
             delta_celsius=float(evaluation.delta_celsius[0]),
-            score=score,
+            score=float(self.score_evaluation(evaluation)[0]),
             meets_target=time_us <= self.time_lower_bound_us,
         )
 

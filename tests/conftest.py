@@ -133,8 +133,8 @@ class RowCountingScorer:
     """A strategy scorer that counts the rows it is asked to score.
 
     Delegates every attribute to the wrapped scorer, so ``run_search``
-    sees the same grid and scores; ``rows`` is the number of individuals
-    that reached ``score``.
+    sees the same grid, tables and scores; ``rows`` is the number of
+    individuals that reached ``score`` or ``score_sums``.
     """
 
     def __init__(self, scorer) -> None:
@@ -147,6 +147,10 @@ class RowCountingScorer:
     def score(self, population):
         self.rows += len(population)
         return self._scorer.score(population)
+
+    def score_sums(self, sums):
+        self.rows += len(sums)
+        return self._scorer.score_sums(sums)
 
 
 def evaluation_ceiling(config, generations: int) -> int:

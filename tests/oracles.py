@@ -10,12 +10,17 @@ so the equivalence tests can compare the array form bit for bit:
   a per-stage loop over the duration/power matrices (the scorer now
   evaluates each distinct operator name once and gathers);
 * :func:`four_gather_evaluate` — ``StrategyScorer.evaluate`` as four 2-D
-  fancy gathers plus the ``volts[genes] * time`` product (the scorer now
-  does one stacked ``np.take``);
+  fancy gathers of the float tables plus the ``volts[genes] * time``
+  product, summed in floating point (the scorer now sums its quantised
+  integer table; within 1e-12 relative);
+* :func:`exact_sum_evaluate` — ``StrategyScorer.evaluate`` with each
+  stage sum of the quantised cells taken in Python's arbitrary-precision
+  integers (the scorer's int64 sums, bit for bit);
 * :func:`full_rescore_search` — ``run_search`` scoring every child of
   every generation on an int64 population stacked with ``vstack`` (the
   GA now scores only the children whose genes differ from their parent
-  A, on a narrow double-buffered population);
+  A, as A's exact stage sums plus the changed cells, on a narrow
+  double-buffered population);
 * :func:`row_crossover_search` — ``run_search`` with the crossover as a
   gather/mask/scatter over the crossing rows (the GA now does one masked
   ``np.copyto``);
@@ -61,6 +66,7 @@ package, :mod:`tests.reference`.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -145,19 +151,14 @@ class PerStageScorer(StrategyScorer):
             self._add_stage_idle(j, stage, idle_ai, idle_soc)
 
 
-def four_gather_evaluate(
-    scorer: StrategyScorer, population: np.ndarray
+def _thermal_closure(
+    scorer: StrategyScorer,
+    time_us: np.ndarray,
+    aicore_j: np.ndarray,
+    soc_j: np.ndarray,
+    volts_time: np.ndarray,
 ) -> PopulationEvaluation:
-    """``StrategyScorer.evaluate`` as one fancy gather per table."""
-    genes = np.asarray(population)
-    rows = np.arange(scorer.stage_count)[None, :]
-    stage_time = scorer._stage_time
-    time_us = stage_time[rows, genes].sum(axis=1)
-    aicore_j = scorer._stage_aicore_energy[rows, genes].sum(axis=1)
-    soc_j = scorer._stage_soc_energy[rows, genes].sum(axis=1)
-    volts_avg = (
-        scorer._volts[genes] * stage_time[rows, genes]
-    ).sum(axis=1) / time_us
+    volts_avg = volts_time / time_us
     soc_base = soc_j / time_us
     loop_gain = scorer._k * scorer._gamma_soc * volts_avg
     soc_watts = soc_base / np.maximum(1e-9, 1.0 - loop_gain)
@@ -171,6 +172,52 @@ def four_gather_evaluate(
         soc_watts=soc_watts,
         delta_celsius=delta,
     )
+
+
+def four_gather_evaluate(
+    scorer: StrategyScorer, population: np.ndarray
+) -> PopulationEvaluation:
+    """``StrategyScorer.evaluate`` as one fancy gather per float table."""
+    genes = np.asarray(population)
+    rows = np.arange(scorer.stage_count)[None, :]
+    stage_time = scorer._stage_time
+    time_us = stage_time[rows, genes].sum(axis=1)
+    return _thermal_closure(
+        scorer,
+        time_us,
+        scorer._stage_aicore_energy[rows, genes].sum(axis=1),
+        scorer._stage_soc_energy[rows, genes].sum(axis=1),
+        (scorer._volts[genes] * stage_time[rows, genes]).sum(axis=1),
+    )
+
+
+def exact_sums(scorer: StrategyScorer, population) -> list[list[int]]:
+    """Each individual's four stage sums of the quantised cells, as ints."""
+    n_freqs = scorer.frequency_count
+    cells = scorer.cells.tolist()
+    return [
+        [
+            sum(column)
+            for column in zip(
+                *(cells[s * n_freqs + g] for s, g in enumerate(row))
+            )
+        ]
+        for row in np.asarray(population).tolist()
+    ]
+
+
+def exact_sum_evaluate(
+    scorer: StrategyScorer, population: np.ndarray
+) -> PopulationEvaluation:
+    """``StrategyScorer.evaluate`` from arbitrary-precision stage sums."""
+    unscale = [int(k) for k in scorer._unscale]
+    columns = np.array(
+        [
+            [math.ldexp(float(total), k) for total, k in zip(row, unscale)]
+            for row in exact_sums(scorer, population)
+        ]
+    ).reshape(-1, 4)
+    return _thermal_closure(scorer, *columns.T)
 
 
 def full_rescore_search(

@@ -1,5 +1,7 @@
 """Focused tests for GA internals and the model-free scorer."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -228,3 +230,24 @@ class TestEvaluationAccounting:
         # Every child is a copy of its parent A: only the initial
         # population reaches the scorer.
         assert result.evaluations == counting.rows == ga.population_size
+
+
+class TestPatience:
+    def test_patience_truncates_the_full_search(self, gpt3):
+        """Patience ends the search early; it does not stop at the end.
+
+        The RNG stream is the same with and without it, so a patient
+        search's history is a prefix of the full one and its best score
+        can only be lower or equal.
+        """
+        config, candidates, scorer = gpt3
+        freqs = config.npu.frequencies.points
+        for seed in (0, 1, 2):
+            ga = GaConfig(population_size=48, iterations=200, seed=seed)
+            full = run_search(scorer, candidates.stages, freqs, ga)
+            patient = run_search(
+                scorer, candidates.stages, freqs, replace(ga, patience=6)
+            )
+            assert patient.generations < full.generations
+            assert patient.history == full.history[: len(patient.history)]
+            assert patient.best_score <= full.best_score

@@ -39,6 +39,8 @@ from repro.workloads import generate
 from tests.conftest import RowCountingScorer, evaluation_ceiling
 from tests.oracles import (
     PerStageScorer,
+    exact_sum_evaluate,
+    exact_sums,
     four_gather_evaluate,
     full_rescore_search,
     row_crossover_search,
@@ -342,8 +344,28 @@ def _assert_evaluations_bitwise(got, want) -> None:
         )
 
 
+def _assert_evaluations_close(got, want, rel: float) -> None:
+    for name in ("time_us", "aicore_watts", "soc_watts", "delta_celsius"):
+        np.testing.assert_allclose(
+            getattr(got, name), getattr(want, name), rtol=rel, atol=0.0,
+            err_msg=name,
+        )
+
+
+def _assert_exact_sums(scorer, population, got=None) -> None:
+    """``evaluate`` is the exact-sum oracle bit for bit, the float one
+    within 1e-12 relative."""
+    got = scorer.evaluate(population) if got is None else got
+    _assert_evaluations_bitwise(got, exact_sum_evaluate(scorer, population))
+    _assert_evaluations_close(
+        got, four_gather_evaluate(scorer, population), 1e-12
+    )
+
+
 class TestStackedScorer:
-    """One stacked ``np.take`` equals the four per-table gathers."""
+    """The integer stage sums are exact: bitwise the arbitrary-precision
+    sums of the quantised cells, and within 1e-12 relative of the four
+    float per-table gathers."""
 
     def test_random_populations_bitwise(self, pipeline):
         scorer = _scorer(pipeline)
@@ -352,10 +374,7 @@ class TestStackedScorer:
         rng = np.random.default_rng(7)
         for size in (1, 5, 64, 198):
             population = rng.integers(0, n_freqs, size=(size, n_stages))
-            _assert_evaluations_bitwise(
-                scorer.evaluate(population),
-                four_gather_evaluate(scorer, population),
-            )
+            _assert_exact_sums(scorer, population)
 
     def test_duplicates_and_extremes_bitwise(self, pipeline):
         scorer = _scorer(pipeline)
@@ -373,9 +392,7 @@ class TestStackedScorer:
             ]
         )
         got = scorer.evaluate(population)
-        _assert_evaluations_bitwise(
-            got, four_gather_evaluate(scorer, population)
-        )
+        _assert_exact_sums(scorer, population, got)
         assert got.time_us[1] == got.time_us[2]
         assert float(got.time_us[0]) == scorer.baseline_time_us
 
@@ -385,10 +402,7 @@ class TestStackedScorer:
         population = rng.integers(
             0, scorer.frequency_count, size=(16, scorer.stage_count)
         ).astype(np.int32)
-        _assert_evaluations_bitwise(
-            scorer.evaluate(population),
-            four_gather_evaluate(scorer, population),
-        )
+        _assert_exact_sums(scorer, population)
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
     def test_unsigned_genes_bitwise(self, pipeline, dtype):
@@ -398,9 +412,8 @@ class TestStackedScorer:
         population = rng.integers(
             0, scorer.frequency_count, size=(16, scorer.stage_count)
         )
-        _assert_evaluations_bitwise(
-            scorer.evaluate(population.astype(dtype)),
-            four_gather_evaluate(scorer, population),
+        _assert_exact_sums(
+            scorer, population, scorer.evaluate(population.astype(dtype))
         )
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.bool_])
@@ -419,6 +432,129 @@ class TestStackedScorer:
         population[1, 0] = bad
         with pytest.raises(StrategyError, match="genes must lie in"):
             scorer.evaluate(population)
+
+
+class _WideRangeScorer(StrategyScorer):
+    """Stage magnitudes log-spaced over 1e-12 ... 1e12, shuffled.
+
+    Within a stage the grid points differ by less than 2x, as real stage
+    times and energies do.
+    """
+
+    def _build_tables(self, *args) -> None:
+        rng = np.random.default_rng(5)
+        n_stages, n_freqs = self._stage_time.shape
+        for table in (
+            self._stage_time,
+            self._stage_aicore_energy,
+            self._stage_soc_energy,
+        ):
+            magnitude = rng.permutation(np.logspace(-12, 12, n_stages))
+            table[:] = magnitude[:, None] * (1.0 + rng.random(n_freqs))
+
+
+class _NanDurationModel:
+    """A performance model that predicts NaN for one operator name."""
+
+    def __init__(self, model, name: str) -> None:
+        self._model = model
+        self._name = name
+
+    def duration_matrix(self, names, freqs_mhz):
+        matrix = self._model.duration_matrix(names, freqs_mhz)
+        matrix[[i for i, name in enumerate(names) if name == self._name]] = (
+            np.nan
+        )
+        return matrix
+
+
+class TestExactStageSums:
+    """The quantised table sums exactly, in any order, without overflow."""
+
+    def test_evaluate_matches_exact_sums(self, model_search):
+        scorer, _, _ = model_search
+        rng = np.random.default_rng(23)
+        population = rng.integers(
+            0, scorer.frequency_count, size=(64, scorer.stage_count)
+        ).astype(np.uint8)
+        assert scorer.stage_sums(population).tolist() == exact_sums(
+            scorer, population
+        )
+        _assert_exact_sums(scorer, population)
+
+    def test_worst_case_rows_do_not_overflow(self, model_search):
+        scorer, _, _ = model_search
+        n_stages = scorer.stage_count
+        cells = scorer.cells.reshape(n_stages, scorer.frequency_count, 4)
+        stage = np.arange(n_stages)
+        for quantity in range(4):
+            magnitude = np.abs(cells[:, :, quantity])
+            assert sum(magnitude.max(axis=1).tolist()) <= 2**61
+            largest = magnitude.argmax(axis=1)
+            smallest = magnitude.argmin(axis=1)
+            population = np.stack([largest, smallest])
+            want = exact_sums(scorer, population)
+            got = scorer.stage_sums(population)
+            assert got.tolist() == want
+            # A child moving every gene from its parent's largest cell to
+            # the smallest, scored the GA's way: parent sums plus deltas.
+            deltas = cells[stage, smallest] - cells[stage, largest]
+            assert (got[0] + deltas.sum(axis=0)).tolist() == want[1]
+
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_permuting_stages_keeps_sums(self, pipeline, data):
+        trace, config, bundle, models, candidates = pipeline
+        scorer = _scorer(pipeline)
+        n_stages = scorer.stage_count
+        order = data.draw(st.permutations(range(n_stages)))
+        permuted = _scorer(
+            (
+                trace,
+                config,
+                bundle,
+                models,
+                replace(
+                    candidates,
+                    stages=tuple(candidates.stages[i] for i in order),
+                ),
+            )
+        )
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        population = np.random.default_rng(seed).integers(
+            0, scorer.frequency_count, size=(8, n_stages)
+        )
+        assert np.array_equal(permuted._unscale, scorer._unscale)
+        got = permuted.stage_sums(population[:, order])
+        assert got.tobytes() == scorer.stage_sums(population).tobytes()
+
+    def test_wide_range_tables_stay_close(self, pipeline):
+        scorer = _scorer(pipeline, _WideRangeScorer)
+        time_span = scorer._stage_time.max() / scorer._stage_time.min()
+        assert time_span > 1e23
+        rng = np.random.default_rng(29)
+        population = rng.integers(
+            0, scorer.frequency_count, size=(64, scorer.stage_count)
+        )
+        _assert_exact_sums(scorer, population)
+
+    def test_non_finite_table_raises(self, pipeline):
+        trace, config, _, models, candidates = pipeline
+        stage = candidates.stages[len(candidates.stages) // 2]
+        name = trace.entries[stage.op_indices[0]].spec.name
+        first = next(
+            s
+            for s in candidates.stages
+            if any(trace.entries[i].spec.name == name for i in s.op_indices)
+        )
+        with pytest.raises(StrategyError, match=f"stage {first.index} "):
+            StrategyScorer(
+                trace=trace,
+                stages=candidates.stages,
+                perf_model=_NanDurationModel(models.performance, name),
+                power_table=models.power,
+                freqs_mhz=config.npu.frequencies.points,
+            )
 
 
 #: GA settings the search equivalence tests sweep, on a 32 x 30 search.
