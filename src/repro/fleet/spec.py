@@ -14,6 +14,14 @@ draw.  :class:`FleetSpec` combines them with a rack-structured
 :class:`~repro.fleet.churn.ChurnConfig` dynamics.  A single ring is a
 spec whose one rack holds every device.
 
+Speed binning is literal: a die's clamped speed draw is rounded to the
+nearest of a fixed set of bins, ``scale = 1 + k * SPEED_BIN_WIDTH``, the
+way dies leave wafer sort in a few discrete speed grades.  Boards of one
+bin share every per-frequency solution, so the fleet compiles once per
+speed class (:mod:`repro.fleet.simulator`), and a degraded board is a
+class of its own through its combined duration scale.  The board
+ambient stays a continuous draw.
+
 Capacity is provisioned up front: profiles are drawn for
 ``n_devices + churn.max_joins`` boards so later joins activate
 pre-drawn spares without re-rolling anyone.  Profiles come from the
@@ -22,13 +30,17 @@ repo's standard seeded-stream plumbing
 with a *fixed number of draws per board* — two (speed, ambient), in
 device order — so profile ``i`` depends only on ``(seed, i)`` and stays
 stable under any later extension of the drawing code, the same
-discipline :mod:`repro.npu.faults` uses.
+discipline :mod:`repro.npu.faults` uses.  All draws are one
+``standard_normal(2 * capacity)`` call, which a NumPy generator
+fills with the same stream as ``2 * capacity`` scalar draws.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+
+import numpy as np
 
 from repro.analysis.rng import RngFactory
 from repro.errors import ConfigurationError
@@ -41,6 +53,17 @@ from repro.npu.spec import NpuSpec, default_npu_spec
 #: every draw, so renaming it would re-roll every board's profile.
 VARIATION_STREAM = "cluster-variation"
 
+#: Width of one speed bin, as a fraction of the nominal duration scale.
+#: Rounding to the nearest bin moves a die by at most half a bin, 0.25%,
+#: which is half the fleet's barrier-overrun tolerance
+#: (:data:`repro.fleet.simulator.BARRIER_OVERRUN_TOLERANCE`, 0.5%) and a
+#: quarter of the profiler's 1% per-operator duration jitter
+#: (:attr:`repro.npu.spec.NoiseSpec.duration_sigma`): a plan made for a
+#: die's bin never reads as late against its unrounded speed, and no
+#: profiled operator could tell the two apart.  The default +-10% clamp
+#: holds 41 bins.
+SPEED_BIN_WIDTH = 0.005
+
 
 @dataclass(frozen=True)
 class DeviceVariation:
@@ -48,9 +71,11 @@ class DeviceVariation:
 
     Attributes:
         speed_sigma: relative sigma of the operator-duration scale
-            (speed binning); 0.03 spreads dies a few percent.
+            before binning; 0.03 spreads dies a few percent.
         max_speed_spread: clamp on the duration scale, as a fraction
-            around 1.0 (0.10 keeps every die within +-10%).
+            around 1.0 (0.10 keeps every die within +-10%); the clamped
+            draw is then rounded to a :data:`SPEED_BIN_WIDTH` bin, which
+            may sit up to half a bin past a clamp that is not a bin edge.
         ambient_sigma_celsius: sigma of the per-board ambient offset
             (rack thermal gradient).
         max_ambient_spread_celsius: clamp on the ambient offset.
@@ -120,8 +145,8 @@ class DeviceProfile:
 
     Attributes:
         device_id: position in the fleet (also the ring order).
-        duration_scale: operator-duration multiplier from speed binning
-            (1.0 nominal, > 1 slower).
+        duration_scale: operator-duration multiplier of the die's speed
+            bin, ``1 + k * SPEED_BIN_WIDTH`` (1.0 nominal, > 1 slower).
         ambient_offset_celsius: board ambient relative to the fleet's
             nominal ambient.
         extra_duration_scale: explicit degradation multiplier from a
@@ -216,29 +241,32 @@ class FleetSpec:
     @cached_property
     def _profiles(self) -> tuple[DeviceProfile, ...]:
         rng = RngFactory(self.seed).generator(VARIATION_STREAM)
-        by_id = {override.device_id: override for override in self.overrides}
         variation = self.variation
+        # Row i holds board i's (speed, ambient) draws.
+        draws = rng.standard_normal(2 * self.capacity).reshape(-1, 2)
         spread = variation.max_speed_spread
+        scale = 1.0 + variation.speed_sigma * draws[:, 0]
+        np.clip(scale, 1.0 - spread, 1.0 + spread, out=scale)
+        bins = np.rint((scale - 1.0) / SPEED_BIN_WIDTH)
+        scale = 1.0 + bins * SPEED_BIN_WIDTH
         cap = variation.max_ambient_spread_celsius
-        profiles: list[DeviceProfile] = []
-        for device_id in range(self.capacity):
-            speed_draw = float(rng.standard_normal())
-            ambient_draw = float(rng.standard_normal())
-            scale = 1.0 + variation.speed_sigma * speed_draw
-            scale = min(1.0 + spread, max(1.0 - spread, scale))
-            ambient = variation.ambient_sigma_celsius * ambient_draw
-            ambient = min(cap, max(-cap, ambient))
-            override = by_id.get(device_id)
-            profiles.append(
-                DeviceProfile(
-                    device_id=device_id,
-                    duration_scale=scale,
-                    ambient_offset_celsius=ambient,
-                    extra_duration_scale=(
-                        override.extra_duration_scale if override else 1.0
-                    ),
-                    override_reason=override.reason if override else "",
-                )
+        ambient = variation.ambient_sigma_celsius * draws[:, 1]
+        np.clip(ambient, -cap, cap, out=ambient)
+        profiles = [
+            DeviceProfile(
+                device_id=device_id,
+                duration_scale=speed,
+                ambient_offset_celsius=offset,
+            )
+            for device_id, (speed, offset) in enumerate(
+                zip(scale.tolist(), ambient.tolist())
+            )
+        ]
+        for override in self.overrides:
+            profiles[override.device_id] = replace(
+                profiles[override.device_id],
+                extra_duration_scale=override.extra_duration_scale,
+                override_reason=override.reason,
             )
         return tuple(profiles)
 

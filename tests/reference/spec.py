@@ -5,7 +5,10 @@
 :meth:`~ClusterSpec.device_profiles` is kept as the draw oracle for
 :meth:`repro.fleet.spec.FleetSpec.device_profiles`: two standard-normal
 draws per device from :data:`~repro.fleet.spec.VARIATION_STREAM`, in
-device order, so profile ``i`` depends only on ``(seed, i)``.
+device order, so profile ``i`` depends only on ``(seed, i)``, with the
+clamped speed draw rounded to the nearest
+:data:`~repro.fleet.spec.SPEED_BIN_WIDTH` bin.  It draws one scalar at a
+time, the fleet one array for the whole capacity.
 
 :func:`cluster_spec_of` and :func:`fleet_spec_of` map between the two
 descriptions: a churn-free one-rack fleet and the cluster over its
@@ -19,6 +22,7 @@ from dataclasses import dataclass, field, replace
 from repro.analysis.rng import RngFactory
 from repro.errors import ConfigurationError
 from repro.fleet.spec import (
+    SPEED_BIN_WIDTH,
     VARIATION_STREAM,
     DeviceOverride,
     DeviceProfile,
@@ -89,7 +93,8 @@ class ClusterSpec:
         Each device consumes exactly two draws (speed, ambient) from the
         :data:`VARIATION_STREAM` generator, in device order, so profile
         ``i`` depends only on ``(seed, i)`` — growing the cluster appends
-        devices without re-rolling the existing ones.
+        devices without re-rolling the existing ones.  The clamped speed
+        draw is rounded to its speed bin.
         """
         rng = RngFactory(self.seed).generator(VARIATION_STREAM)
         by_id = {override.device_id: override for override in self.overrides}
@@ -100,6 +105,8 @@ class ClusterSpec:
             spread = self.variation.max_speed_spread
             scale = 1.0 + self.variation.speed_sigma * speed_draw
             scale = min(1.0 + spread, max(1.0 - spread, scale))
+            speed_bin = round((scale - 1.0) / SPEED_BIN_WIDTH)
+            scale = 1.0 + speed_bin * SPEED_BIN_WIDTH
             ambient = self.variation.ambient_sigma_celsius * ambient_draw
             cap = self.variation.max_ambient_spread_celsius
             ambient = min(cap, max(-cap, ambient))

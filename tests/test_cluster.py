@@ -380,18 +380,18 @@ class TestDeterminismAndCaching:
         )
         assert keys.config_hash == config_hash(spec, active)
 
-    #: Per-device fleet fingerprint digests, recorded before the cluster
-    #: description folded into ``FleetSpec``: sha256 over the
+    #: Per-device fleet fingerprint digests over binned speed profiles
+    #: (the config hash covers the bin width): sha256 over the
     #: concatenated per-device fingerprints of every active device.
     PINNED_FINGERPRINTS = {
         "8 devices, seed 0": (
-            "a525c20e38ff5ffb2e648785b8f90e230cb149d677db072f096976802ffb4026"
+            "bbc56101a89b87f42b7b89c7d0432711e4e27186154a8d52c38f2f67f8b33140"
         ),
         "4 devices, seed 7, device 1 degraded": (
-            "0055042ddc07cd39806f47c524c319c5f2470c406b5fba09e423339b08f87a4e"
+            "9815b52aacfa44a9c93231b3c7e259b7b008ad4d5228c80e71569d05faba9c31"
         ),
         "6 devices, seed 3, 2 spares": (
-            "ae7329577c1a8a12e42fd863fe249835d828e63b5cc4d3537fa9053f9e4c8a5a"
+            "cc35f37336cec51411b8fb259fab3af123ba188b9273635d7a9814425cc92502"
         ),
     }
 

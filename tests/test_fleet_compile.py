@@ -1,11 +1,13 @@
-"""The fleet's cold compile: in-place batched kernels and lazy row solves.
+"""The fleet's cold compile: in-place batched kernels, one row per class.
 
 ``npu.engine.batched_const_solutions`` and ``batched_const_durations``
 write their block-sized temporaries into reused buffers; the allocating
 forms they replaced live in :mod:`tests.oracles` and every case here is
-compared with them byte for byte.  ``FleetSimulator`` solves its
-coefficient stack one (grid point, board) row at a time, only for the
-rows a step gathers; those rows must be the same bits as a full solve.
+compared with them byte for byte.  ``FleetSimulator`` solves one row per
+speed class (distinct duration scale), a grid point at a time on first
+use, and gathers per board; the rows reaching the kernels are counted,
+and the gathered coefficients must be the same bits as a per-board
+solve.
 """
 
 import dataclasses
@@ -19,10 +21,11 @@ from repro.fleet import (
     FleetSimulator,
     FleetSpec,
     auto_retarget,
+    optimal_fleet_plan,
     reclaim_fleet_slack,
 )
 from repro.fleet.simulator import _DEVICE_COEFFICIENTS
-from repro.fleet.spec import DeviceVariation
+from repro.fleet.spec import SPEED_BIN_WIDTH, DeviceVariation
 from repro.npu import engine
 from repro.npu.engine import (
     CompiledTrace,
@@ -176,31 +179,22 @@ def stepped_fleet(trace, spec):
 
 
 def assert_solved_means_written(sim):
-    written = ~np.isnan(sim._coef).any(axis=1)
-    untouched = np.isnan(sim._coef).all(axis=1)
+    written = ~np.isnan(sim._coef).any(axis=(1, 2))
+    untouched = np.isnan(sim._coef).all(axis=(1, 2))
     assert np.array_equal(written, sim._solved)
     assert np.array_equal(untouched, ~sim._solved)
 
 
 class TestLazyRows:
-    def test_steps_solve_only_the_rows_they_gather(self, tiny_trace):
+    """Each grid point is solved once, for every speed class, on first use."""
+
+    def test_steps_solve_only_the_points_they_gather(self, tiny_trace):
         spec = churned(64, 3)
         sim, plan = stepped_fleet(tiny_trace, spec)
         act = sim.active_ids
-        spares = np.arange(spec.n_devices, spec.capacity)
         used = set(plan.freq_index[act].tolist()) | {len(GRID) - 1}
         assert len(used) < len(GRID)
-        for j in range(len(GRID)):
-            if j not in used:
-                assert not sim._solved[j].any()
-            assert not sim._solved[j, spares].any()
-        top = sim._solved[-1]
-        assert top[act].all()
-        for j in used - {len(GRID) - 1}:
-            assert np.array_equal(
-                np.flatnonzero(sim._solved[j]),
-                act[plan.freq_index[act] == j],
-            )
+        assert np.flatnonzero(sim._solved).tolist() == sorted(used)
         assert_solved_means_written(sim)
 
     def test_later_solution_equals_a_fresh_one(self, tiny_trace):
@@ -217,23 +211,25 @@ class TestLazyRows:
         assert sim._solved.all()
         assert_solved_means_written(sim)
 
-    def test_churn_join_solves_the_spare_row(self, tiny_trace):
+    def test_churn_join_reuses_its_class_row(self, tiny_trace, monkeypatch):
+        """A spare joins on the baseline point its class already has."""
         spec = churned(64, 3)
         sim, plan = stepped_fleet(tiny_trace, spec)
         spare = spec.n_devices
-        assert not sim._solved[:, spare].any()
         for step in range(1, 40):
             events = sim.advance_churn(step)
             if any(e.kind == "join" and e.device_id == spare for e in events):
                 break
         else:
             pytest.fail("no join within 40 steps")
-        sim.step(plan, plan.target_compute_us)
+        calls = []
+        monkeypatch.setattr(
+            sim, "_solve", lambda *args: calls.append(args)
+        )
         # The plan does not cover the spare: it runs the baseline point.
-        assert sim._solved[:, spare].tolist() == [False] * (len(GRID) - 1) + [True]
-        replanned = reclaim_fleet_slack(sim)
-        sim.step(replanned, replanned.target_compute_us)
-        assert sim._solved[replanned.freq_index[spare], spare]
+        result = sim.step(plan, plan.target_compute_us)
+        assert calls == []
+        assert spare in result.device_ids
         assert_solved_means_written(sim)
 
     def test_warm_epoch_solves_nothing(self, tiny_trace, monkeypatch):
@@ -245,6 +241,82 @@ class TestLazyRows:
         # An equal but distinct plan misses the epoch cache.
         sim.step(dataclasses.replace(plan), plan.target_compute_us)
         assert calls == []
+
+
+class CountingKernels:
+    """Counts the board rows the fleet hands to the batched kernels."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.rows = {"solutions": 0, "durations": 0}
+        module = "repro.fleet.simulator"
+        monkeypatch.setattr(
+            f"{module}.batched_const_solutions", self._solutions
+        )
+        monkeypatch.setattr(
+            f"{module}.batched_const_durations", self._durations
+        )
+
+    def _solutions(self, compiled, freq, scales, k, tau):
+        self.rows["solutions"] += np.size(scales)
+        return batched_const_solutions(compiled, freq, scales, k, tau)
+
+    def _durations(self, compiled, freq, scales):
+        self.rows["durations"] += np.size(scales)
+        return batched_const_durations(compiled, freq, scales)
+
+
+def degraded_churned(n_devices: int, seed: int) -> FleetSpec:
+    return churned(n_devices, seed).with_degraded_device(5, 1.3)
+
+
+class TestCompileWork:
+    """Compile work grows with the speed classes, not with the boards."""
+
+    @pytest.mark.parametrize("n_devices", (1000, 10_000))
+    def test_rows_at_most_classes_times_grid(
+        self, tiny_trace, monkeypatch, n_devices
+    ):
+        kernels = CountingKernels(monkeypatch)
+        spec = degraded_churned(n_devices, 4)
+        sim = FleetSimulator(spec, tiny_trace)
+        classes = sim.class_scales.size
+        spread = spec.variation.max_speed_spread
+        # Every bin of the clamp, plus the degraded board.
+        assert classes <= round(2 * spread / SPEED_BIN_WIDTH) + 2
+        sim.step()
+        plan = reclaim_fleet_slack(sim)
+        sim.run_steps(plan, 20, plan.target_compute_us, replan=auto_retarget())
+        optimal_fleet_plan(sim)
+        bound = classes * len(GRID)
+        assert 0 < kernels.rows["solutions"] <= bound
+        assert kernels.rows["durations"] == bound
+
+    def test_a_degraded_board_is_its_own_class(self, tiny_trace):
+        spec = degraded_churned(64, 4)
+        sim = FleetSimulator(spec, tiny_trace)
+        own = sim.board_class[5]
+        assert np.flatnonzero(sim.board_class == own).tolist() == [5]
+        degraded = spec.device_profiles()[5]
+        assert sim.class_scales[own] == degraded.total_duration_scale
+        healthy = np.delete(sim.duration_scales, 5)
+        speed_bins = np.rint((healthy - 1.0) / SPEED_BIN_WIDTH)
+        assert np.array_equal(healthy, 1.0 + speed_bins * SPEED_BIN_WIDTH)
+
+    def test_classes_equal_a_per_board_solve(self, tiny_trace):
+        sim = FleetSimulator(degraded_churned(1000, 4), tiny_trace)
+        scales = sim.duration_scales
+        assert sim.class_scales.size < scales.size
+        by_freq = np.ascontiguousarray(sim.duration_table().T)
+        for j, freq in enumerate(GRID):
+            batch = batched_const_solutions(sim.compiled, freq, scales, K, TAU)
+            got = sim.solution(freq)
+            for name in _DEVICE_COEFFICIENTS:
+                assert (
+                    getattr(got, name).tobytes()
+                    == getattr(batch, name).tobytes()
+                ), (freq, name)
+            durations = batched_const_durations(sim.compiled, freq, scales)
+            assert by_freq[j].tobytes() == durations.tobytes()
 
 
 def churn_run_digest(trace, n_devices: int, seed: int) -> str:
@@ -272,7 +344,7 @@ def churn_run_digest(trace, n_devices: int, seed: int) -> str:
 
 
 class TestPinnedChurnRun:
-    """Digests recorded with the allocating kernels and whole-point solves.
+    """Digests recorded with per-board solves over the binned profiles.
 
     A change to how the fleet compiles must leave every plan and every
     step array of these runs bit for bit as they were.
@@ -280,10 +352,10 @@ class TestPinnedChurnRun:
 
     PINNED = {
         (64, 3): (
-            "0079b49646882ae8228a4b020903f4f82bdc4f014829c93001c286a246b8d5b1"
+            "52824ac404bea30e22207ae0861f9015e3810fff24d5d0aade39612f6cc61e37"
         ),
         (1000, 7): (
-            "101de59f6ea0d0f2285fb673cdc230c128b7132b3d97e55ad0b7b525d95998ef"
+            "c4f5e118285ea28224b6d78a4107fb517ff5e1a30a152e916f9afba942ba5fe9"
         ),
     }
 
