@@ -630,17 +630,15 @@ class GuardedDvfsExecutor:
             # Changes legitimately land late on slow controllers; anchor
             # starts are not expected to match (Fig. 18 semantics).
             return
+        started = result.op_start_freq_mhz
         for op_index, freq in strategy.anchored_switches():
-            record = result.records[op_index]
-            if abs(record.start_freq_mhz - freq) > _FREQ_MATCH_TOLERANCE_MHZ:
+            ran = float(started[op_index])
+            if abs(ran - freq) > _FREQ_MATCH_TOLERANCE_MHZ:
                 self._log.record(
                     "anchor_mismatch",
-                    time_us=record.start_us,
+                    time_us=result.records[op_index].start_us,
                     op_index=op_index,
-                    detail=(
-                        f"planned {freq:.0f} MHz, ran at "
-                        f"{record.start_freq_mhz:.0f} MHz"
-                    ),
+                    detail=f"planned {freq:.0f} MHz, ran at {ran:.0f} MHz",
                 )
 
     def _throttled(
@@ -653,7 +651,7 @@ class GuardedDvfsExecutor:
         run at high ambient heats slowly (RC time constant of tens of
         seconds) but *will* reach equilibrium under sustained traffic.
         """
-        peak = max(chunk.celsius for chunk in result.chunks)
+        peak = result.peak_celsius
         equilibrium = device.npu.thermal.equilibrium_celsius(
             result.soc_avg_watts
         )

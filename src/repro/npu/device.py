@@ -20,7 +20,7 @@ Execution semantics:
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -96,6 +96,13 @@ class ExecutionResult:
     chunks: Sequence[PowerChunk]
     start_celsius: float
     end_celsius: float
+    #: Hottest chunk temperature (``start_celsius`` for a run without
+    #: chunks), taken by each producer from its own chunk storage.
+    peak_celsius: float = field(compare=False)
+    #: Each operator's start frequency, in trace order: the
+    #: ``start_freq_mhz`` column of :attr:`records`, without building
+    #: the records.
+    op_start_freq_mhz: np.ndarray = field(compare=False, repr=False)
 
     @property
     def aicore_avg_watts(self) -> float:
@@ -237,6 +244,12 @@ class NpuDevice:
             chunks=tuple(chunks),
             start_celsius=start_celsius,
             end_celsius=thermal.celsius,
+            peak_celsius=max(
+                (chunk.celsius for chunk in chunks), default=start_celsius
+            ),
+            op_start_freq_mhz=np.array(
+                [record.start_freq_mhz for record in records], dtype=float
+            ),
         )
 
     def run_stable(

@@ -58,7 +58,12 @@ so the equivalence tests can compare the array form bit for bit:
   brute-force :meth:`~FleetObjectiveScorer.enumerated_best` over every
   assignment and :meth:`~FleetObjectiveScorer.every_barrier_best`, the
   naive barrier enumeration (``fleet.dvfs.optimal_fleet_plan`` now
-  prunes the barriers it scores).
+  prunes the barriers it scores);
+* :class:`ObjectCheckGuard` — ``GuardedDvfsExecutor`` with its post-hoc
+  checks read through objects: the throttle peak as a ``max`` over every
+  ``PowerChunk`` and each anchor's start frequency from its
+  ``OperatorRecord`` (the guard now reads ``ExecutionResult.peak_celsius``
+  and the ``op_start_freq_mhz`` column).
 
 The looped multi-device reference is larger and lives in its own
 package, :mod:`tests.reference`.
@@ -73,6 +78,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.dvfs.ga import GaConfig, GaResult, _roulette_pick, initial_population
+from repro.dvfs.guard import _FREQ_MATCH_TOLERANCE_MHZ, GuardedDvfsExecutor
 from repro.dvfs.scoring import PopulationEvaluation, StrategyScorer
 from repro.errors import StrategyError
 from repro.fleet.simulator import FleetPlan, FleetStepResult, _affine, _read_only
@@ -785,3 +791,40 @@ class FleetObjectiveScorer:
             best = max(best, float(self.score(genes)[0]))
         return best
 
+
+
+class ObjectCheckGuard(GuardedDvfsExecutor):
+    """The guard with its post-hoc checks read through result objects."""
+
+    def _verify_anchors(self, result, strategy) -> None:
+        if self.device.npu.setfreq.extra_delay_us > 0:
+            return
+        for op_index, freq in strategy.anchored_switches():
+            record = result.records[op_index]
+            if abs(record.start_freq_mhz - freq) > _FREQ_MATCH_TOLERANCE_MHZ:
+                self._log.record(
+                    "anchor_mismatch",
+                    time_us=record.start_us,
+                    op_index=op_index,
+                    detail=(
+                        f"planned {freq:.0f} MHz, ran at "
+                        f"{record.start_freq_mhz:.0f} MHz"
+                    ),
+                )
+
+    def _throttled(self, device, result) -> bool:
+        peak = max(chunk.celsius for chunk in result.chunks)
+        equilibrium = device.npu.thermal.equilibrium_celsius(
+            result.soc_avg_watts
+        )
+        hottest = max(peak, equilibrium)
+        if hottest < self._config.throttle_celsius:
+            return False
+        self._log.record(
+            "throttle_detected",
+            detail=(
+                f"projected {hottest:.1f} C >= "
+                f"{self._config.throttle_celsius:.1f} C threshold"
+            ),
+        )
+        return True

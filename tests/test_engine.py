@@ -300,6 +300,31 @@ def test_fast_path_matches_reference_on_anchored_plans(trace, plan, celsius0):
     assert_results_equivalent(fast, ref)
 
 
+@given(
+    trace=traces(),
+    timeline=st.one_of(
+        st.sampled_from(GRID).map(FrequencyTimeline.constant),
+        switching_timelines(),
+        anchored_plans(),
+    ),
+    celsius0=st.floats(25.0, 95.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_peak_and_start_column_equal_the_objects(trace, timeline, celsius0):
+    """Each producer's peak and start column, bitwise its own objects."""
+    fast_dev, ref_dev = _fresh_pair()
+    fast = fast_dev.run(trace, timeline, initial_celsius=celsius0)
+    with reference_only():
+        ref = ref_dev.run(trace, timeline, initial_celsius=celsius0)
+    assert fast_dev.fast_path_runs == 1
+    for result in (fast, ref):
+        peak = max(chunk.celsius for chunk in result.chunks)
+        assert result.peak_celsius == peak
+        assert result.op_start_freq_mhz.tolist() == [
+            record.start_freq_mhz for record in result.records
+        ]
+
+
 @given(trace=traces(), freq=st.sampled_from(GRID))
 @settings(max_examples=40, deadline=None)
 def test_run_stable_and_iterations_match_reference(trace, freq):

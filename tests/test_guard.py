@@ -13,11 +13,13 @@ from repro.dvfs import (
 )
 from repro.dvfs.guard import Incident, IncidentLog
 from repro.errors import ConfigurationError, SetFreqTimeoutError
-from repro.npu import FaultConfig, FaultInjector
+from repro.npu import FaultConfig, FaultInjector, NpuDevice
+from repro.npu.engine import reference_only
 from repro.npu.faults import FaultyFrequencyPlan
 from repro.npu.setfreq import AnchoredFrequencyPlan, AnchoredSwitch
 from repro.workloads import build_trace
 from tests.conftest import make_compute_op
+from tests.oracles import ObjectCheckGuard
 
 
 def make_trace(n=8, name="w", core_cycles=300_000.0):
@@ -397,6 +399,84 @@ class TestGuardedExecutorFaulty:
             trace, strategy
         )
         assert a.incidents != b.incidents
+
+
+class TestPostHocChecksReadColumns:
+    """The throttle and anchor checks log what the object reads logged."""
+
+    THROTTLE = FaultConfig(ambient_step_rate=1.0, ambient_step_celsius=40.0)
+    DROPPED = FaultConfig(setfreq_drop_rate=1.0)
+
+    def _incidents(self, guard_type, device, fault, reference):
+        guard = guard_type(
+            DvfsExecutor(device),
+            config=fast_guard(),
+            injector=injector_for(fault),
+        )
+        if reference:
+            with reference_only():
+                outcome = guard.execute_with_baseline(
+                    make_trace(), make_strategy()
+                )
+        else:
+            outcome = guard.execute_with_baseline(
+                make_trace(), make_strategy()
+            )
+        return outcome.incidents
+
+    @pytest.mark.parametrize("reference", [False, True])
+    def test_throttle(self, npu_spec, reference):
+        device = NpuDevice(npu_spec)
+        got = self._incidents(
+            GuardedDvfsExecutor, device, self.THROTTLE, reference
+        )
+        assert "throttle_detected" in {i.kind for i in got}
+        # The attempt runs on a hotter copy of the device: the nominal
+        # one ran only the baseline, on the path under test.
+        assert (device.reference_runs > 0) == reference
+        assert (device.fast_path_runs > 0) != reference
+        assert got == self._incidents(
+            ObjectCheckGuard, NpuDevice(npu_spec), self.THROTTLE, reference
+        )
+
+    def test_anchor_mismatch_on_the_reference_loop(self, npu_spec):
+        """Dropped SetFreqs leave anchors at the baseline frequency."""
+        got = self._incidents(
+            GuardedDvfsExecutor, NpuDevice(npu_spec), self.DROPPED, False
+        )
+        assert "anchor_mismatch" in {i.kind for i in got}
+        assert got == self._incidents(
+            ObjectCheckGuard, NpuDevice(npu_spec), self.DROPPED, False
+        )
+
+    @pytest.mark.parametrize("reference", [False, True])
+    def test_anchor_mismatch_against_another_plan(self, npu_spec, reference):
+        """A healthy run checked against anchors it did not follow."""
+        device = NpuDevice(npu_spec)
+        trace = make_trace()
+        plan = DvfsExecutor(device).compile(make_strategy())
+        if reference:
+            with reference_only():
+                result = device.run(trace, plan)
+        else:
+            result = device.run(trace, plan)
+        assert (device.reference_runs == 1) == reference
+        other = DvfsStrategy(
+            "w",
+            0.5,
+            (
+                StagePlan(0.0, 400.0, 1800.0, StageKind.HFC, 0),
+                StagePlan(400.0, 600.0, 1200.0, StageKind.LFC, 3),
+                StagePlan(1000.0, 600.0, 1700.0, StageKind.HFC, 6),
+            ),
+        )
+        logs = []
+        for guard_type in (GuardedDvfsExecutor, ObjectCheckGuard):
+            guard = guard_type(DvfsExecutor(device))
+            guard._verify_anchors(result, other)
+            logs.append(guard.incidents)
+        assert [i.kind for i in logs[0]] == ["anchor_mismatch"] * 2
+        assert logs[0] == logs[1]
 
 
 class TestSlowControllerSemantics:

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.errors import ProfilingError
@@ -87,6 +88,8 @@ class TestChromeTrace:
             chunks=(),
             start_celsius=25.0,
             end_celsius=25.0,
+            peak_celsius=25.0,
+            op_start_freq_mhz=np.zeros(0),
         )
         with pytest.raises(ProfilingError):
             to_chrome_trace(empty)
