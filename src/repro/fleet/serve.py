@@ -48,12 +48,13 @@ def device_spec_hash(spec: FleetSpec, profile: DeviceProfile) -> str:
     here and in :func:`fleet_config_hash` are part of every stored key,
     so they keep their names.
     """
+    return _device_hash(spec_fingerprint(spec.npu), profile)
+
+
+def _device_hash(npu_hash: str, profile: DeviceProfile) -> str:
+    """:func:`device_spec_hash` given the nominal spec's own hash."""
     return payload_fingerprint(
-        "cluster_device",
-        {
-            "npu": spec_fingerprint(spec.npu),
-            "profile": profile,
-        },
+        "cluster_device", {"npu": npu_hash, "profile": profile}
     )
 
 
@@ -104,14 +105,16 @@ def fleet_device_fingerprints(
 ) -> FleetKeys:
     """The store keys for every active device's share of a reclaimed plan.
 
-    The trace and the fleet config are hashed once for the whole
-    membership, so keying N devices costs O(N), not O(N^2).
+    The trace, the fleet config and the nominal ``NpuSpec`` are hashed
+    once for the whole membership, so keying N devices costs one profile
+    hash each (O(N), not O(N^2)).
     """
     trace_hash = trace_fingerprint(trace)
     config_hash = fleet_config_hash(spec, active_ids, slack_margin)
+    npu_hash = spec_fingerprint(spec.npu)
     profiles = spec.device_profiles()
     spec_hashes = tuple(
-        device_spec_hash(spec, profiles[int(i)]) for i in active_ids
+        _device_hash(npu_hash, profiles[int(i)]) for i in active_ids
     )
     return FleetKeys(
         config_hash=config_hash,

@@ -419,19 +419,14 @@ class FleetSimulator:
         self._trace = trace
         self._evaluator = GroundTruthEvaluator(spec.npu)
         self._compiled = CompiledTrace(trace, self._evaluator)
-        profiles = spec.device_profiles()
-        self._profiles = profiles
-        base_ambient = spec.npu.thermal.ambient_celsius
-        self._scales = np.array(
-            [p.total_duration_scale for p in profiles]
-        )
+        self._scales = spec.duration_scales
         # Boards that share a scale share every per-frequency solution:
         # each distinct scale is solved once and gathered per board.
         self._class_scales, self._board_class = np.unique(
             self._scales, return_inverse=True
         )
-        self._ambient = np.array(
-            [base_ambient + p.ambient_offset_celsius for p in profiles]
+        self._ambient = (
+            spec.npu.thermal.ambient_celsius + spec.ambient_offsets_celsius
         )
         self._active = np.zeros(spec.capacity, dtype=bool)
         self._active[: spec.n_devices] = True

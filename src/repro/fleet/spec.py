@@ -232,14 +232,32 @@ class FleetSpec:
     def device_profiles(self) -> tuple[DeviceProfile, ...]:
         """Seeded draws for every provisioned board (spares included).
 
-        Drawn on the first call and returned from then on: the spec is
-        immutable, so the simulator, the store keys and the fleet
-        fingerprints all share one draw.
+        Built from :attr:`duration_scales`' draw on the first call and
+        returned from then on: the spec is immutable, so the store keys
+        and the fleet fingerprints all share one draw.  Array readers
+        (the simulator) read :attr:`duration_scales` and
+        :attr:`ambient_offsets_celsius` and never build the profiles.
         """
         return self._profiles
 
+    @property
+    def duration_scales(self) -> np.ndarray:
+        """Every board's combined operator-duration multiplier.
+
+        Read-only, in device order: the binned speed draw times any
+        override's ``extra_duration_scale``, the float each profile's
+        :attr:`DeviceProfile.total_duration_scale` returns.
+        """
+        return self._board_arrays[1]
+
+    @property
+    def ambient_offsets_celsius(self) -> np.ndarray:
+        """Every board's ambient offset from the nominal, read-only."""
+        return self._board_arrays[2]
+
     @cached_property
-    def _profiles(self) -> tuple[DeviceProfile, ...]:
+    def _board_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Binned speed scale, combined scale and ambient offset per board."""
         rng = RngFactory(self.seed).generator(VARIATION_STREAM)
         variation = self.variation
         # Row i holds board i's (speed, ambient) draws.
@@ -252,6 +270,16 @@ class FleetSpec:
         cap = variation.max_ambient_spread_celsius
         ambient = variation.ambient_sigma_celsius * draws[:, 1]
         np.clip(ambient, -cap, cap, out=ambient)
+        total = scale.copy()
+        for override in self.overrides:
+            total[override.device_id] *= override.extra_duration_scale
+        for array in (scale, total, ambient):
+            array.setflags(write=False)
+        return scale, total, ambient
+
+    @cached_property
+    def _profiles(self) -> tuple[DeviceProfile, ...]:
+        scale, _, ambient = self._board_arrays
         profiles = [
             DeviceProfile(
                 device_id=device_id,

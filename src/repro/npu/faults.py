@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import FaultInjectionError, TelemetryError
-from repro.npu.device import ExecutionResult, PowerChunk
+from repro.npu.device import ExecutionResult
 from repro.npu.profiler import CannStyleProfiler, ProfileReport
 from repro.npu.setfreq import (
     AnchoredFrequencyPlan,
@@ -49,11 +49,12 @@ from repro.npu.setfreq import (
     FrequencySwitch,
 )
 from repro.npu.spec import NpuSpec
-from repro.npu.telemetry import (
-    PowerMeasurement,
-    PowerSample,
-    PowerTelemetry,
-)
+from repro.npu.telemetry import PowerTelemetry
+
+#: Telemetry fault codes of :meth:`FaultInjector.telemetry_faults`, and
+#: the kind each code stands for (``None``: a healthy reading).
+DROPOUT, STUCK, SPIKE = 1, 2, 3
+TELEMETRY_FAULT_KINDS = (None, "dropout", "stuck", "spike")
 
 _RATE_FIELDS = (
     "setfreq_drop_rate",
@@ -315,18 +316,31 @@ class FaultInjector:
 
         Returns ``"dropout"``, ``"stuck"``, ``"spike"`` or None.
         """
+        return TELEMETRY_FAULT_KINDS[self.telemetry_faults((time_us,))[0]]
+
+    def telemetry_faults(
+        self, times_us: Sequence[float | None]
+    ) -> np.ndarray:
+        """Decide the fates of ``len(times_us)`` readings in one draw.
+
+        Each reading takes 3 draws, in reading order, so the stream and
+        the event log are those of one :meth:`telemetry_fault` call per
+        reading.  Returns one code per reading, an index into
+        :data:`TELEMETRY_FAULT_KINDS` (0 = healthy).
+        """
         cfg = self._config
-        draws = self._rng.random(3)
-        if draws[0] < cfg.telemetry_dropout_rate:
-            self.record("telemetry", "dropout", time_us)
-            return "dropout"
-        if draws[1] < cfg.telemetry_stuck_rate:
-            self.record("telemetry", "stuck", time_us)
-            return "stuck"
-        if draws[2] < cfg.telemetry_spike_rate:
-            self.record("telemetry", "spike", time_us)
-            return "spike"
-        return None
+        draws = self._rng.random(3 * len(times_us)).reshape(-1, 3)
+        codes = np.zeros(len(times_us), dtype=np.int8)
+        # Later writes win: a dropout pre-empts a stuck sensor, which
+        # pre-empts a spike, as in an if-chain over the three draws.
+        codes[draws[:, 2] < cfg.telemetry_spike_rate] = SPIKE
+        codes[draws[:, 1] < cfg.telemetry_stuck_rate] = STUCK
+        codes[draws[:, 0] < cfg.telemetry_dropout_rate] = DROPOUT
+        for i in np.flatnonzero(codes).tolist():
+            self.record(
+                "telemetry", TELEMETRY_FAULT_KINDS[codes[i]], times_us[i]
+            )
+        return codes
 
     def spike_factor(self) -> float:
         """Multiplicative factor of a transient telemetry spike."""
@@ -484,9 +498,11 @@ class FaultyPowerTelemetry(PowerTelemetry):
     """Power telemetry with injected sensor faults.
 
     Per-sample faults (dropout, stuck-at-last-value, spike) corrupt
-    :meth:`sample_chunks`; aggregate measurements and per-operator power
-    readings suffer transient spikes (a meter integrating over a window
-    averages dropouts away, but a spike biases the whole window).
+    :meth:`read_samples`; aggregate readings (:meth:`read_averages`) and
+    per-operator power readings suffer transient spikes (a meter
+    integrating over a window averages dropouts away, but a spike biases
+    the whole window).  The object-level methods and the calibration's
+    array replay both go through these reads.
     """
 
     def __init__(
@@ -507,52 +523,58 @@ class FaultyPowerTelemetry(PowerTelemetry):
         """The fault source this instrument draws from."""
         return self._injector
 
-    def sample_chunks(
-        self, chunks: Sequence[PowerChunk], interval_us: float = 1000.0
-    ) -> list[PowerSample]:
+    def read_samples(
+        self,
+        times_us: np.ndarray,
+        soc_watts: np.ndarray,
+        aicore_watts: np.ndarray,
+        celsius: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Sample with injected dropouts, stuck sensors, and spikes.
+
+        A dropped sample is removed, a spike scales a sample's power
+        readings, and a stuck sensor repeats the last kept sample's
+        readings (time still advances; the first kept sample has nothing
+        to repeat and reads normally).
 
         Raises:
             TelemetryError: if every sample of the window was dropped.
         """
-        samples = super().sample_chunks(chunks, interval_us)
-        kept: list[PowerSample] = []
-        last: PowerSample | None = None
-        for sample in samples:
-            fault = self._injector.telemetry_fault(sample.time_us)
-            if fault == "dropout":
-                continue
-            if fault == "stuck" and last is not None:
-                sample = PowerSample(
-                    time_us=sample.time_us,
-                    soc_watts=last.soc_watts,
-                    aicore_watts=last.aicore_watts,
-                    celsius=last.celsius,
-                )
-            elif fault == "spike":
-                factor = self._injector.spike_factor()
-                sample = replace(
-                    sample,
-                    soc_watts=sample.soc_watts * factor,
-                    aicore_watts=sample.aicore_watts * factor,
-                )
-            kept.append(sample)
-            last = sample
-        if not kept:
+        times_us, soc_watts, aicore_watts, celsius = super().read_samples(
+            times_us, soc_watts, aicore_watts, celsius
+        )
+        codes = self._injector.telemetry_faults(times_us.tolist())
+        kept = np.flatnonzero(codes != DROPOUT)
+        if not kept.size:
             raise TelemetryError(
                 "every telemetry sample of the window was dropped"
             )
-        return kept
+        spiked = codes == SPIKE
+        if spiked.any():
+            factor = self._injector.spike_factor()
+            soc_watts = np.where(spiked, soc_watts * factor, soc_watts)
+            aicore_watts = np.where(spiked, aicore_watts * factor, aicore_watts)
+        # Each kept sample reads from the latest kept sample that is not
+        # stuck (the first kept sample always reads from itself).
+        source = np.where(codes[kept] == STUCK, 0, np.arange(kept.size))
+        np.maximum.accumulate(source, out=source)
+        rows = kept[source]
+        return times_us[kept], soc_watts[rows], aicore_watts[rows], celsius[rows]
 
-    def measure(self, result: ExecutionResult) -> PowerMeasurement:
-        """Aggregate measurement, possibly hit by a transient spike."""
-        return self._spiked(super().measure(result))
-
-    def measure_chunks(
-        self, chunks: Sequence[PowerChunk]
-    ) -> PowerMeasurement:
-        """Aggregate chunk measurement, possibly hit by a spike."""
-        return self._spiked(super().measure_chunks(chunks))
+    def read_averages(
+        self, soc_watts: np.ndarray, aicore_watts: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Aggregate readings, each possibly hit by a transient spike."""
+        soc_watts, aicore_watts = super().read_averages(soc_watts, aicore_watts)
+        codes = self._injector.telemetry_faults((None,) * soc_watts.size)
+        spiked = codes == SPIKE
+        if not spiked.any():
+            return soc_watts, aicore_watts
+        factor = self._injector.spike_factor()
+        return (
+            np.where(spiked, soc_watts * factor, soc_watts),
+            np.where(spiked, aicore_watts * factor, aicore_watts),
+        )
 
     def measure_operator_power(
         self, result: ExecutionResult
@@ -566,16 +588,6 @@ class FaultyPowerTelemetry(PowerTelemetry):
                 aicore, soc = aicore * factor, soc * factor
             corrupted[name] = (aicore, soc)
         return corrupted
-
-    def _spiked(self, measurement: PowerMeasurement) -> PowerMeasurement:
-        if self._injector.telemetry_fault() != "spike":
-            return measurement
-        factor = self._injector.spike_factor()
-        return replace(
-            measurement,
-            soc_avg_watts=measurement.soc_avg_watts * factor,
-            aicore_avg_watts=measurement.aicore_avg_watts * factor,
-        )
 
 
 class FaultyCannStyleProfiler(CannStyleProfiler):

@@ -5,6 +5,15 @@ cooldowns.  :class:`PowerTelemetry` resamples the device's piecewise-
 constant power chunks at a fixed interval, adding sensor noise, and offers
 the aggregate measurements the calibration flow needs (average power over a
 run, cooldown decay traces).
+
+Sensor noise is applied by two array-level reads, :meth:`PowerTelemetry.
+read_samples` and :meth:`PowerTelemetry.read_averages`, over true values
+the caller has already reduced from the chunks (:func:`sample_points`,
+:func:`chunk_averages`, :func:`execution_celsius`).  The object-level
+methods gather those arrays and call the reads, so an instrument that
+overrides the reads (the fault-injecting one) corrupts both paths, and
+a calibration can keep only the reduced true values and replay the
+instrument over them.
 """
 
 from __future__ import annotations
@@ -53,50 +62,74 @@ class PowerTelemetry:
         """The instrument's noise stream (shared with grid profiling)."""
         return self._rng
 
-    def sample_chunks(
-        self, chunks: Sequence[PowerChunk], interval_us: float = 1000.0
-    ) -> list[PowerSample]:
-        """Read sensors every ``interval_us`` across a chunk sequence.
+    def read_samples(
+        self,
+        times_us: np.ndarray,
+        soc_watts: np.ndarray,
+        aicore_watts: np.ndarray,
+        celsius: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Sensor readings of true per-sample values, as arrays.
 
-        ``chunks`` must be in time order, as a device emits them.  Sample
-        ``i`` is taken at the ``i``-th running sum of ``interval_us`` from
-        the first chunk's start (added one step at a time) and reads the
-        first chunk still running then.  The sensor noise of all samples
-        is drawn in one call, in per-sample (SoC, AICore, temperature)
-        order; a zero sigma draws nothing for its channel.
-
-        Raises:
-            ProfilingError: on no chunks, a non-positive interval, or a
-                window that spans no time.
+        Returns ``(times_us, soc, aicore, celsius)``.  The noise of all
+        samples is drawn in one call, in per-sample (SoC, AICore,
+        temperature) order; a zero sigma draws nothing for its channel.
+        The inputs are never written to (a channel without noise may be
+        returned as the input array itself).
         """
-        if not chunks:
-            raise ProfilingError("no power chunks to sample")
-        if interval_us <= 0:
-            raise ProfilingError(f"interval must be positive: {interval_us}")
-        times = _sample_times(chunks[0].start_us, chunks[-1].end_us, interval_us)
-        ends = np.fromiter((c.end_us for c in chunks), float, len(chunks))
-        which = np.searchsorted(ends, times, side="right")
-        soc = np.fromiter((c.soc_watts for c in chunks), float, len(chunks))
-        aicore = np.fromiter(
-            (c.aicore_watts for c in chunks), float, len(chunks)
-        )
-        celsius = np.fromiter((c.celsius for c in chunks), float, len(chunks))
-        soc, aicore, celsius = soc[which], aicore[which], celsius[which]
         noise = self._npu.noise
         power_sigma = noise.power_sigma
         temp_sigma = noise.temperature_sigma_celsius
         channels = 2 * (power_sigma > 0) + (temp_sigma > 0)
         if channels:
-            draws = self._rng.standard_normal(times.size * channels)
-            draws = draws.reshape(times.size, channels)
+            draws = self._rng.standard_normal(times_us.size * channels)
+            draws = draws.reshape(times_us.size, channels)
             if power_sigma > 0:
                 # ``_noisy`` on every sample: value * max(0.5, 1 + N(0, s)).
-                soc = soc * np.maximum(0.5, 1.0 + power_sigma * draws[:, 0])
-                aicore = aicore * np.maximum(
+                soc_watts = soc_watts * np.maximum(
+                    0.5, 1.0 + power_sigma * draws[:, 0]
+                )
+                aicore_watts = aicore_watts * np.maximum(
                     0.5, 1.0 + power_sigma * draws[:, 1]
                 )
             if temp_sigma > 0:
                 celsius = celsius + temp_sigma * draws[:, -1]
+        return times_us, soc_watts, aicore_watts, celsius
+
+    def read_averages(
+        self, soc_watts: np.ndarray, aicore_watts: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Meter readings of ``n`` true ``(soc, aicore)`` average powers.
+
+        Each reading takes one multiplicative sensor error per rail,
+        ``max(0.5, 1 + N(0, sigma))``, drawn in one call in per-reading
+        (SoC, AICore) order: the same stream as ``2n`` scalar
+        ``_noisy`` draws.  A zero sigma draws nothing.
+        """
+        sigma = self._npu.noise.power_sigma
+        if sigma <= 0:
+            return soc_watts, aicore_watts
+        draws = self._rng.standard_normal(2 * soc_watts.size).reshape(-1, 2)
+        return (
+            soc_watts * np.maximum(0.5, 1.0 + sigma * draws[:, 0]),
+            aicore_watts * np.maximum(0.5, 1.0 + sigma * draws[:, 1]),
+        )
+
+    def sample_chunks(
+        self, chunks: Sequence[PowerChunk], interval_us: float = 1000.0
+    ) -> list[PowerSample]:
+        """Read sensors every ``interval_us`` across a chunk sequence.
+
+        The true values come from :func:`sample_points` and the readings
+        from :meth:`read_samples`.
+
+        Raises:
+            ProfilingError: on no chunks, a non-positive interval, or a
+                window that spans no time.
+        """
+        times, soc, aicore, celsius = self.read_samples(
+            *sample_points(chunks, interval_us)
+        )
         return [
             PowerSample(t, s, a, c)
             for t, s, a, c in zip(
@@ -110,37 +143,25 @@ class PowerTelemetry:
         Averages are energy-weighted (true averages) with one multiplicative
         sensor error applied, matching how a power meter integrates.
         """
-        noise = self._npu.noise
-        weights = np.array([c.duration_us for c in result.chunks])
-        temps = np.array([c.celsius for c in result.chunks])
-        avg_celsius = float(np.average(temps, weights=weights))
-        return PowerMeasurement(
-            duration_us=result.duration_us,
-            soc_avg_watts=self._noisy(result.soc_avg_watts, noise.power_sigma),
-            aicore_avg_watts=self._noisy(
-                result.aicore_avg_watts, noise.power_sigma
-            ),
-            avg_celsius=avg_celsius,
+        return self._measurement(
+            result.duration_us,
+            result.soc_avg_watts,
+            result.aicore_avg_watts,
+            execution_celsius(result),
         )
 
     def measure_chunks(self, chunks: Sequence[PowerChunk]) -> PowerMeasurement:
         """Noisy aggregate measurement over an arbitrary chunk sequence."""
-        if not chunks:
-            raise ProfilingError("no power chunks to measure")
-        noise = self._npu.noise
-        duration = chunks[-1].end_us - chunks[0].start_us
-        weights = np.array([c.duration_us for c in chunks])
-        if not weights.sum() > 0:
-            raise ProfilingError("power chunks span no time")
-        soc = float(np.average([c.soc_watts for c in chunks], weights=weights))
-        aicore = float(
-            np.average([c.aicore_watts for c in chunks], weights=weights)
-        )
-        celsius = float(np.average([c.celsius for c in chunks], weights=weights))
+        return self._measurement(*chunk_averages(chunks))
+
+    def _measurement(
+        self, duration_us: float, soc: float, aicore: float, celsius: float
+    ) -> PowerMeasurement:
+        socs, aicores = self.read_averages(np.array([soc]), np.array([aicore]))
         return PowerMeasurement(
-            duration_us=duration,
-            soc_avg_watts=self._noisy(soc, noise.power_sigma),
-            aicore_avg_watts=self._noisy(aicore, noise.power_sigma),
+            duration_us=duration_us,
+            soc_avg_watts=float(socs[0]),
+            aicore_avg_watts=float(aicores[0]),
             avg_celsius=celsius,
         )
 
@@ -202,6 +223,62 @@ class PowerTelemetry:
         if sigma <= 0:
             return value
         return float(value * max(0.5, 1.0 + self._rng.normal(0.0, sigma)))
+
+
+def sample_points(
+    chunks: Sequence[PowerChunk], interval_us: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """True ``(times_us, soc, aicore, celsius)`` at a window's sample times.
+
+    ``chunks`` must be in time order, as a device emits them.  Sample
+    ``i`` is taken at the ``i``-th running sum of ``interval_us`` from
+    the first chunk's start (added one step at a time) and reads the
+    first chunk still running then, found with one ``searchsorted``.
+
+    Raises:
+        ProfilingError: on no chunks, a non-positive interval, or a
+            window that spans no time.
+    """
+    if not chunks:
+        raise ProfilingError("no power chunks to sample")
+    if interval_us <= 0:
+        raise ProfilingError(f"interval must be positive: {interval_us}")
+    times = _sample_times(chunks[0].start_us, chunks[-1].end_us, interval_us)
+    ends = np.fromiter((c.end_us for c in chunks), float, len(chunks))
+    which = np.searchsorted(ends, times, side="right")
+    soc = np.fromiter((c.soc_watts for c in chunks), float, len(chunks))
+    aicore = np.fromiter((c.aicore_watts for c in chunks), float, len(chunks))
+    celsius = np.fromiter((c.celsius for c in chunks), float, len(chunks))
+    return times, soc[which], aicore[which], celsius[which]
+
+
+def chunk_averages(
+    chunks: Sequence[PowerChunk],
+) -> tuple[float, float, float, float]:
+    """True ``(duration_us, soc, aicore, celsius)`` averages over chunks.
+
+    Each average is weighted by chunk duration.
+
+    Raises:
+        ProfilingError: on no chunks, or chunks that span no time.
+    """
+    if not chunks:
+        raise ProfilingError("no power chunks to measure")
+    duration = chunks[-1].end_us - chunks[0].start_us
+    weights = np.array([c.duration_us for c in chunks])
+    if not weights.sum() > 0:
+        raise ProfilingError("power chunks span no time")
+    soc = float(np.average([c.soc_watts for c in chunks], weights=weights))
+    aicore = float(np.average([c.aicore_watts for c in chunks], weights=weights))
+    celsius = float(np.average([c.celsius for c in chunks], weights=weights))
+    return duration, soc, aicore, celsius
+
+
+def execution_celsius(result: ExecutionResult) -> float:
+    """Duration-weighted average chip temperature of an execution."""
+    weights = np.array([c.duration_us for c in result.chunks])
+    temps = np.array([c.celsius for c in result.chunks])
+    return float(np.average(temps, weights=weights))
 
 
 def _sample_times(start_us: float, end_us: float, interval_us: float) -> np.ndarray:

@@ -103,6 +103,11 @@ class UniqueSpecGrid:
         return self.freqs_mhz.index(float(freq_mhz))
 
 
+#: Cells from which ``_transfer_cycles_grid`` sorts out the distinct
+#: ratios before its scalar pows.
+_DISTINCT_POW_MIN = 256
+
+
 def _transfer_cycles_grid(
     vol: np.ndarray,
     denom_bw: np.ndarray,
@@ -131,14 +136,24 @@ def _transfer_cycles_grid(
     # NumPy's vectorised float64 pow (SIMD) rounds differently from the
     # libm pow behind Python's float ** that the scalar smooth_max uses —
     # off by 1 ulp on a few permille of inputs.  Bit-identity demands the
-    # exact scalar operation, so the two pows run element-wise through
-    # Python floats (a few thousand elements on the cold path only).
+    # exact scalar operation, so the two pows run through Python floats,
+    # once per distinct ratio: the volume cancels out of ``lo / hi``, so
+    # a sweep of tens of thousands of cells holds ~100 distinct ratios
+    # (one per derate and frequency, give or take a rounding).  Below
+    # _DISTINCT_POW_MIN cells the sort costs more than the pows it saves.
     inv = 1.0 / sharpness
     p = float(sharpness)
-    factor = np.array(
-        [(1.0 + r**p) ** inv for r in ratio.ravel().tolist()],
-        dtype=np.float64,
-    ).reshape(ratio.shape)
+
+    def exact(values: np.ndarray) -> np.ndarray:
+        return np.array(
+            [(1.0 + r**p) ** inv for r in values.tolist()], dtype=np.float64
+        )
+
+    if ratio.size < _DISTINCT_POW_MIN:
+        factor = exact(ratio.ravel()).reshape(ratio.shape)
+    else:
+        distinct, where = np.unique(ratio, return_inverse=True)
+        factor = exact(distinct)[where.reshape(ratio.shape)]
     smoothed = hi * factor
     cycles = smoothed + overhead_us * f_row[None, :]
     return np.where((vol > 0.0)[:, None], cycles, 0.0)

@@ -19,11 +19,18 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
+import numpy as np
+
 from repro.analysis.linear import LineFit, fit_line, solve_two_basis
 from repro.errors import CalibrationError
-from repro.npu.device import ExecutionResult, NpuDevice, PowerChunk
+from repro.npu.device import NpuDevice
 from repro.npu.setfreq import FrequencyTimeline
-from repro.npu.telemetry import PowerTelemetry
+from repro.npu.telemetry import (
+    PowerTelemetry,
+    chunk_averages,
+    execution_celsius,
+    sample_points,
+)
 from repro.npu.voltage import VoltageCurve
 from repro.workloads.trace import Trace
 
@@ -77,38 +84,76 @@ class CalibrationConstants:
 
 @dataclass(frozen=True)
 class IdleRun:
-    """One idle pass of the idle-power calibration."""
+    """One idle pass of the idle-power calibration, as its meter sees it.
+
+    The averages are duration-weighted over the pass's power chunks
+    (:func:`repro.npu.telemetry.chunk_averages`).
+    """
 
     freq_mhz: float
-    chunks: tuple[PowerChunk, ...]
+    soc_avg_watts: float
+    aicore_avg_watts: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CooldownRun:
-    """The post-load cooldown of the gamma extraction."""
+    """The post-load cooldown of the gamma extraction.
+
+    Holds the true readings at the telemetry's sample times
+    (:func:`repro.npu.telemetry.sample_points`), one read-only array
+    entry per sample.
+    """
 
     freq_mhz: float
-    #: Telemetry sampling interval over the cooldown.
-    interval_us: float
-    chunks: tuple[PowerChunk, ...]
+    times_us: np.ndarray
+    soc_watts: np.ndarray
+    aicore_watts: np.ndarray
+    celsius: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class LoadPoints:
+    """The k-load equilibrium runs, one entry per (load, frequency) pair.
+
+    Load-major; true average powers and the duration-weighted chip
+    temperature of each run, as read-only arrays.
+    """
+
+    soc_avg_watts: np.ndarray
+    aicore_avg_watts: np.ndarray
+    avg_celsius: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class CalibrationRuns:
-    """The device runs of the offline phase, before any instrument reads.
+    """The device runs of the offline phase, reduced to what the meters read.
 
     The device draws no noise, so these are a function of the hardware
     (and of the fast-path switch, which moves results at rounding level)
     alone, and one value can serve every calibration of that hardware:
-    :func:`fit_calibration` replays only the telemetry over them.
+    :func:`fit_calibration` replays only the telemetry over them.  Only
+    the true values the telemetry reads are kept (no power chunks or
+    execution results), so a replay is a few array reads and fits.
     """
 
     voltage: VoltageCurve
     ambient_celsius: float
     idle: tuple[IdleRun, IdleRun]
     cooldown: CooldownRun
-    #: One equilibrium run per (k-load, frequency) pair, load-major.
-    load_points: tuple[ExecutionResult, ...]
+    load_points: LoadPoints
+
+
+def _read_only(values) -> np.ndarray:
+    array = np.array(values, dtype=float)
+    array.setflags(write=False)
+    return array
+
+
+def _idle_run(device: NpuDevice, freq_mhz: float, settle_us: float) -> IdleRun:
+    _, soc, aicore, _ = chunk_averages(
+        device.run_idle(settle_us, freq_mhz, steps=20)
+    )
+    return IdleRun(freq_mhz, soc, aicore)
 
 
 def _run_idle_passes(
@@ -123,10 +168,7 @@ def _run_idle_passes(
     if f1 == f2:
         raise CalibrationError("idle calibration needs two distinct frequencies")
     # Idle near ambient: let the chip sit briefly, then read the meters.
-    return (
-        IdleRun(f1, tuple(device.run_idle(settle_us, f1, steps=20))),
-        IdleRun(f2, tuple(device.run_idle(settle_us, f2, steps=20))),
-    )
+    return _idle_run(device, f1, settle_us), _idle_run(device, f2, settle_us)
 
 
 def _fit_idle_power(
@@ -134,17 +176,18 @@ def _fit_idle_power(
     telemetry: PowerTelemetry,
     voltage: VoltageCurve,
 ) -> tuple[IdlePowerFit, IdlePowerFit]:
-    measurements = [
-        (run.freq_mhz, telemetry.measure_chunks(run.chunks)) for run in runs
-    ]
+    soc, aicore = telemetry.read_averages(
+        np.array([run.soc_avg_watts for run in runs]),
+        np.array([run.aicore_avg_watts for run in runs]),
+    )
+    fa, fb = (run.freq_mhz for run in runs)
     fits = []
-    for attr in ("aicore_avg_watts", "soc_avg_watts"):
-        (fa, ma), (fb, mb) = measurements
+    for wa, wb in (aicore.tolist(), soc.tolist()):
         beta, theta = solve_two_basis(
             fa,
-            getattr(ma, attr),
+            wa,
             fb,
-            getattr(mb, attr),
+            wb,
             lambda f: (f / 1000.0) * float(voltage.volts(f)) ** 2,
             lambda f: float(voltage.volts(f)),
         )
@@ -199,10 +242,13 @@ def _run_cooldown(
         initial_celsius=loaded.end_celsius,
         steps=steps,
     )
+    times, soc, aicore, celsius = sample_points(chunks, cooldown_us / steps)
     return CooldownRun(
         freq_mhz=cooldown_freq_mhz,
-        interval_us=cooldown_us / steps,
-        chunks=tuple(chunks),
+        times_us=_read_only(times),
+        soc_watts=_read_only(soc),
+        aicore_watts=_read_only(aicore),
+        celsius=_read_only(celsius),
     )
 
 
@@ -212,16 +258,19 @@ def _fit_gamma(
     voltage: VoltageCurve,
     ambient_celsius: float,
 ) -> CooldownObservation:
-    samples = telemetry.sample_chunks(run.chunks, interval_us=run.interval_us)
-    deltas = [s.celsius - ambient_celsius for s in samples]
-    if max(deltas) - min(deltas) < 2.0:
+    _, soc, aicore, celsius = telemetry.read_samples(
+        run.times_us, run.soc_watts, run.aicore_watts, run.celsius
+    )
+    deltas = celsius - ambient_celsius
+    span = float(deltas.max() - deltas.min())
+    if span < 2.0:
         raise CalibrationError(
             "test load did not heat the chip enough for gamma extraction "
-            f"(AT span {max(deltas) - min(deltas):.2f} C)"
+            f"(AT span {span:.2f} C)"
         )
     volts = float(voltage.volts(run.freq_mhz))
-    aicore_fit = fit_line(deltas, [s.aicore_watts for s in samples])
-    soc_fit = fit_line(deltas, [s.soc_watts for s in samples])
+    aicore_fit = fit_line(deltas, aicore)
+    soc_fit = fit_line(deltas, soc)
     return CooldownObservation(
         gamma_aicore_w_per_c_v=aicore_fit.slope / volts,
         gamma_soc_w_per_c_v=soc_fit.slope / volts,
@@ -263,35 +312,34 @@ def _run_load_points(
     device: NpuDevice,
     loads: Sequence[Trace],
     freqs_mhz: Sequence[float] | None,
-) -> tuple[ExecutionResult, ...]:
+) -> LoadPoints:
     if freqs_mhz is None:
         grid = device.npu.frequencies
         mid = grid.nearest((grid.min_mhz + grid.max_mhz) / 2.0)
         freqs_mhz = (grid.min_mhz, mid, grid.max_mhz)
-    results = []
+    soc, aicore, celsius = [], [], []
     for load in loads:
         for freq in freqs_mhz:
             result = device.run_stable(load, FrequencyTimeline.constant(freq))
-            results.append(
-                replace(
-                    result,
-                    records=tuple(result.records),
-                    chunks=tuple(result.chunks),
-                )
-            )
-    return tuple(results)
+            soc.append(result.soc_avg_watts)
+            aicore.append(result.aicore_avg_watts)
+            celsius.append(execution_celsius(result))
+    return LoadPoints(
+        soc_avg_watts=_read_only(soc),
+        aicore_avg_watts=_read_only(aicore),
+        avg_celsius=_read_only(celsius),
+    )
 
 
 def _fit_temperature_slope(
-    results: Sequence[ExecutionResult], telemetry: PowerTelemetry
+    points: LoadPoints, telemetry: PowerTelemetry
 ) -> LineFit:
-    points: list[tuple[float, float]] = []
-    for result in results:
-        measurement = telemetry.measure(result)
-        points.append((measurement.soc_avg_watts, measurement.avg_celsius))
-    if len(points) < 2:
+    soc, _ = telemetry.read_averages(
+        points.soc_avg_watts, points.aicore_avg_watts
+    )
+    if soc.size < 2:
         raise CalibrationError("need at least two load points to fit k")
-    return fit_line([p for p, _ in points], [t for _, t in points])
+    return fit_line(soc, points.avg_celsius)
 
 
 def extract_temperature_slope(
@@ -344,10 +392,12 @@ def fit_calibration(
 ) -> CalibrationConstants:
     """Read the instruments over ``runs`` and fit the offline constants.
 
-    The telemetry calls (two idle measurements, the cooldown samples, one
-    measurement per load point) come in a fixed order, so a telemetry's
-    noise stream ends in the same state whichever device produced
-    ``runs``.
+    The telemetry reads (the two idle averages, the cooldown samples,
+    the load-point averages) come in a fixed order and draw per stream
+    what one measurement per idle pass, ``sample_chunks`` over the
+    cooldown and one measurement per load point draw, so a telemetry's
+    noise stream (and a fault injector's) ends in the same state
+    whichever device produced ``runs``.
     """
     aicore_idle, soc_idle = _fit_idle_power(runs.idle, telemetry, runs.voltage)
     cooldown = _fit_gamma(

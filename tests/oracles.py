@@ -31,6 +31,14 @@ so the equivalence tests can compare the array form bit for bit:
 * :func:`scalar_sample_chunks` — ``PowerTelemetry.sample_chunks`` as a
   ``t += interval`` walk with three scalar noise draws per sample (the
   telemetry now draws all noise at once and gathers by ``searchsorted``);
+* :func:`object_fit_calibration` (with :func:`object_sample_chunks`,
+  :func:`object_measure_chunks`, :func:`object_measure` and
+  :func:`scalar_telemetry_fault`) — ``fit_calibration`` walking the
+  calibration's power chunks and execution results
+  (:func:`collect_object_calibration_runs`) into ``PowerSample`` lists
+  and chunk-level measurements, with scalar noise and one fault decision
+  per reading (the calibration now keeps only the true values the
+  telemetry reads and replays its array reads over them);
 * :func:`eager_step_arrays` — ``FleetSimulator.step`` building a step's
   four energy arrays and its end temperatures as it runs (a step result
   now keeps only ``delta0`` and computes them on access);
@@ -73,19 +81,24 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.dvfs.ga import GaConfig, GaResult, _roulette_pick, initial_population
 from repro.dvfs.guard import _FREQ_MATCH_TOLERANCE_MHZ, GuardedDvfsExecutor
 from repro.dvfs.scoring import PopulationEvaluation, StrategyScorer
-from repro.errors import StrategyError
+from repro.errors import (
+    CalibrationError,
+    ProfilingError,
+    StrategyError,
+    TelemetryError,
+)
 from repro.fleet.simulator import FleetPlan, FleetStepResult, _affine, _read_only
 from repro.npu.device import IDLE_INDEX, PowerChunk
 from repro.npu.engine import _BATCH_CELL_BUDGET, _SCAN_UNDERFLOW, _affine_parts
 from repro.npu.profiler import CannStyleProfiler
-from repro.npu.telemetry import PowerSample
+from repro.npu.telemetry import PowerMeasurement, PowerSample
 from repro.npu.thermal import ThermalState
 from repro.units import US_PER_S
 
@@ -450,6 +463,221 @@ def scalar_sample_chunks(
         )
         t += interval_us
     return samples
+
+
+def scalar_telemetry_fault(injector, time_us: float | None = None):
+    """``FaultInjector.telemetry_fault`` as three scalar comparisons."""
+    cfg = injector.config
+    draws = injector._rng.random(3)
+    if draws[0] < cfg.telemetry_dropout_rate:
+        injector.record("telemetry", "dropout", time_us)
+        return "dropout"
+    if draws[1] < cfg.telemetry_stuck_rate:
+        injector.record("telemetry", "stuck", time_us)
+        return "stuck"
+    if draws[2] < cfg.telemetry_spike_rate:
+        injector.record("telemetry", "spike", time_us)
+        return "spike"
+    return None
+
+
+def object_sample_chunks(
+    telemetry, chunks, interval_us: float = 1000.0
+) -> list[PowerSample]:
+    """``sample_chunks`` as a list of ``PowerSample`` objects, then the
+    per-sample fault loop ``FaultyPowerTelemetry`` used to run over it."""
+    samples = scalar_sample_chunks(telemetry, chunks, interval_us)
+    injector = getattr(telemetry, "injector", None)
+    if injector is None:
+        return samples
+    kept: list[PowerSample] = []
+    last: PowerSample | None = None
+    for sample in samples:
+        fault = scalar_telemetry_fault(injector, sample.time_us)
+        if fault == "dropout":
+            continue
+        if fault == "stuck" and last is not None:
+            sample = PowerSample(
+                time_us=sample.time_us,
+                soc_watts=last.soc_watts,
+                aicore_watts=last.aicore_watts,
+                celsius=last.celsius,
+            )
+        elif fault == "spike":
+            factor = injector.spike_factor()
+            sample = replace(
+                sample,
+                soc_watts=sample.soc_watts * factor,
+                aicore_watts=sample.aicore_watts * factor,
+            )
+        kept.append(sample)
+        last = sample
+    if not kept:
+        raise TelemetryError("every telemetry sample of the window was dropped")
+    return kept
+
+
+def _object_measurement(
+    telemetry, duration_us: float, soc: float, aicore: float, celsius: float
+) -> PowerMeasurement:
+    """Two scalar ``_noisy`` draws, then a possible spike."""
+    sigma = telemetry._npu.noise.power_sigma
+    measurement = PowerMeasurement(
+        duration_us=duration_us,
+        soc_avg_watts=telemetry._noisy(soc, sigma),
+        aicore_avg_watts=telemetry._noisy(aicore, sigma),
+        avg_celsius=celsius,
+    )
+    injector = getattr(telemetry, "injector", None)
+    if injector is None or scalar_telemetry_fault(injector) != "spike":
+        return measurement
+    factor = injector.spike_factor()
+    return replace(
+        measurement,
+        soc_avg_watts=measurement.soc_avg_watts * factor,
+        aicore_avg_watts=measurement.aicore_avg_watts * factor,
+    )
+
+
+def object_measure_chunks(telemetry, chunks) -> PowerMeasurement:
+    """``PowerTelemetry.measure_chunks`` as a walk over the chunk objects."""
+    if not chunks:
+        raise ProfilingError("no power chunks to measure")
+    duration = chunks[-1].end_us - chunks[0].start_us
+    weights = np.array([c.duration_us for c in chunks])
+    if not weights.sum() > 0:
+        raise ProfilingError("power chunks span no time")
+    return _object_measurement(
+        telemetry,
+        duration,
+        float(np.average([c.soc_watts for c in chunks], weights=weights)),
+        float(np.average([c.aicore_watts for c in chunks], weights=weights)),
+        float(np.average([c.celsius for c in chunks], weights=weights)),
+    )
+
+
+def object_measure(telemetry, result) -> PowerMeasurement:
+    """``PowerTelemetry.measure`` as a walk over the result's chunks."""
+    weights = np.array([c.duration_us for c in result.chunks])
+    temps = np.array([c.celsius for c in result.chunks])
+    return _object_measurement(
+        telemetry,
+        result.duration_us,
+        result.soc_avg_watts,
+        result.aicore_avg_watts,
+        float(np.average(temps, weights=weights)),
+    )
+
+
+@dataclass(frozen=True)
+class ObjectCalibrationRuns:
+    """The offline phase's device runs kept as chunks and results."""
+
+    voltage: object
+    ambient_celsius: float
+    #: ``(freq_mhz, chunks)`` per idle pass.
+    idle: tuple
+    cooldown_freq_mhz: float
+    cooldown_interval_us: float
+    cooldown: tuple
+    #: One ``ExecutionResult`` per (k-load, frequency) pair, load-major.
+    load_points: tuple
+
+
+def collect_object_calibration_runs(
+    device, test_load, k_loads
+) -> ObjectCalibrationRuns:
+    """``collect_calibration_runs``'s device calls, keeping the objects."""
+    from repro.npu.setfreq import FrequencyTimeline
+    from repro.power.calibration import (
+        _COOLDOWN_STEPS,
+        _COOLDOWN_US,
+        _SETTLE_US,
+    )
+
+    npu = device.npu
+    grid = npu.frequencies
+    idle = tuple(
+        (freq, tuple(device.run_idle(_SETTLE_US, freq, steps=20)))
+        for freq in (grid.min_mhz, grid.max_mhz)
+    )
+    loaded = device.run_stable(test_load)
+    cooldown = tuple(
+        device.run_idle(
+            _COOLDOWN_US,
+            grid.min_mhz,
+            initial_celsius=loaded.end_celsius,
+            steps=_COOLDOWN_STEPS,
+        )
+    )
+    mid = grid.nearest((grid.min_mhz + grid.max_mhz) / 2.0)
+    load_points = []
+    for load in k_loads:
+        for freq in (grid.min_mhz, mid, grid.max_mhz):
+            result = device.run_stable(load, FrequencyTimeline.constant(freq))
+            load_points.append(
+                replace(result, chunks=tuple(result.chunks))
+            )
+    return ObjectCalibrationRuns(
+        voltage=npu.voltage,
+        ambient_celsius=npu.thermal.ambient_celsius,
+        idle=idle,
+        cooldown_freq_mhz=grid.min_mhz,
+        cooldown_interval_us=_COOLDOWN_US / _COOLDOWN_STEPS,
+        cooldown=cooldown,
+        load_points=tuple(load_points),
+    )
+
+
+def object_fit_calibration(runs: ObjectCalibrationRuns, telemetry):
+    """``fit_calibration`` as the walk over objects it used to be: two
+    chunk-level idle measurements, the cooldown's ``PowerSample`` list,
+    one measurement per load point, each read one object at a time."""
+    from repro.analysis.linear import fit_line, solve_two_basis
+    from repro.power.calibration import CalibrationConstants, IdlePowerFit
+
+    voltage = runs.voltage
+    measurements = [
+        (freq, object_measure_chunks(telemetry, chunks))
+        for freq, chunks in runs.idle
+    ]
+    fits = []
+    for attr in ("aicore_avg_watts", "soc_avg_watts"):
+        (fa, ma), (fb, mb) = measurements
+        beta, theta = solve_two_basis(
+            fa,
+            getattr(ma, attr),
+            fb,
+            getattr(mb, attr),
+            lambda f: (f / 1000.0) * float(voltage.volts(f)) ** 2,
+            lambda f: float(voltage.volts(f)),
+        )
+        fits.append(IdlePowerFit(beta_w_per_ghz_v2=beta, theta_w_per_v=theta))
+    samples = object_sample_chunks(
+        telemetry, runs.cooldown, runs.cooldown_interval_us
+    )
+    deltas = [s.celsius - runs.ambient_celsius for s in samples]
+    if max(deltas) - min(deltas) < 2.0:
+        raise CalibrationError("test load did not heat the chip enough")
+    volts = float(voltage.volts(runs.cooldown_freq_mhz))
+    aicore_fit = fit_line(deltas, [s.aicore_watts for s in samples])
+    soc_fit = fit_line(deltas, [s.soc_watts for s in samples])
+    points = []
+    for result in runs.load_points:
+        measurement = object_measure(telemetry, result)
+        points.append((measurement.soc_avg_watts, measurement.avg_celsius))
+    if len(points) < 2:
+        raise CalibrationError("need at least two load points to fit k")
+    k_fit = fit_line([p for p, _ in points], [t for _, t in points])
+    return CalibrationConstants(
+        voltage=voltage,
+        aicore_idle=fits[0],
+        soc_idle=fits[1],
+        gamma_aicore_w_per_c_v=aicore_fit.slope / volts,
+        gamma_soc_w_per_c_v=soc_fit.slope / volts,
+        k_celsius_per_watt=k_fit.slope,
+        ambient_celsius=runs.ambient_celsius,
+    )
 
 
 #: The per-device arrays a fleet step used to build, with the epoch's

@@ -380,6 +380,38 @@ class TestDeterminismAndCaching:
         )
         assert keys.config_hash == config_hash(spec, active)
 
+    def test_keys_equal_per_device_hashes_and_hash_the_npu_once(
+        self, monkeypatch, tiny_trace
+    ):
+        """Keys from one shared ``NpuSpec`` hash are byte-identical to
+        ``device_spec_hash`` per device, degraded device included."""
+        spec = FleetSpec(
+            n_devices=12, seed=5, churn=ChurnConfig(max_joins=3)
+        ).with_degraded_device(4, 1.25, reason="fan")
+        active = (0, 2, 3, 4, 7, 11, 13)
+        expected = tuple(
+            fleet_serve.device_spec_hash(spec, spec.device_profiles()[i])
+            for i in active
+        )
+        calls = []
+        npu_hash = fleet_serve.spec_fingerprint
+
+        def counting(npu):
+            calls.append(npu)
+            return npu_hash(npu)
+
+        monkeypatch.setattr(fleet_serve, "spec_fingerprint", counting)
+        keys = fleet_device_fingerprints(tiny_trace, spec, active)
+        assert len(calls) == 1
+        assert keys.spec_hashes == expected
+        trace_hash = fleet_serve.trace_fingerprint(tiny_trace)
+        assert keys.fingerprints == tuple(
+            fleet_serve.combine_fingerprints(
+                trace_hash, keys.config_hash, spec_hash
+            )
+            for spec_hash in expected
+        )
+
     #: Per-device fleet fingerprint digests over binned speed profiles
     #: (the config hash covers the bin width): sha256 over the
     #: concatenated per-device fingerprints of every active device.

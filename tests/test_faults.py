@@ -310,6 +310,57 @@ class TestFaultyPowerTelemetry:
             healthy.soc_avg_watts * 1.5
         )
 
+    @pytest.mark.parametrize(
+        "rates",
+        [
+            dict(telemetry_dropout_rate=0.5),
+            dict(telemetry_stuck_rate=0.5),
+            dict(telemetry_spike_rate=0.5),
+            dict(
+                telemetry_dropout_rate=0.2,
+                telemetry_stuck_rate=0.3,
+                telemetry_spike_rate=0.3,
+            ),
+            dict(telemetry_stuck_rate=1.0, telemetry_spike_rate=1.0),
+        ],
+    )
+    def test_reads_match_the_object_walk(self, npu_spec, device, rates):
+        """Samples, measurements, both streams and the fault log equal
+        the per-object fault loop's, bit for bit."""
+        from tests.oracles import (
+            object_measure,
+            object_measure_chunks,
+            object_sample_chunks,
+        )
+
+        config = FaultConfig(**rates)
+        ops = [make_compute_op(name=f"t.op{i}") for i in range(6)]
+        result = device.run(
+            build_trace("telem", ops), FrequencyTimeline.constant(1800.0)
+        )
+        chunks = result.chunks
+        for seed in range(10):
+            arrays = FaultyPowerTelemetry(
+                npu_spec,
+                RngFactory(seed).generator("telem"),
+                injector_for(config, seed),
+            )
+            objects = FaultyPowerTelemetry(
+                npu_spec,
+                RngFactory(seed).generator("telem"),
+                injector_for(config, seed),
+            )
+            assert arrays.measure_chunks(chunks) == object_measure_chunks(
+                objects, chunks
+            )
+            assert arrays.sample_chunks(chunks, 50.0) == object_sample_chunks(
+                objects, chunks, 50.0
+            )
+            assert arrays.measure(result) == object_measure(objects, result)
+            assert arrays.injector.events == objects.injector.events
+            for a, b in ((arrays, objects), (arrays.injector, objects.injector)):
+                assert a._rng.bit_generator.state == b._rng.bit_generator.state
+
     def test_operator_power_keeps_all_names(self, npu_spec, device):
         ops = [make_compute_op(name=f"t.op{i}") for i in range(6)]
         trace = build_trace("telem", ops)

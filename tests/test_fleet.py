@@ -264,6 +264,40 @@ class TestFleetSpec:
         oracle = cluster_spec_of(fleet, fleet.capacity)
         assert fleet.device_profiles() == oracle.device_profiles()
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"seed": 11, "churn": ChurnConfig(max_joins=5)},
+            {
+                "seed": 2,
+                "overrides": (
+                    DeviceOverride(3, 1.4, "slow"),
+                    DeviceOverride(0, 0.9, "fast"),
+                ),
+            },
+        ],
+    )
+    def test_board_arrays_equal_the_profiles(self, overrides, tiny_trace):
+        """The simulator reads the spec's arrays, never the profiles; the
+        arrays hold each profile's floats, overrides applied."""
+        spec = FleetSpec(n_devices=12, **overrides)
+        sim = FleetSimulator(spec, tiny_trace)
+        assert "_profiles" not in vars(spec)
+        profiles = spec.device_profiles()
+        assert spec.duration_scales.tolist() == [
+            p.total_duration_scale for p in profiles
+        ]
+        assert spec.ambient_offsets_celsius.tolist() == [
+            p.ambient_offset_celsius for p in profiles
+        ]
+        base = spec.npu.thermal.ambient_celsius
+        assert sim.celsius.tolist() == [
+            base + p.ambient_offset_celsius for p in profiles
+        ]
+        for array in (spec.duration_scales, spec.ambient_offsets_celsius):
+            assert not array.flags.writeable
+
     def test_profiles_are_drawn_once_per_spec(self, monkeypatch, tiny_trace):
         """The simulator, the store and the fingerprints share one draw."""
         import repro.fleet.spec as spec_module

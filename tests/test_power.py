@@ -386,6 +386,95 @@ class TestCalibrationRunsCache:
                 ), (seed, draws)
         assert len(cold_calibration_cache) == 1
 
+    @pytest.mark.parametrize(
+        "setting",
+        ["default", "zero-noise", "reference-only", "telemetry-faults"],
+    )
+    def test_array_replay_matches_the_object_walk(
+        self, cold_calibration_cache, setting
+    ):
+        """``calibrate()`` over the cached arrays equals the walk over
+        ``PowerSample`` objects and chunk-level measurements, bit for bit:
+        constants, both noise streams and the fault log."""
+        import contextlib
+
+        from repro.core import EnergyOptimizer
+        from repro.npu import NpuDevice
+        from repro.npu.engine import reference_only
+        from tests.oracles import (
+            collect_object_calibration_runs,
+            object_fit_calibration,
+        )
+
+        def outcome(optimizer, constants):
+            injector = optimizer.injector
+            return _calibration_outcome(optimizer, constants) + (
+                None if injector is None else injector._rng.bit_generator.state,
+            )
+
+        noise = "default" if setting == "reference-only" else setting
+        engine = (
+            reference_only() if setting == "reference-only"
+            else contextlib.nullcontext()
+        )
+        with engine:
+            runs = collect_object_calibration_runs(
+                NpuDevice(self._config(noise, 0).npu),
+                micro.mixed_calibration_load(repeats=20),
+                [micro.matmul_loop(repeats=40), micro.gelu_loop(repeats=40)],
+            )
+            for seed in self.SEEDS:
+                config = self._config(noise, seed)
+                for draws in (0, 1 + seed % 7):
+                    cached = EnergyOptimizer(config)
+                    cached.telemetry.rng.random(draws)
+                    walked = EnergyOptimizer(config)
+                    walked.telemetry.rng.random(draws)
+                    assert outcome(cached, cached.calibrate()) == outcome(
+                        walked, object_fit_calibration(runs, walked.telemetry)
+                    ), (seed, draws)
+        assert len(cold_calibration_cache) == 1
+
+    def test_calibrate_raises_when_every_cooldown_sample_drops(self):
+        from repro.core import EnergyOptimizer, OptimizerConfig
+        from repro.errors import TelemetryError
+        from repro.npu.faults import FaultConfig
+
+        optimizer = EnergyOptimizer(
+            OptimizerConfig(
+                seed=0, fault=FaultConfig(telemetry_dropout_rate=1.0)
+            )
+        )
+        with pytest.raises(TelemetryError):
+            optimizer.calibrate()
+
+    def test_runs_hold_no_chunks_or_results(self, cold_calibration_cache):
+        import dataclasses
+
+        import numpy as np
+
+        from repro.core import EnergyOptimizer
+        from repro.npu.device import ExecutionResult, PowerChunk
+
+        EnergyOptimizer(self._config("default", 0)).calibrate()
+        (runs,) = cold_calibration_cache.values()
+
+        def walk(value):
+            assert not isinstance(value, (PowerChunk, ExecutionResult))
+            if isinstance(value, np.ndarray):
+                assert value.dtype == np.float64
+                assert not value.flags.writeable
+            elif isinstance(value, (tuple, list)):
+                for item in value:
+                    walk(item)
+            elif dataclasses.is_dataclass(value):
+                for field in dataclasses.fields(value):
+                    walk(getattr(value, field.name))
+
+        walk(runs)
+        assert runs.cooldown.times_us.size == 600
+        assert runs.load_points.soc_avg_watts.size == 6
+
     def test_faulty_telemetry_runs_through_the_cache(self):
         from repro.core import EnergyOptimizer
         from repro.npu.faults import FaultyPowerTelemetry
@@ -393,7 +482,11 @@ class TestCalibrationRunsCache:
         optimizer = EnergyOptimizer(self._config("telemetry-faults", 0))
         assert type(optimizer.telemetry) is FaultyPowerTelemetry
         optimizer.calibrate()
-        assert optimizer.injector.events
+        events = optimizer.injector.events
+        assert {event.kind for event in events} == {"dropout", "stuck", "spike"}
+        assert {event.site for event in events} == {"telemetry"}
+        # Cooldown samples log their sample time; aggregates log none.
+        assert any(event.time_us is not None for event in events)
 
     def test_reference_only_keys_its_own_runs(self, cold_calibration_cache):
         """Under ``reference_only()`` the cache serves the reference-loop
