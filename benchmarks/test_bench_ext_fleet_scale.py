@@ -1,14 +1,13 @@
 """Benchmark: vectorized fleet scaling with hierarchical collectives.
 
 The acceptance bar for the fleet layer at scale: reclamation still
-saves fleet energy at zero step-time regression at hundreds of devices, the hierarchical collective never
-loses to the flat ring, churn replays are bit-identical, the store
-round-trip serves every device warm, and the vectorized barrier step
-sustains a real step rate at thousands of devices.  That the
-stacked-array simulator reproduces the looped cluster to <= 1e-9
-(durations bitwise, plans byte-identical) is a unit test,
-``tests/test_fleet_equivalence.py``, since the looped reference ships
-only with the tests.
+saves fleet energy at zero step-time regression at hundreds of devices,
+the hierarchical collective never loses to the flat ring, churn replays
+are bit-identical, and the vectorized barrier step sustains a real step
+rate at thousands of devices.  That the stacked-array simulator
+reproduces the looped cluster to <= 1e-9 (durations bitwise, plans
+byte-identical) is a unit test, ``tests/test_fleet_equivalence.py``,
+since the looped reference ships only with the tests.
 """
 
 from repro.experiments import run_experiment
@@ -30,9 +29,6 @@ def test_bench_ext_fleet_scale(run_once):
     # Elasticity: seeded churn replays bit-identically.
     assert measured["churn_events"] >= 1
     assert measured["churn_replay_identical"]
-    # Store: the warm path serves every active device.
-    assert measured["identical_through_store"]
-    assert measured["store_warm_hits"] == measured["devices"]
     # Throughput: the vectorized step sustains a real rate at the
     # largest scaling size (the 10k-device point lives in
     # BENCH_fleet.json with a 50 steps/s floor in CI).

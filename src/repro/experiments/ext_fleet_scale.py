@@ -18,27 +18,21 @@ is checked by ``tests/test_fleet_equivalence.py``):
 * **elastic membership** — seeded join/leave/fail churn with
   re-targeted reclamation; replaying the same seed reproduces the
   identical event history and energies;
-* **store round-trip** — :func:`repro.fleet.serve.fleet_cached_reclaim`
-  reassembles the byte-identical plan from the persistent store;
 * **scaling** — warm barrier steps per second at increasing fleet
   sizes (the checked-in ``BENCH_fleet.json`` carries the 10k point).
+
+Plans are recomputed, never cached: a reclaim at 10k devices is about
+1 ms, well under the cost of keying one store record per device
+(``docs/performance.md``, "Store-backed fleet plans do not amortize").
 """
 
 from __future__ import annotations
 
-import shutil
-import tempfile
 import time
-from pathlib import Path
 
 from repro.experiments.base import ExperimentResult, percent
 from repro.fleet.churn import ChurnConfig
-from repro.fleet.dvfs import (
-    auto_retarget,
-    plan_strategy_json,
-    reclaim_fleet_slack,
-)
-from repro.fleet.serve import fleet_cached_reclaim
+from repro.fleet.dvfs import auto_retarget, reclaim_fleet_slack
 from repro.fleet.simulator import FleetSimulator
 from repro.fleet.spec import FleetSpec
 from repro.fleet.topology import FleetTopology
@@ -62,7 +56,6 @@ def run(
     steps: int = 3,
     scaling_sizes: tuple[int, ...] = (64, 512, 2048),
     workload: str = "gpt3",
-    store_dir: str | None = None,
 ) -> ExperimentResult:
     """Measure the vectorized fleet at scale."""
     trace = generate(workload, scale=scale, seed=seed)
@@ -126,27 +119,7 @@ def run(
         events_a == events_b and energy_a == energy_b and final_a == final_b
     )
 
-    # Phase 4: store round-trip at fleet size.
-    root = Path(store_dir) if store_dir else Path(tempfile.mkdtemp())
-    cleanup = store_dir is None
-    try:
-        from repro.serve.store import StrategyStore
-
-        store = StrategyStore(root)
-        cold = fleet_cached_reclaim(sim, store)
-        warm = fleet_cached_reclaim(sim, store)
-        store_identical = (
-            plan_strategy_json(cold.plan)
-            == plan_strategy_json(warm.plan)
-            == plan_strategy_json(plan)
-            and warm.hit_count == devices
-            and not warm.computed
-        )
-    finally:
-        if cleanup:
-            shutil.rmtree(root, ignore_errors=True)
-
-    # Phase 5: scaling curve (warm steps/s per fleet size).
+    # Phase 4: scaling curve (warm steps/s per fleet size).
     rows = []
     for size in scaling_sizes:
         size_spec = FleetSpec(
@@ -199,8 +172,6 @@ def run(
             "churn_events": len(events_a),
             "churn_final_devices": final_a,
             "churn_replay_identical": churn_identical,
-            "identical_through_store": store_identical,
-            "store_warm_hits": warm.hit_count,
             "scaling_max_devices": max(scaling_sizes),
             "scaling_min_steps_per_s": min(r["steps_per_s"] for r in rows),
         },

@@ -27,9 +27,7 @@ reclamation and delta0 re-targeting are single vectorized passes.
 * :mod:`repro.fleet.dvfs` — array-pass slack reclamation producing
   byte-identical per-device constant strategies, the degrade-and-
   re-target flow, and the exact optimum of the fleet ``energy x
-  step-time`` objective that cross-checks the reclamation;
-* :mod:`repro.fleet.serve` — per-device strategy fingerprints and
-  store-backed slack reclamation through :mod:`repro.serve`.
+  step-time`` objective that cross-checks the reclamation.
 
 One process steps 100k devices: the simulator caches everything a step
 needs per membership/plan/target epoch, so a warm step is a few affine
@@ -51,7 +49,6 @@ from repro.fleet.dvfs import (
     plan_strategy_json,
     reclaim_fleet_slack,
 )
-from repro.fleet.serve import fleet_cached_reclaim, fleet_device_fingerprints
 from repro.fleet.simulator import (
     FleetPlan,
     FleetSimulator,
@@ -89,8 +86,6 @@ __all__ = [
     "degrade_and_retarget",
     "descending_top_k",
     "draw_churn",
-    "fleet_cached_reclaim",
-    "fleet_device_fingerprints",
     "fleet_plan_score",
     "make_fleet_simulator",
     "optimal_fleet_plan",

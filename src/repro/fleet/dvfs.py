@@ -26,7 +26,7 @@ through the engine, the chosen frequencies, predicted arrivals and the
 barrier target all match the looped reference exactly — and
 :func:`plan_strategies` materialises the same byte-identical per-device
 :func:`~repro.dvfs.strategy.constant_strategy` objects the cluster
-plan carries, which is what the store-backed serve path persists.
+plan carries, the per-device form in which a plan can be persisted.
 
 Re-targeting after churn or degradation is just running the same pass
 on the current membership — ``O(N·F)`` row passes over the cached table.
@@ -153,7 +153,7 @@ def plan_strategies(plan: FleetPlan) -> tuple[DvfsStrategy, ...]:
     """Per-device constant strategies of a fleet plan, covered ids in order.
 
     Byte-identical to the cluster plan's ``strategies`` tuple for the
-    same devices — the payload the strategy store persists.
+    same devices: one record per device for anyone who persists a plan.
     """
     ids = np.flatnonzero(plan.covered)
     return tuple(

@@ -233,8 +233,9 @@ class FleetSpec:
         """Seeded draws for every provisioned board (spares included).
 
         Built from :attr:`duration_scales`' draw on the first call and
-        returned from then on: the spec is immutable, so the store keys
-        and the fleet fingerprints all share one draw.  Array readers
+        returned from then on: the spec is immutable, so its object
+        readers (the looped reference under ``tests/reference`` and
+        ``examples/cluster_training.py``) share one draw.  Array readers
         (the simulator) read :attr:`duration_scales` and
         :attr:`ambient_offsets_celsius` and never build the profiles.
         """

@@ -74,17 +74,6 @@ def _digest(payload: Any) -> str:
     return hashlib.sha256(document.encode("utf-8")).hexdigest()
 
 
-def payload_fingerprint(kind: str, payload: Any) -> str:
-    """Content hash of an arbitrary canonicalizable payload.
-
-    The extension point for layers above the core service (the cluster
-    package fingerprints per-device profiles and interconnect settings
-    through this) so every digest shares one canonical encoding and the
-    :data:`FINGERPRINT_VERSION` invalidation discipline.
-    """
-    return _digest({"kind": kind, "payload": canonicalize(payload)})
-
-
 def trace_fingerprint(trace: Trace) -> str:
     """Content hash of a trace's operator sequence (name excluded).
 

@@ -8,9 +8,12 @@ directly.
 """
 
 import ast
-import hashlib
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,8 +23,6 @@ import pytest
 import repro
 import repro.fleet
 from repro.errors import ConfigurationError, StrategyError
-from repro.fleet import serve as fleet_serve
-from repro.fleet.churn import ChurnConfig
 from repro.fleet.cli import main as fleet_main
 from repro.fleet import dvfs as fleet_dvfs
 from repro.fleet.dvfs import (
@@ -29,16 +30,13 @@ from repro.fleet.dvfs import (
     fleet_plan_score,
     optimal_fleet_plan,
     plan_strategies,
-    plan_strategy_json,
     reclaim_fleet_slack,
 )
-from repro.fleet.serve import fleet_cached_reclaim, fleet_device_fingerprints
 from repro.fleet.simulator import FleetSimulator
 from repro.fleet.spec import DeviceOverride, DeviceVariation, FleetSpec
 from repro.fleet.topology import FleetTopology, InterconnectSpec
 from repro.npu.engine import reference_only
 from repro.npu.execution import GroundTruthEvaluator
-from repro.serve.store import StrategyStore
 from repro.units import gbps_to_bytes_per_us
 from repro.workloads import generate
 from tests.oracles import FleetObjectiveScorer
@@ -320,131 +318,6 @@ class TestOptimalFleetPlan:
             )
 
 
-class TestDeterminismAndCaching:
-    def test_cached_reclaim_round_trip(
-        self, small_fleet, small_spec, tiny_trace, small_tables, tmp_path
-    ):
-        store = StrategyStore(tmp_path)
-        cold = fleet_cached_reclaim(small_fleet, store)
-        warm = fleet_cached_reclaim(small_fleet, store)
-        assert cold.computed and cold.hit_count == 0
-        assert not warm.computed
-        assert warm.hit_count == small_spec.n_devices
-        reference = reclaim_slack(
-            small_tables,
-            tiny_trace.name,
-            allreduce_us=small_spec.allreduce_us,
-        )
-        assert plan_strategy_json(warm.plan) == reference.strategy_json()
-
-    def test_degraded_device_changes_only_its_fingerprint(
-        self, small_spec, tiny_trace
-    ):
-        spec = fleet_spec_of(small_spec)
-        degraded = spec.with_degraded_device(1, 1.3)
-        active = tuple(range(spec.n_devices))
-
-        def fingerprints(fleet_spec):
-            return fleet_device_fingerprints(
-                tiny_trace, fleet_spec, active
-            ).fingerprints
-
-        healthy = fingerprints(spec)
-        after = fingerprints(degraded)
-        assert healthy[1] != after[1]
-        for device_id in (0, 2, 3):
-            # Overrides are not part of the shared config hash, so only
-            # the degraded device's own profile hash moves.
-            assert healthy[device_id] == after[device_id]
-
-    def test_keying_a_fleet_hashes_its_config_once(
-        self, monkeypatch, tiny_trace
-    ):
-        """Every active device's key shares one fleet config hash."""
-        calls = []
-        config_hash = fleet_serve.fleet_config_hash
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return config_hash(*args, **kwargs)
-
-        monkeypatch.setattr(fleet_serve, "fleet_config_hash", counting)
-        spec = FleetSpec(n_devices=64, seed=0)
-        active = tuple(range(spec.n_devices))
-        keys = fleet_device_fingerprints(tiny_trace, spec, active)
-        assert len(calls) == 1
-        assert len(set(keys.fingerprints)) == spec.n_devices
-        assert set(keys.spec_hashes) == set(
-            fleet_serve.device_spec_hash(spec, profile)
-            for profile in spec.device_profiles()
-        )
-        assert keys.config_hash == config_hash(spec, active)
-
-    def test_keys_equal_per_device_hashes_and_hash_the_npu_once(
-        self, monkeypatch, tiny_trace
-    ):
-        """Keys from one shared ``NpuSpec`` hash are byte-identical to
-        ``device_spec_hash`` per device, degraded device included."""
-        spec = FleetSpec(
-            n_devices=12, seed=5, churn=ChurnConfig(max_joins=3)
-        ).with_degraded_device(4, 1.25, reason="fan")
-        active = (0, 2, 3, 4, 7, 11, 13)
-        expected = tuple(
-            fleet_serve.device_spec_hash(spec, spec.device_profiles()[i])
-            for i in active
-        )
-        calls = []
-        npu_hash = fleet_serve.spec_fingerprint
-
-        def counting(npu):
-            calls.append(npu)
-            return npu_hash(npu)
-
-        monkeypatch.setattr(fleet_serve, "spec_fingerprint", counting)
-        keys = fleet_device_fingerprints(tiny_trace, spec, active)
-        assert len(calls) == 1
-        assert keys.spec_hashes == expected
-        trace_hash = fleet_serve.trace_fingerprint(tiny_trace)
-        assert keys.fingerprints == tuple(
-            fleet_serve.combine_fingerprints(
-                trace_hash, keys.config_hash, spec_hash
-            )
-            for spec_hash in expected
-        )
-
-    #: Per-device fleet fingerprint digests over binned speed profiles
-    #: (the config hash covers the bin width): sha256 over the
-    #: concatenated per-device fingerprints of every active device.
-    PINNED_FINGERPRINTS = {
-        "8 devices, seed 0": (
-            "bbc56101a89b87f42b7b89c7d0432711e4e27186154a8d52c38f2f67f8b33140"
-        ),
-        "4 devices, seed 7, device 1 degraded": (
-            "9815b52aacfa44a9c93231b3c7e259b7b008ad4d5228c80e71569d05faba9c31"
-        ),
-        "6 devices, seed 3, 2 spares": (
-            "cc35f37336cec51411b8fb259fab3af123ba188b9273635d7a9814425cc92502"
-        ),
-    }
-
-    def test_fingerprints_pinned(self, tiny_trace):
-        specs = {
-            "8 devices, seed 0": FleetSpec(n_devices=8, seed=0),
-            "4 devices, seed 7, device 1 degraded": FleetSpec(
-                n_devices=4, seed=7
-            ).with_degraded_device(1, 1.3),
-            "6 devices, seed 3, 2 spares": FleetSpec(
-                n_devices=6, seed=3, churn=ChurnConfig(max_joins=2)
-            ),
-        }
-        for label, spec in specs.items():
-            active = tuple(range(spec.n_devices))
-            keys = fleet_device_fingerprints(tiny_trace, spec, active)
-            joined = "".join(keys.fingerprints)
-            digest = hashlib.sha256(joined.encode()).hexdigest()
-            assert digest == self.PINNED_FINGERPRINTS[label], label
-
-
 class TestFaultStory:
     def test_degradation_retargets_and_logs(self, small_spec, tiny_trace):
         spec = fleet_spec_of(small_spec)
@@ -555,6 +428,33 @@ class TestReferenceIsolation:
                     if isinstance(inner, (ast.Import, ast.ImportFrom)):
                         offenders.append(f"{path.name}:{inner.lineno}")
         assert offenders == []
+
+    def test_fleet_does_not_load_the_serve_stack(self):
+        """``import repro.fleet`` loads no ``repro.serve`` module.
+
+        Fleet plans are recomputed, not cached, so the fleet needs
+        neither the strategy store nor the gateway behind it.  The check
+        runs in a fresh interpreter: other tests import ``repro.serve``.
+        """
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        code = (
+            "import json, sys, repro.fleet; print(json.dumps(sorted("
+            "m for m in sys.modules if m.startswith('repro.serve'))))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=240,
+            check=False,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.strip().splitlines()[-1]) == []
 
     def test_production_does_not_import_the_reference(self):
         """No module under ``src/repro`` imports the ``tests`` package.

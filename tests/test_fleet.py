@@ -35,22 +35,9 @@ from repro.fleet import (
     straggler_summary,
 )
 from repro.fleet.cli import main as fleet_main
-from repro.fleet.dvfs import plan_strategies
-from repro.fleet.serve import (
-    device_spec_hash,
-    fleet_cached_reclaim,
-    fleet_config_hash,
-    fleet_device_fingerprints,
-)
 from repro.fleet.simulator import MEMBERSHIP_KINDS
 from repro.fleet.spec import VARIATION_STREAM, DeviceProfile
 from repro.npu.engine import batched_const_durations
-from repro.serve.fingerprint import (
-    combine_fingerprints,
-    payload_fingerprint,
-    trace_fingerprint,
-)
-from repro.serve.store import StrategyStore
 from repro.workloads import generate
 from tests.oracles import EAGER_STEP_PAIRS, eager_step_arrays
 from tests.reference.compare import compare_with_cluster
@@ -220,6 +207,33 @@ def assert_costs_bitwise(got, ref):
         ), name
 
 
+def continuous_profiles(spec: FleetSpec) -> tuple:
+    """The speed draw as it was before binning: clamped, not rounded."""
+    rng = RngFactory(spec.seed).generator(VARIATION_STREAM)
+    variation = spec.variation
+    spread = variation.max_speed_spread
+    cap = variation.max_ambient_spread_celsius
+    profiles = []
+    for device_id in range(spec.capacity):
+        speed = 1.0 + variation.speed_sigma * float(rng.standard_normal())
+        ambient = variation.ambient_sigma_celsius * float(
+            rng.standard_normal()
+        )
+        profiles.append(
+            DeviceProfile(
+                device_id=device_id,
+                duration_scale=min(1.0 + spread, max(1.0 - spread, speed)),
+                ambient_offset_celsius=min(cap, max(-cap, ambient)),
+            )
+        )
+    return tuple(profiles)
+
+
+#: Wide enough that most boards clamp: a clamped board's profile is the
+#: same draw binned or not.
+CLAMPING = DeviceVariation(speed_sigma=0.2, max_speed_spread=0.05)
+
+
 class TestFleetSpec:
     def test_capacity_includes_spares(self):
         spec = FleetSpec(n_devices=8, churn=ChurnConfig(max_joins=4))
@@ -299,7 +313,7 @@ class TestFleetSpec:
             assert not array.flags.writeable
 
     def test_profiles_are_drawn_once_per_spec(self, monkeypatch, tiny_trace):
-        """The simulator, the store and the fingerprints share one draw."""
+        """The simulator and every later reader share one draw."""
         import repro.fleet.spec as spec_module
 
         draws = []
@@ -313,9 +327,6 @@ class TestFleetSpec:
         spec = FleetSpec(n_devices=8, seed=4)
         first = spec.device_profiles()
         assert spec.device_profiles() is first
-        fleet_device_fingerprints(
-            tiny_trace, spec, tuple(range(spec.n_devices))
-        )
         FleetSimulator(spec, tiny_trace)
         assert draws == [4]
         # The cache is not a field: equal specs stay equal, and a
@@ -324,6 +335,18 @@ class TestFleetSpec:
         other = dataclasses.replace(spec, seed=5)
         assert other.device_profiles() != first
         assert draws == [4, 5]
+
+    def test_clamped_boards_keep_their_profiles(self):
+        """Binning moves only boards inside the clamp: a board clamped
+        at the speed spread draws the same profile binned or not."""
+        spec = FleetSpec(n_devices=8, seed=0, variation=CLAMPING)
+        same = [
+            old == new
+            for old, new in zip(
+                continuous_profiles(spec), spec.device_profiles()
+            )
+        ]
+        assert 0 < sum(same) < len(same)
 
     def test_from_cluster_round_trip(self):
         cluster = ClusterSpec(n_devices=4, seed=7)
@@ -610,155 +633,6 @@ class TestReclaim:
             retargeted, target_compute_us=retargeted.target_compute_us
         )
         assert fresh.overrun_count == 0
-
-
-class TestStore:
-    def test_cold_then_warm_is_byte_identical(self, tmp_path, tiny_trace):
-        sim = FleetSimulator(FleetSpec(n_devices=4, seed=0), tiny_trace)
-        store = StrategyStore(tmp_path)
-        cold = fleet_cached_reclaim(sim, store)
-        warm = fleet_cached_reclaim(sim, store)
-        assert cold.computed and not warm.computed
-        assert cold.hit_count == 0 and warm.hit_count == 4
-        assert plan_strategy_json(cold.plan) == plan_strategy_json(warm.plan)
-        assert cold.plan.target_compute_us == warm.plan.target_compute_us
-        assert np.array_equal(cold.plan.freq_index, warm.plan.freq_index)
-        assert_plan_frozen(cold.plan)
-        assert_plan_frozen(warm.plan)
-
-    @pytest.mark.parametrize("margin", [0.0, 0.02, 0.05])
-    def test_warm_plan_equals_cold_field_for_field(
-        self, tmp_path, tiny_trace, margin
-    ):
-        """A store hit rebuilds the cold barrier, margin included."""
-        sim = FleetSimulator(FleetSpec(n_devices=8, seed=0), tiny_trace)
-        store = StrategyStore(tmp_path)
-        cold = fleet_cached_reclaim(sim, store, slack_margin=margin).plan
-        warm_result = fleet_cached_reclaim(sim, store, slack_margin=margin)
-        assert not warm_result.computed
-        warm = warm_result.plan
-        for field in dataclasses.fields(cold):
-            got = getattr(warm, field.name)
-            want = getattr(cold, field.name)
-            if isinstance(want, np.ndarray):
-                assert got.dtype == want.dtype, field.name
-                assert np.array_equal(got, want), field.name
-            else:
-                assert got == want, field.name
-
-    def test_membership_change_invalidates_the_cache(
-        self, tmp_path, tiny_trace
-    ):
-        spec = FleetSpec(
-            n_devices=4, seed=0, churn=ChurnConfig(leave_rate=10.0)
-        )
-        sim = FleetSimulator(spec, tiny_trace)
-        store = StrategyStore(tmp_path)
-        before = tuple(int(i) for i in sim.active_ids)
-        fleet_cached_reclaim(sim, store)
-        sim.advance_churn(1)
-        after = tuple(int(i) for i in sim.active_ids)
-        assert after != before
-        again = fleet_cached_reclaim(sim, store)
-        assert again.computed
-        assert fleet_config_hash(spec, before) != fleet_config_hash(
-            spec, after
-        )
-
-
-def continuous_profiles(spec: FleetSpec) -> tuple:
-    """The speed draw as it was before binning: clamped, not rounded."""
-    rng = RngFactory(spec.seed).generator(VARIATION_STREAM)
-    variation = spec.variation
-    spread = variation.max_speed_spread
-    cap = variation.max_ambient_spread_celsius
-    profiles = []
-    for device_id in range(spec.capacity):
-        speed = 1.0 + variation.speed_sigma * float(rng.standard_normal())
-        ambient = variation.ambient_sigma_celsius * float(
-            rng.standard_normal()
-        )
-        profiles.append(
-            DeviceProfile(
-                device_id=device_id,
-                duration_scale=min(1.0 + spread, max(1.0 - spread, speed)),
-                ambient_offset_celsius=min(cap, max(-cap, ambient)),
-            )
-        )
-    return tuple(profiles)
-
-
-def warm_with_continuous_plans(store, trace, spec) -> None:
-    """Store a continuous-profile fleet's plan under unbinned keys.
-
-    These are the keys of a store written from unbinned draws: the same
-    payloads, minus the speed-bin width in the config hash.  The legacy
-    spec's profile cache is seeded with the continuous draw.
-    """
-    legacy = dataclasses.replace(spec)
-    legacy.__dict__["_profiles"] = continuous_profiles(spec)
-    plan = reclaim_fleet_slack(FleetSimulator(legacy, trace))
-    active = tuple(range(spec.n_devices))
-    config_hash = payload_fingerprint(
-        "fleet_config",
-        {
-            "n_devices": spec.n_devices,
-            "capacity": spec.capacity,
-            "variation": spec.variation,
-            "topology": spec.topology,
-            "gradient_bytes": spec.gradient_bytes,
-            "seed": spec.seed,
-            "slack_margin": 0.0,
-            "active": active,
-        },
-    )
-    trace_hash = trace_fingerprint(trace)
-    for device_id, strategy in zip(active, plan_strategies(plan)):
-        spec_hash = device_spec_hash(spec, legacy.device_profiles()[device_id])
-        store.put(
-            combine_fingerprints(trace_hash, config_hash, spec_hash),
-            strategy,
-            config_hash,
-            spec_hash,
-        )
-
-
-class TestStoreMigration:
-    """Plans stored from continuous speed draws miss cleanly."""
-
-    #: Wide enough that most boards clamp: a clamped board's profile is
-    #: the same draw binned or not.
-    CLAMPING = DeviceVariation(speed_sigma=0.2, max_speed_spread=0.05)
-
-    @pytest.mark.parametrize("variation", [DeviceVariation(), CLAMPING])
-    def test_continuous_store_gives_clean_misses(
-        self, tmp_path, tiny_trace, variation
-    ):
-        spec = FleetSpec(n_devices=8, seed=0, variation=variation)
-        store = StrategyStore(tmp_path)
-        warm_with_continuous_plans(store, tiny_trace, spec)
-        assert store.counters.puts == spec.n_devices
-        sim = FleetSimulator(spec, tiny_trace)
-        cold = fleet_cached_reclaim(sim, store)
-        assert cold.computed and cold.hit_count == 0
-        assert store.counters.misses == spec.n_devices
-        assert store.counters.invalidations == 0
-        assert store.counters.quarantined == 0
-        fresh = reclaim_fleet_slack(FleetSimulator(spec, tiny_trace))
-        assert plan_strategy_json(cold.plan) == plan_strategy_json(fresh)
-        warm = fleet_cached_reclaim(sim, store)
-        assert not warm.computed
-        assert plan_strategy_json(warm.plan) == plan_strategy_json(fresh)
-
-    def test_clamped_boards_keep_their_profiles(self):
-        spec = FleetSpec(n_devices=8, seed=0, variation=self.CLAMPING)
-        same = [
-            old == new
-            for old, new in zip(
-                continuous_profiles(spec), spec.device_profiles()
-            )
-        ]
-        assert 0 < sum(same) < len(same)
 
 
 class TestReporting:
